@@ -32,10 +32,12 @@ chaos:
 chaos-nightly:
 	$(GO) test -race -count=1 -run Chaos ./...
 
-# Brief coverage-guided fuzz of the merge frame decoder and the
-# checkpoint decoder on top of the seeded corpus that `make test`
+# Brief coverage-guided fuzz of the merge frame decoder, the
+# checkpoint decoder and the gradient's cell order (against the
+# cube.Compare oracle) on top of the seeded corpus that `make test`
 # already replays.
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzCellOrder -fuzztime 30s ./internal/gradient/
 	$(GO) test -run '^$$' -fuzz FuzzChaosUnframe -fuzztime 30s ./internal/merge/
 	$(GO) test -run '^$$' -fuzz FuzzChaosDecodeCheckpoint -fuzztime 30s ./internal/pario/
 
@@ -119,11 +121,13 @@ benchgate-wall:
 	$(GO) run ./cmd/benchdiff -fresh BENCH_wall.json -wall -wall-tol 0.10
 
 # The intra-rank kernel surface in one target: worker-pool unit tests,
-# the cross-width byte-equivalence and sweep-determinism suite, and the
-# pooled gradient/tracer microbenchmarks.
+# the cross-width byte-equivalence and sweep-determinism suite, the
+# pooled gradient/tracer microbenchmarks and the one-block gradient
+# microbenchmark of the smooth-field pipeline case.
 kernels:
 	$(GO) test ./internal/kernel/ ./internal/serial/
 	$(GO) test -run '^$$' -bench 'Pooled' -benchtime 3x ./internal/gradient/ ./internal/mscomplex/
+	$(GO) test -run '^$$' -bench 'GradientSmoothBlock' -benchtime 3x ./internal/gradient/
 
 # The paper-evaluation drivers as Go microbenchmarks.
 microbench:

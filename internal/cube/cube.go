@@ -10,9 +10,19 @@
 // descending order, lexicographically. No two distinct cells of the same
 // dimension compare equal, which removes flat-region ambiguity from the
 // steepest-descent pairing.
+//
+// Sample values are ordered by OrderBits, which makes the order total
+// for every float32: -0 and +0 tie on value (the id decides), as they
+// compare equal, and every NaN, whatever its sign or payload, ties with
+// every other NaN above +Inf. A block holding NaN samples therefore
+// still gets one well-defined, run-independent gradient.
 package cube
 
-import "parms/internal/grid"
+import (
+	"math"
+
+	"parms/internal/grid"
+)
 
 // Complex is the cell complex of one block.
 type Complex struct {
@@ -134,6 +144,29 @@ func (c *Complex) Cofacets(idx int, buf []int) []int {
 	return buf
 }
 
+// Samples returns the block-local samples, x fastest. A vertex's index
+// into this slice is its block-local vertex index, and because block
+// offsets are shared by all of a block's vertices, the local index
+// order equals the global vertex id order.
+func (c *Complex) Samples() []float32 { return c.vol.Data }
+
+// OrderBits maps a sample value to a key whose unsigned integer order is
+// the value order of the simulation of simplicity: -0 and +0 map to the
+// same key, and every NaN maps to one key above +Inf.
+func OrderBits(v float32) uint32 {
+	b := math.Float32bits(v)
+	switch {
+	case v != v:
+		b = 0x7fc00000 // the canonical quiet NaN
+	case v == 0:
+		b = 0 // -0 == +0
+	}
+	if b&(1<<31) != 0 {
+		return ^b // negative: larger magnitude sorts lower
+	}
+	return b | 1<<31
+}
+
 // VertKey is one vertex of a cell: its sample value and global vertex
 // id. The id makes every vertex distinct, so sorting keys gives a strict
 // total order.
@@ -142,10 +175,10 @@ type VertKey struct {
 	ID  int64
 }
 
-// Less orders vertex keys by value, then id.
+// Less orders vertex keys by value under OrderBits, then id.
 func (a VertKey) Less(b VertKey) bool {
-	if a.Val != b.Val {
-		return a.Val < b.Val
+	if ka, kb := OrderBits(a.Val), OrderBits(b.Val); ka != kb {
+		return ka < kb
 	}
 	return a.ID < b.ID
 }
@@ -205,8 +238,9 @@ func (c *Complex) MaxVertID(idx int) int64 {
 // of equal dimension never compare equal unless a == b. Cells of
 // different dimension are compared by their key sequences directly
 // (shorter prefix that matches sorts first), which is only used for
-// diagnostics; the gradient construction always compares within one
-// dimension.
+// diagnostics. Compare is the direct statement of the order: the
+// gradient construction derives the same order from vertex ranks, and
+// its tests hold it to Compare.
 func (c *Complex) Compare(a, b int) int {
 	if a == b {
 		return 0

@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -163,5 +164,41 @@ func TestOnBlockFace(t *testing.T) {
 	}
 	if !c.OnAnyFace(c.Index(0, 1, 1)) || c.OnAnyFace(c.Index(1, 1, 1)) {
 		t.Fatal("OnAnyFace misclassifies")
+	}
+}
+
+// TestOrderBits pins the sample order every SoS comparison starts from:
+// float order on ordinary values, -0 tied with +0, and every NaN tied
+// with every other NaN above +Inf.
+func TestOrderBits(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	ascending := []float32{
+		float32(math.Inf(-1)), -math.MaxFloat32, -1, -math.SmallestNonzeroFloat32,
+		0, math.SmallestNonzeroFloat32, 1, math.MaxFloat32, float32(math.Inf(1)),
+		float32(math.NaN()),
+	}
+	for i := 1; i < len(ascending); i++ {
+		if a, b := OrderBits(ascending[i-1]), OrderBits(ascending[i]); a >= b {
+			t.Fatalf("OrderBits(%v)=%#x not below OrderBits(%v)=%#x", ascending[i-1], a, ascending[i], b)
+		}
+	}
+	if OrderBits(negZero) != OrderBits(0) {
+		t.Fatal("-0 and +0 must tie")
+	}
+	nan := OrderBits(float32(math.NaN()))
+	for _, bits := range []uint32{0x7fc00000, 0xffc00000, 0x7f800001, 0xff812345, 0x7fffffff} {
+		if got := OrderBits(math.Float32frombits(bits)); got != nan {
+			t.Fatalf("NaN %#x keyed %#x, want the canonical %#x", bits, got, nan)
+		}
+	}
+	// VertKey.Less follows the same order and breaks ties by id.
+	n := VertKey{Val: math.Float32frombits(0xffc00000), ID: 1}
+	inf := VertKey{Val: float32(math.Inf(1)), ID: 2}
+	if !inf.Less(n) || n.Less(inf) {
+		t.Fatal("NaN must sort above +Inf")
+	}
+	if !(VertKey{Val: negZero, ID: 1}).Less(VertKey{Val: 0, ID: 2}) ||
+		!(VertKey{Val: 0, ID: 1}).Less(VertKey{Val: negZero, ID: 2}) {
+		t.Fatal("±0 must tie on value and fall back to the id")
 	}
 }

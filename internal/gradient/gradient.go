@@ -14,6 +14,14 @@
 // neighboring blocks compute byte-identical gradients on their shared
 // face.
 //
+// The SoS order comes from sorting the block's vertices once, not from
+// a comparator sort over cells: each dimension's cells are emitted by
+// walking the vertices in rank order and expanding each vertex's lower
+// star in place (order.go), and cofacets are compared by rank as well.
+// Work.SortedItems nonetheless bills the paper's cell sort, so the
+// virtual-time cost model is unchanged by this host-side shortcut. The
+// worker pool covers only the successor arrays built after pairing.
+//
 // The result is stored in one byte per refined-grid cell, exactly as the
 // paper's implementation does: three bits of pair direction, plus flags
 // for assigned/critical state.
@@ -22,7 +30,6 @@ package gradient
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"parms/internal/cube"
 	"parms/internal/grid"
@@ -68,10 +75,10 @@ func Compute(c *cube.Complex, dec *grid.Decomposition) *Field {
 }
 
 // ComputePooled is Compute with an explicit intra-rank worker pool for
-// the batch kernels (key precomputation and successor-array builds).
-// The greedy pairing sweep itself is order-dependent and stays
-// sequential, so the resulting field is byte-identical for every pool
-// width — a nil pool is the reference sequential path.
+// the batch kernel that builds the successor arrays. The ordering and
+// the greedy pairing sweeps are order-dependent and stay sequential, so
+// the resulting field is byte-identical for every pool width — a nil
+// pool is the reference sequential path.
 func ComputePooled(c *cube.Complex, dec *grid.Decomposition, pool *kernel.Pool) *Field {
 	f := &Field{
 		C:      c,
@@ -79,7 +86,7 @@ func ComputePooled(c *cube.Complex, dec *grid.Decomposition, pool *kernel.Pool) 
 		strata: make([]int32, c.NumCells()),
 	}
 	f.classifyStrata(dec)
-	f.assign(pool)
+	f.assign()
 	f.successorsKernel(pool)
 	return f
 }
@@ -87,96 +94,112 @@ func ComputePooled(c *cube.Complex, dec *grid.Decomposition, pool *kernel.Pool) 
 // classifyStrata assigns each cell a stratum id. Interior cells (owned
 // by this block alone) get stratum 0; cells on a shared boundary get an
 // id interned from the sorted set of blocks whose closed boxes contain
-// the cell.
+// the cell, numbered in cell-index order of first appearance. Only the
+// cells on the block's faces are visited, and one owners buffer and a
+// fixed-size array key serve them all.
 func (f *Field) classifyStrata(dec *grid.Decomposition) {
 	if dec == nil {
 		return // everything stratum 0
 	}
 	c := f.C
-	intern := map[string]int32{}
-	n := c.NumCells()
-	for idx := 0; idx < n; idx++ {
-		if !c.OnAnyFace(idx) {
-			continue
+	lo := c.Block.Lo
+	intern := map[ownerSet]int32{}
+	var owners []int
+	for z := 0; z < c.NZ; z++ {
+		for y := 0; y < c.NY; y++ {
+			// Off the y and z faces only the two x faces are on the boundary.
+			step := 1
+			if z > 0 && z < c.NZ-1 && y > 0 && y < c.NY-1 {
+				step = max(c.NX-1, 1)
+			}
+			for x := 0; x < c.NX; x += step {
+				owners = dec.AppendOwnersOfRefined(owners[:0], c.Block.ID, x+2*lo[0], y+2*lo[1], z+2*lo[2])
+				if len(owners) <= 1 {
+					continue // a face on the domain boundary: unrestricted
+				}
+				key := ownerSet{-1, -1, -1, -1, -1, -1, -1, -1}
+				for i, o := range owners {
+					key[i] = int32(o)
+				}
+				id, ok := intern[key]
+				if !ok {
+					id = int32(len(intern) + 1)
+					intern[key] = id
+				}
+				f.strata[c.Index(x, y, z)] = id
+			}
 		}
-		gx, gy, gz := c.GlobalCoords(idx)
-		owners := dec.OwnersOfRefined(c.Block.ID, gx, gy, gz)
-		if len(owners) <= 1 {
-			continue // a face on the domain boundary: unrestricted
-		}
-		key := ownersKey(owners)
-		id, ok := intern[key]
-		if !ok {
-			id = int32(len(intern) + 1)
-			intern[key] = id
-		}
-		f.strata[idx] = id
 	}
 }
 
-func ownersKey(owners []int) string {
-	buf := make([]byte, 0, len(owners)*4)
-	for _, o := range owners {
-		buf = append(buf, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
-	}
-	return string(buf)
-}
+// ownerSet is a set of at most 8 owning block ids (see
+// grid.Decomposition.AppendOwnersOfRefined), padded with -1.
+type ownerSet [8]int32
 
-// assign runs the greedy pairing sweeps, one per dimension. The pool
-// accelerates the sort-key batch kernel; the greedy loop itself is
+// assign runs the greedy pairing sweeps, one per dimension, visiting
+// each dimension's cells in SoS order (ranking.appendCells) and picking
+// the steepest cofacet by rank (ranking.cofacetKey). The sweeps are
 // sequential because each pairing decision depends on earlier ones.
-func (f *Field) assign(pool *kernel.Pool) {
+//
+// Work.SortedItems still bills n_d·⌈log₂ n_d⌉ per swept dimension, the
+// comparison sort the paper's construction performs: the cost model
+// keeps reproducing the paper's time shapes, and this host-side
+// speed-up does not show up as a change of the model.
+func (f *Field) assign() {
 	c := f.C
-	n := c.NumCells()
-	f.Work.CellsVisited += int64(n)
+	f.Work.CellsVisited += int64(c.NumCells())
+	r := newRanking(c)
+	counts := r.cellCounts()
 
-	// Bucket cell indices by dimension.
-	byDim := [4][]int32{}
-	counts := [4]int{}
-	for idx := 0; idx < n; idx++ {
-		counts[c.Dim(idx)]++
-	}
-	for d := 0; d < 4; d++ {
-		byDim[d] = make([]int32, 0, counts[d])
-	}
-	for idx := 0; idx < n; idx++ {
-		d := c.Dim(idx)
-		byDim[d] = append(byDim[d], int32(idx))
-	}
-
-	var facetBuf, cofacetBuf [6]int
+	const assigned = flagPaired | flagCrit
+	ext := [3]int{c.NX, c.NY, c.NZ}
+	stride := r.cellStride
+	order := make([]int32, 0, max(counts[0], counts[1], counts[2]))
 	for d := 0; d <= 2; d++ {
-		cellsD := byDim[d]
-		f.sortCells(cellsD, pool)
-		for _, ci := range cellsD {
+		order = r.appendCells(order[:0], d)
+		f.Work.SortedItems += int64(counts[d]) * int64(bits.Len(uint(counts[d])))
+		for _, ci := range order {
 			idx := int(ci)
-			if f.state[idx]&(flagPaired|flagCrit) != 0 {
+			if f.state[idx]&assigned != 0 {
 				continue // already a head of a pair from the previous sweep
 			}
-			best := -1
-			for _, co := range c.Cofacets(idx, cofacetBuf[:0]) {
-				f.Work.PairTests++
-				if f.state[co]&(flagPaired|flagCrit) != 0 {
+			x, y, z := c.Coords(idx)
+			p := [3]int{x, y, z}
+			best, bestKey := -1, int32(0)
+			// The cofacets of idx lie one step along its even axes.
+			for a := 0; a < 3; a++ {
+				if p[a]&1 == 1 {
 					continue
 				}
-				if f.strata[co] != f.strata[idx] {
-					continue // boundary restriction
-				}
-				// idx must be the only unassigned facet of co.
-				sole := true
-				for _, fc := range c.Facets(co, facetBuf[:0]) {
-					if fc != idx && f.state[fc]&(flagPaired|flagCrit) == 0 {
-						sole = false
-						break
+				for s := -1; s <= 1; s += 2 {
+					if q := p[a] + s; q < 0 || q >= ext[a] {
+						continue
 					}
-				}
-				if !sole {
-					continue
-				}
-				// Steepest descent: the candidate with the smallest
-				// simulation-of-simplicity order.
-				if best < 0 || c.Compare(co, best) < 0 {
-					best = co
+					co := idx + s*stride[a]
+					f.Work.PairTests++
+					if f.state[co]&assigned != 0 {
+						continue
+					}
+					if f.strata[co] != f.strata[idx] {
+						continue // boundary restriction
+					}
+					// idx must be the only unassigned facet of co: the
+					// facet across co along a, and the two along each odd
+					// axis of idx.
+					sole := f.state[co+s*stride[a]]&assigned != 0
+					for b := 0; b < 3 && sole; b++ {
+						if p[b]&1 == 1 {
+							sole = f.state[co-stride[b]]&assigned != 0 && f.state[co+stride[b]]&assigned != 0
+						}
+					}
+					if !sole {
+						continue
+					}
+					// Steepest descent: the candidate with the smallest
+					// simulation-of-simplicity order.
+					if key := r.cofacetKey(p, a, s); best < 0 || key < bestKey {
+						best, bestKey = co, key
+					}
 				}
 			}
 			if best < 0 {
@@ -187,49 +210,15 @@ func (f *Field) assign(pool *kernel.Pool) {
 		}
 	}
 	// Whatever remains unassigned can only be 3-cells; they are maxima.
-	for _, ci := range byDim[3] {
-		if f.state[ci]&(flagPaired|flagCrit) == 0 {
-			f.state[ci] |= flagCrit
+	for z := 1; z < c.NZ; z += 2 {
+		for y := 1; y < c.NY; y += 2 {
+			for x := 1; x < c.NX; x += 2 {
+				if idx := c.Index(x, y, z); f.state[idx]&assigned == 0 {
+					f.state[idx] |= flagCrit
+				}
+			}
 		}
 	}
-}
-
-// sortCells orders same-dimension cells ascending in the SoS total
-// order. A batch kernel precomputes one (max value, max vertex id) key
-// per cell into flat arrays — no map, no per-comparison VertKeys — and
-// a permutation sort indexes those arrays directly; the full
-// lexicographic comparison breaks the rare remaining ties. The SoS
-// order is total, so the sorted sequence is unique and independent of
-// both the sort algorithm and the pool width.
-func (f *Field) sortCells(cells []int32, pool *kernel.Pool) {
-	c := f.C
-	nc := len(cells)
-	if nc == 0 {
-		return
-	}
-	val := make([]float32, nc)
-	id := make([]int64, nc)
-	f.cellKeysKernel(cells, val, id, pool)
-	perm := make([]int32, nc)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		ia, ib := perm[a], perm[b]
-		if val[ia] != val[ib] {
-			return val[ia] < val[ib]
-		}
-		if id[ia] != id[ib] {
-			return id[ia] < id[ib]
-		}
-		return c.Compare(int(cells[ia]), int(cells[ib])) < 0
-	})
-	sorted := make([]int32, nc)
-	for i, p := range perm {
-		sorted[i] = cells[p]
-	}
-	copy(cells, sorted)
-	f.Work.SortedItems += int64(nc) * int64(bits.Len(uint(nc)))
 }
 
 // pair records the gradient vector tail→head between facet tail and

@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"fmt"
 	"testing"
 
 	"parms/internal/cube"
@@ -185,5 +186,41 @@ func BenchmarkGradient32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cube.New(dims, block, vol)
 		Compute(c, nil)
+	}
+}
+
+// TestStrataIDs holds the face-only, allocation-free stratum
+// classification to the direct definition: every cell on any block
+// face, its owner set from OwnersOfRefined, ids numbered by first
+// appearance in cell-index order.
+func TestStrataIDs(t *testing.T) {
+	dims := grid.Dims{13, 10, 9}
+	vol := synth.Random(dims, 5)
+	dec, err := grid.Decompose(dims, 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range dec.Blocks {
+		f := Compute(cube.New(dims, b, vol.SubVolume(b.Lo, b.Hi)), dec)
+		c := f.C
+		intern := map[string]int32{}
+		for idx := 0; idx < c.NumCells(); idx++ {
+			want := int32(0)
+			if c.OnAnyFace(idx) {
+				gx, gy, gz := c.GlobalCoords(idx)
+				if owners := dec.OwnersOfRefined(b.ID, gx, gy, gz); len(owners) > 1 {
+					key := fmt.Sprint(owners)
+					id, ok := intern[key]
+					if !ok {
+						id = int32(len(intern) + 1)
+						intern[key] = id
+					}
+					want = id
+				}
+			}
+			if got := f.Stratum(idx); got != want {
+				t.Fatalf("block %d cell %d: stratum %d, want %d", b.ID, idx, got, want)
+			}
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package gradient
 
-import (
-	"parms/internal/cube"
-	"parms/internal/kernel"
-)
+import "parms/internal/kernel"
 
 // This file holds the data-parallel batch kernels of the gradient
 // stage. Every kernel is a chunked parallel-for over flat arrays
@@ -11,22 +8,6 @@ import (
 // variable, chunk boundaries depend only on the problem size, and the
 // per-element loop bodies allocate nothing — the msvet `kernel`
 // analyzer enforces the latter for every function named *Kernel.
-
-// cellKeysKernel fills val[i] and id[i] with the top simulation-of-
-// simplicity key (max vertex value, max vertex id) of cells[i]. The
-// arrays are parallel to cells and are consumed by sortCells, replacing
-// the per-cell map lookups of the old sequential path.
-func (f *Field) cellKeysKernel(cells []int32, val []float32, id []int64, pool *kernel.Pool) {
-	c := f.C
-	pool.Run(len(cells), kernel.DefaultGrain, func(_, _, lo, hi int) {
-		var buf [8]cube.VertKey
-		for i := lo; i < hi; i++ {
-			keys := c.VertKeys(int(cells[i]), buf[:])
-			val[i] = keys[0].Val
-			id[i] = keys[0].ID
-		}
-	})
-}
 
 // successorsKernel fills the flat successor arrays from the assigned
 // state bytes: headOf[idx] is the paired head cofacet when idx is the
@@ -45,9 +26,19 @@ func (f *Field) successorsKernel(pool *kernel.Pool) {
 			if s&flagPaired == 0 {
 				continue
 			}
-			p := neighborByDir(c, idx, s&dirMask)
-			if c.Dim(p) == c.Dim(idx)+1 {
-				f.headOf[idx] = int32(p)
+			// The partner is a cofacet when idx is even along the
+			// pairing's axis, so the step adds an odd coordinate.
+			var coord int
+			switch (s & dirMask) >> 1 {
+			case 0:
+				coord = idx % c.NX
+			case 1:
+				coord = idx / c.NX % c.NY
+			default:
+				coord = idx / (c.NX * c.NY)
+			}
+			if coord&1 == 0 {
+				f.headOf[idx] = int32(neighborByDir(c, idx, s&dirMask))
 			}
 		}
 	})

@@ -140,13 +140,20 @@ func (d *Decomposition) Neighbors(id int) []int { return d.neighbors[id] }
 // coordinate). This is the "boundary of those same blocks" set from the
 // paper's pairing restriction.
 func (d *Decomposition) OwnersOfRefined(home int, x, y, z int) []int {
-	var owners []int
+	return d.AppendOwnersOfRefined(nil, home, x, y, z)
+}
+
+// AppendOwnersOfRefined is OwnersOfRefined appending to dst, so a scan
+// over many cells can reuse one buffer. Every block spans at least one
+// vertex interval per axis, so at most two blocks contain a coordinate
+// along each axis and the result never holds more than 8 owners.
+func (d *Decomposition) AppendOwnersOfRefined(dst []int, home int, x, y, z int) []int {
 	for _, nb := range d.neighbors[home] {
 		if d.Blocks[nb].ContainsRefined(x, y, z) {
-			owners = append(owners, nb)
+			dst = append(dst, nb)
 		}
 	}
-	return owners
+	return dst
 }
 
 // SharedBoundary reports whether the refined coordinate lies on a

@@ -24,8 +24,9 @@ var kernelPkgs = map[string]bool{
 // branch-predictable flat-array arithmetic. A make/new/append or a
 // composite literal that escapes turns each iteration into an
 // allocation; a func literal additionally forces its captures to the
-// heap. Scratch belongs above the loop, sized once per chunk (see
-// gradient.cellKeysKernel), where the msvet suite leaves it alone.
+// heap. Scratch belongs above the loop, sized once per chunk (see the
+// per-chunk write counter of mscomplex.jumpSweepKernel), where the
+// msvet suite leaves it alone.
 var KernelAnalyzer = &Analyzer{
 	Name: "kernel",
 	Doc: "flags per-element allocation (make/new/append, composite literals) and closure " +
