@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-short chaos chaos-nightly fuzz vet msvet msvet-bench lint trace insight flows bench benchgate benchgate-wall kernels microbench clean
+.PHONY: all build test race race-short chaos chaos-nightly fuzz vet msvet lint trace insight flows bench benchgate benchgate-wall kernels microbench clean
 
 all: lint build test
 
@@ -44,20 +44,15 @@ fuzz:
 # Standard vet plus the repo's own invariant multichecker (cmd/msvet,
 # DESIGN §11, §16): the per-package analyzers plus the interprocedural
 # SPMD collective-sequence matcher. msvet exits 1 on any finding or on
-# a malformed/stale //msvet:allow annotation, 2 on loader errors. The
-# content-hash cache under .msvet-cache/ makes warm reruns replay
-# unchanged packages; -stats prints the hit rate and elapsed seconds.
+# a malformed/stale //msvet:allow annotation, 2 on loader errors. Every
+# run is one cold sequential pass; -stats prints the package count, the
+# field-taint rounds and the elapsed seconds.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/msvet -stats ./...
 
 msvet:
 	$(GO) run ./cmd/msvet -stats ./...
-
-# The analysis-engine self-benchmark: warm cached passes of the full
-# suite over the whole module (the cache is primed outside the timer).
-msvet-bench:
-	$(GO) test ./internal/msvet/ -run '^$$' -bench BenchmarkRunRepo -benchtime 3x
 
 # The lint umbrella mirrors exactly what the CI lint job enforces:
 # formatting, go vet, and the msvet invariant suite.

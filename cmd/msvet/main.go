@@ -3,9 +3,10 @@
 // classes unrepresentable (DESIGN §11, §16), including the
 // interprocedural SPMD collective-sequence matcher. It loads every
 // non-test package of the module from source — no go command, no
-// network — runs the suite in dependency-parallel waves with a
-// content-hash cache, and exits non-zero when any finding (or a
-// malformed or stale //msvet:allow annotation) survives.
+// network — runs the suite in one sequential pass over the packages in
+// sorted order (repeated only while field taint is still growing), and
+// exits non-zero when any finding (or a malformed or stale
+// //msvet:allow annotation) survives.
 //
 // Usage:
 //
@@ -36,10 +37,7 @@ func run() int {
 	runNames := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file ('-' for stdout)")
 	github := flag.Bool("github", false, "emit GitHub Actions ::error annotations alongside findings")
-	nocache := flag.Bool("nocache", false, "disable the content-hash cache")
-	cacheDir := flag.String("cachedir", "", "cache directory (default <module>/.msvet-cache)")
-	stats := flag.Bool("stats", false, "print cache and timing statistics to stderr")
-	workers := flag.Int("workers", 0, "parallel analysis workers (0 = one per CPU)")
+	stats := flag.Bool("stats", false, "print package, round and timing statistics to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: msvet [flags] [packages]\n\nFlags:\n")
 		flag.PrintDefaults()
@@ -123,18 +121,6 @@ func run() int {
 		Loader:      loader,
 		Analyzers:   analyzers,
 		CheckAllows: full,
-		Workers:     *workers,
-	}
-	if !*nocache {
-		dir := *cacheDir
-		if dir == "" {
-			dir = msvet.DefaultCacheDir(modRoot)
-		}
-		cache, err := msvet.NewCache(dir, loader, analyzers, full)
-		if err != nil {
-			return fatal(err)
-		}
-		runner.Cache = cache
 	}
 
 	start := time.Now()
@@ -168,8 +154,8 @@ func run() int {
 	}
 
 	if *stats {
-		fmt.Fprintf(os.Stderr, "msvet: %d packages, %d cache hits, %d analyzed, %.2fs\n",
-			runStats.Packages, runStats.CacheHits, len(runStats.Analyzed), elapsed.Seconds())
+		fmt.Fprintf(os.Stderr, "msvet: %d packages, %d round(s), %.2fs\n",
+			runStats.Packages, runStats.Rounds, elapsed.Seconds())
 	}
 
 	if len(findings) > 0 {

@@ -6,16 +6,15 @@ package msvet
 // sequence summaries, field-taint bits, and the Send/Recv tag table —
 // that importing packages consume instead of re-reading the callee's
 // source. The shape mirrors golang.org/x/tools/go/analysis Facts: facts
-// are computed once per package in dependency order, are serializable
-// (JSON, so the content-hash cache can replay them without
-// type-checking), and are keyed by stable string object keys rather
-// than *types.Object pointers, which do not survive a cache round trip.
+// are computed once per package in dependency order and are keyed by
+// stable string object keys ("Name", "(T).Name", "pkg.(T).field"), so a
+// caller resolves a callee's fact from the callee's types.Func alone.
 
 import (
+	"fmt"
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // A TaintMask records where a value's rank-dependence can come from.
@@ -76,9 +75,9 @@ const (
 // digests for uniform-count loops, and "call:pkg.fn" markers for
 // opaque callees that may perform collectives.
 type Variant struct {
-	Seq    []string  `json:"seq,omitempty"`
-	Dep    uint8     `json:"dep,omitempty"`
-	Params TaintMask `json:"params,omitempty"`
+	Seq    []string
+	Dep    uint8
+	Params TaintMask
 }
 
 // A Summary is a function's collective-sequence fact: the set of
@@ -86,9 +85,9 @@ type Variant struct {
 // the function blew the enumeration caps (or recursion), so callers
 // treat the whole call as one opaque element instead of inlining.
 type Summary struct {
-	Variants []Variant `json:"variants,omitempty"`
-	May      bool      `json:"may,omitempty"`
-	Opaque   bool      `json:"opaque,omitempty"`
+	Variants []Variant
+	May      bool
+	Opaque   bool
 }
 
 // A TagUse is one Send/Recv-family call site with a statically
@@ -98,12 +97,12 @@ type Summary struct {
 // //msvet:allow sendrecv annotation, so the repo-wide Finish matching
 // can honor suppressions without re-reading source.
 type TagUse struct {
-	Key     string `json:"key"`
-	Expr    string `json:"expr"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Allowed bool   `json:"allowed,omitempty"`
+	Key     string
+	Expr    string
+	File    string
+	Line    int
+	Col     int
+	Allowed bool
 }
 
 // PackageFacts is everything one package exports to its importers.
@@ -111,12 +110,12 @@ type TagUse struct {
 // for methods; field keys are "pkg.(T).field" (globally qualified,
 // since any package can taint a field of an imported struct).
 type PackageFacts struct {
-	Path      string                 `json:"path"`
-	Taint     map[string][]TaintMask `json:"taint,omitempty"`
-	Fields    map[string]bool        `json:"fields,omitempty"`
-	Summaries map[string]Summary     `json:"summaries,omitempty"`
-	SendTags  []TagUse               `json:"send_tags,omitempty"`
-	RecvTags  []TagUse               `json:"recv_tags,omitempty"`
+	Path      string
+	Taint     map[string][]TaintMask
+	Fields    map[string]bool
+	Summaries map[string]Summary
+	SendTags  []TagUse
+	RecvTags  []TagUse
 }
 
 func newPackageFacts(path string) *PackageFacts {
@@ -172,22 +171,28 @@ func fieldKeyOf(recv types.Type, field *types.Var) string {
 	return named.Obj().Pkg().Path() + ".(" + named.Obj().Name() + ")." + field.Name()
 }
 
-// A FactStore holds the facts of every package touched by one analysis
-// run — computed from source, or replayed from the cache — and computes
-// missing ones on demand in import order. It is safe for concurrent use
-// by the parallel runner: distinct packages compute under distinct
-// entry locks, and the import DAG is acyclic so lock order is too.
+// A FactStore holds the analysis of every package touched by one pass
+// and computes missing ones on demand in import order. It also keeps
+// the module-wide field-taint set: field taint is the one fact that
+// crosses between packages that need not import each other, so the
+// store records which field keys were read while still clean, and the
+// runner repeats the pass while any of them ended up tainted.
 type FactStore struct {
 	modPath string
 	load    func(path string) (*Package, error)
-	mu      sync.Mutex
+	// entries maps an import path to its finished analysis; a nil value
+	// marks an analysis in progress (a recursive request is an import
+	// cycle).
 	entries map[string]*factEntry
+	// fields holds every rank-tainted field key: the seed of this pass
+	// plus each finished package's own Fields.
+	fields map[string]bool
+	// cleanReads holds the field keys some finished package read while
+	// they were not (yet) in fields.
+	cleanReads map[string]bool
 }
 
 type factEntry struct {
-	mu    sync.Mutex
-	done  bool
-	facts *PackageFacts
 	state *pkgAnalysis
 	err   error
 }
@@ -195,7 +200,13 @@ type factEntry struct {
 // NewFactStore creates a store for the module rooted at modPath; load
 // resolves an import path to its type-checked package (the Loader).
 func NewFactStore(modPath string, load func(path string) (*Package, error)) *FactStore {
-	return &FactStore{modPath: modPath, load: load, entries: map[string]*factEntry{}}
+	return &FactStore{
+		modPath:    modPath,
+		load:       load,
+		entries:    map[string]*factEntry{},
+		fields:     map[string]bool{},
+		cleanReads: map[string]bool{},
+	}
 }
 
 // inModule reports whether path belongs to the analyzed module — the
@@ -205,28 +216,6 @@ func (s *FactStore) inModule(path string) bool {
 	return path == s.modPath || strings.HasPrefix(path, s.modPath+"/")
 }
 
-func (s *FactStore) entry(path string) *factEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[path]
-	if e == nil {
-		e = &factEntry{}
-		s.entries[path] = e
-	}
-	return e
-}
-
-// AddCached installs facts replayed from the content-hash cache, so
-// importers consume them without the package ever being type-checked.
-func (s *FactStore) AddCached(path string, facts *PackageFacts) {
-	e := s.entry(path)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.done {
-		e.facts, e.done = facts, true
-	}
-}
-
 // Facts returns the facts of an import path, computing them (loading
 // and analyzing the package, and transitively its module dependencies)
 // on first use. Non-module paths yield empty facts.
@@ -234,61 +223,66 @@ func (s *FactStore) Facts(path string) (*PackageFacts, error) {
 	if !s.inModule(path) {
 		return newPackageFacts(path), nil
 	}
-	e := s.entry(path)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done {
-		return e.facts, e.err
+	st, err := s.analyze(path, nil)
+	if err != nil {
+		return nil, err
 	}
-	p, err := s.load(path)
-	if err == nil {
-		e.state, err = analyzePackage(p, s)
-		if e.state != nil {
-			e.facts = e.state.facts
-		}
-	}
-	e.err, e.done = err, true
-	return e.facts, e.err
+	return st.facts, nil
 }
 
 // EnsureFor computes (or returns) the analysis state of an
-// already-loaded package. Unlike Facts it never consults the cache-fed
-// facts alone: analyzers need the in-memory state (taint environments,
-// pending diagnostics), so a cached-facts-only entry is recomputed.
+// already-loaded package.
 func (s *FactStore) EnsureFor(p *Package) (*pkgAnalysis, error) {
-	e := s.entry(p.Pkg.Path())
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.state != nil || (e.done && e.err != nil) {
-		return e.state, e.err
-	}
-	st, err := analyzePackage(p, s)
-	if err != nil {
-		e.err, e.done = err, true
-		return nil, err
-	}
-	e.state, e.facts, e.err, e.done = st, st.facts, nil, true
-	return st, nil
+	return s.analyze(p.Pkg.Path(), p)
 }
 
-// FieldTainted reports whether any analyzed package marked the field
-// key as rank-tainted.
-func (s *FactStore) FieldTainted(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Iteration order is irrelevant: this is a pure existence scan (an
-	// OR over booleans). Only completed entries are consulted; an
-	// in-flight package cannot have published fields yet, and TryLock
-	// keeps the lock order acyclic (an entry being computed holds its
-	// own lock while calling into the store).
-	for _, e := range s.entries {
-		if e.mu.TryLock() {
-			f := e.facts
-			tainted := e.done && f != nil && f.Fields[key]
-			e.mu.Unlock()
-			if tainted {
-				return true
+// analyze memoises analyzePackage per import path, loading the package
+// first when p is nil, and folds the finished package's field taint
+// into the module-wide sets.
+func (s *FactStore) analyze(path string, p *Package) (*pkgAnalysis, error) {
+	if e, ok := s.entries[path]; ok {
+		if e == nil {
+			return nil, fmt.Errorf("msvet: import cycle through %s", path)
+		}
+		return e.state, e.err
+	}
+	s.entries[path] = nil
+	var st *pkgAnalysis
+	var err error
+	if p == nil {
+		p, err = s.load(path)
+	}
+	if err == nil {
+		st = analyzePackage(p, s)
+		for key := range st.facts.Fields {
+			s.fields[key] = true
+		}
+		for key := range st.cleanReads {
+			// A read of the package's own field is re-judged by its
+			// local fixpoint, so only foreign taint can make it stale.
+			if !st.facts.Fields[key] {
+				s.cleanReads[key] = true
 			}
+		}
+	}
+	s.entries[path] = &factEntry{state: st, err: err}
+	return st, err
+}
+
+// seedFields marks field keys tainted before any package is analyzed.
+func (s *FactStore) seedFields(keys map[string]bool) {
+	for key := range keys {
+		s.fields[key] = true
+	}
+}
+
+// staleFieldReads reports whether a package read a field as clean that
+// another package has since tainted — its verdict may be wrong, and the
+// pass must be repeated with the grown field set.
+func (s *FactStore) staleFieldReads() bool {
+	for key := range s.cleanReads {
+		if s.fields[key] {
+			return true
 		}
 	}
 	return false
@@ -296,11 +290,9 @@ func (s *FactStore) FieldTainted(key string) bool {
 
 // Paths returns the import paths with completed facts, sorted.
 func (s *FactStore) Paths() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []string
 	for path, e := range s.entries {
-		if e.done && e.facts != nil {
+		if e != nil && e.state != nil {
 			out = append(out, path)
 		}
 	}
@@ -310,16 +302,8 @@ func (s *FactStore) Paths() []string {
 
 // factsOf returns completed facts without computing, or nil.
 func (s *FactStore) factsOf(path string) *PackageFacts {
-	s.mu.Lock()
-	e := s.entries[path]
-	s.mu.Unlock()
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done {
-		return e.facts
+	if e := s.entries[path]; e != nil && e.state != nil {
+		return e.state.facts
 	}
 	return nil
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // mpsimPath is the import path of the message-passing substrate whose
-// call discipline the collective and droppederr analyzers enforce.
+// call discipline the spmd and droppederr analyzers enforce.
 const mpsimPath = "parms/internal/mpsim"
 
 // pkgFunc resolves a call to a package-level function and returns its
@@ -96,6 +96,24 @@ func containsMatch(n ast.Node, pred func(ast.Node) bool) bool {
 		return true
 	})
 	return found
+}
+
+// children invokes f once for each immediate-enough child of n, by
+// reusing ast.Inspect and stopping below the first level. ast.Inspect
+// has no native one-level iterator, so we track the root.
+func children(n ast.Node, f func(ast.Node)) {
+	first := true
+	ast.Inspect(n, func(c ast.Node) bool {
+		if c == nil {
+			return false
+		}
+		if first {
+			first = false
+			return true
+		}
+		f(c)
+		return false
+	})
 }
 
 // funcBodies yields every function body in the files: declarations and

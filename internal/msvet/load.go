@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one parsed, type-checked package ready for analysis.
@@ -29,29 +28,20 @@ type Package struct {
 // under the module root; everything else resolves under GOROOT/src.
 // Test files are never loaded: the invariants guard the simulated
 // production paths, and the chaos tests legitimately use real time for
-// hang guards.
-//
-// The loader is safe for concurrent use: the parallel runner loads
-// distinct packages from worker goroutines, each under its own
-// per-path entry lock. The shared FileSet is concurrency-safe by
-// contract, and type-checking distinct packages concurrently is safe
-// because imports recurse through Load, which serializes each package
-// behind its entry — the import graph is acyclic, so so is the lock
-// order.
+// hang guards. Each package is loaded once; a nil entry marks a load
+// in progress, which a recursive request for the same path turns into
+// an import-cycle error.
 type Loader struct {
 	Fset    *token.FileSet
 	ctx     build.Context
 	modRoot string
 	modPath string
-	mu      sync.Mutex
 	pkgs    map[string]*loadEntry
 }
 
 type loadEntry struct {
-	mu   sync.Mutex
-	done bool
-	p    *Package
-	err  error
+	p   *Package
+	err error
 }
 
 // NewLoader creates a loader rooted at the module directory.
@@ -74,17 +64,6 @@ func (l *Loader) ModPath() string { return l.modPath }
 
 // ModRoot returns the module root directory.
 func (l *Loader) ModRoot() string { return l.modRoot }
-
-func (l *Loader) entry(path string) *loadEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e := l.pkgs[path]
-	if e == nil {
-		e = &loadEntry{}
-		l.pkgs[path] = e
-	}
-	return e
-}
 
 // ModuleRoot walks up from dir to the directory holding go.mod and
 // returns it with the module path parsed from the first module line.
@@ -137,7 +116,7 @@ func exists(dir string) bool {
 }
 
 // Import implements types.Importer so type-checking recurses through
-// the same cache the analysis driver fills.
+// the same memo the analysis driver fills.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	p, err := l.Load(path)
 	if err != nil {
@@ -156,27 +135,28 @@ func (l *Loader) Load(path string) (*Package, error) {
 }
 
 // LoadDir type-checks the package in dir under the given import path
-// and caches it there. Fixture tests use the explicit path to place a
+// and memoises it there. Fixture tests use the explicit path to place a
 // testdata directory at an arbitrary point of the package namespace;
-// such shadow loads (dir is not the path's canonical directory) bypass
-// the cache, so a fixture that imports the real package it shadows
-// resolves the genuine article instead of deadlocking on its own entry
-// lock, and later Load calls for that path still see the real package.
+// such shadow loads (dir is not the path's canonical directory) are not
+// memoised, so a fixture that imports the real package it shadows
+// resolves the genuine article instead of an import cycle on its own
+// path, and later Load calls for that path still see the real package.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if canon, err := filepath.Abs(l.dirOf(path)); err == nil {
 		if abs, err := filepath.Abs(dir); err == nil && abs != canon {
 			return l.loadDir(dir, path)
 		}
 	}
-	e := l.entry(path)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done {
+	if e, ok := l.pkgs[path]; ok {
+		if e == nil {
+			return nil, fmt.Errorf("msvet: import cycle through %s", path)
+		}
 		return e.p, e.err
 	}
-	e.p, e.err = l.loadDir(dir, path)
-	e.done = true
-	return e.p, e.err
+	l.pkgs[path] = nil
+	p, err := l.loadDir(dir, path)
+	l.pkgs[path] = &loadEntry{p: p, err: err}
+	return p, err
 }
 
 func (l *Loader) loadDir(dir, path string) (*Package, error) {

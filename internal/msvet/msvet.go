@@ -93,7 +93,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WallclockAnalyzer,
 		MaporderAnalyzer,
-		CollectiveAnalyzer,
 		DroppederrAnalyzer,
 		RawframeAnalyzer,
 		SpanbalanceAnalyzer,

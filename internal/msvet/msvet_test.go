@@ -61,10 +61,6 @@ func TestMaporderFixture(t *testing.T) {
 	checkFixture(t, "maporder", "parms/internal/mscomplex", []*Analyzer{MaporderAnalyzer}, false)
 }
 
-func TestCollectiveFixture(t *testing.T) {
-	checkFixture(t, "collective", "parms/internal/pipeline", []*Analyzer{CollectiveAnalyzer}, false)
-}
-
 func TestDroppederrFixture(t *testing.T) {
 	checkFixture(t, "droppederr", "parms/internal/pipeline", []*Analyzer{DroppederrAnalyzer}, false)
 }
@@ -189,34 +185,20 @@ func TestRepoIsClean(t *testing.T) {
 	if len(paths) < 10 {
 		t.Fatalf("module enumeration found only %d packages: %v", len(paths), paths)
 	}
-	store := NewFactStore(l.ModPath(), l.Load)
-	for _, path := range paths {
-		p, err := l.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		findings, err := RunPackage(p, Analyzers(), true, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range findings {
-			t.Errorf("%s", f)
-		}
+	r := &Runner{Loader: l, Analyzers: Analyzers(), CheckAllows: true}
+	findings, _, err := r.Run(paths)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range Analyzers() {
-		if a.Finish == nil {
-			continue
-		}
-		for _, f := range a.Finish(store) {
-			t.Errorf("%s", f)
-		}
+	for _, f := range findings {
+		t.Errorf("%s", f)
 	}
 }
 
 // TestAnalyzerMetadata keeps names and docs wired: names are the allow
 // grammar's vocabulary, so they must be stable and non-empty.
 func TestAnalyzerMetadata(t *testing.T) {
-	want := []string{"wallclock", "maporder", "collective", "droppederr", "rawframe", "spanbalance", "owner", "kernel", "spmd", "sendrecv"}
+	want := []string{"wallclock", "maporder", "droppederr", "rawframe", "spanbalance", "owner", "kernel", "spmd", "sendrecv"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

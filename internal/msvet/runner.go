@@ -1,215 +1,68 @@
 package msvet
 
-// runner.go is the analysis driver: it schedules packages in dependency
-// waves (a package runs only after every module dependency has facts),
-// fans each wave out over the repo's own kernel.Pool, consults the
-// content-hash cache before doing any real work, and finally runs the
-// repo-wide Finish hooks over the completed fact store. This is the
-// one entry point cmd/msvet, the repo-clean test, and the benchmark all
-// share, so their findings are identical by construction.
+// runner.go is the analysis driver: one sequential pass over the
+// requested packages in sorted order, then the repo-wide Finish hooks
+// over the completed fact store. Module dependencies need no schedule —
+// FactStore.Facts analyzes a dependency on first use — so the pass is
+// deterministic by construction. Field taint is the one fact that flows
+// between packages that need not import each other (a sibling can taint
+// a field of a shared struct), so the pass is repeated, seeded with
+// every field tainted so far, until no package read a field as clean
+// that ended up tainted. This is the one entry point cmd/msvet and the
+// repo-clean test share, so their findings are identical.
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"parms/internal/kernel"
-)
+import "sort"
 
 // A Runner executes the analyzer suite over a set of module packages.
 type Runner struct {
 	Loader      *Loader
 	Analyzers   []*Analyzer
 	CheckAllows bool
-	// Cache, when non-nil, replays unchanged packages' findings and
-	// facts without loading them.
-	Cache *Cache
-	// Workers bounds the per-wave parallelism; 0 means one worker per
-	// logical CPU (kernel.AutoWorkers for a single "rank").
-	Workers int
 }
 
-// RunStats reports what a run actually did, for -stats output and the
-// cache-correctness tests.
+// RunStats reports what a run did, for -stats output and tests.
 type RunStats struct {
-	Packages  int      // packages requested
-	CacheHits int      // replayed from cache
-	Analyzed  []string // paths that were loaded and analyzed, sorted
+	Packages int // packages requested
+	Rounds   int // passes until field taint reached its fixpoint
 }
 
 // Run analyzes the given module packages and returns the merged,
 // position-sorted findings (per-package analyzers plus Finish hooks).
 func (r *Runner) Run(paths []string) ([]Finding, *RunStats, error) {
-	store := NewFactStore(r.Loader.ModPath(), r.Loader.Load)
+	paths = append([]string(nil), paths...)
+	sort.Strings(paths)
 	stats := &RunStats{Packages: len(paths)}
-
-	waves, err := r.waves(paths)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	workers := r.Workers
-	if workers <= 0 {
-		workers = kernel.AutoWorkers(1)
-	}
-	pool := kernel.New(workers)
-
-	var mu sync.Mutex
-	var findings []Finding
-	var firstErr error
-	for _, wave := range waves {
-		wave := wave
-		pool.Run(len(wave), 1, func(_, _, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				path := wave[i]
-				fs, analyzed, err := r.runOne(path, store)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if !analyzed {
-					stats.CacheHits++
-				} else {
-					stats.Analyzed = append(stats.Analyzed, path)
-				}
-				findings = append(findings, fs...)
-				mu.Unlock()
-			}
-		})
-		if firstErr != nil {
-			return nil, nil, firstErr
-		}
-	}
-
-	for _, a := range r.Analyzers {
-		if a.Finish != nil {
-			findings = append(findings, a.Finish(store)...)
-		}
-	}
-	sortFindings(findings)
-	sort.Strings(stats.Analyzed)
-	return findings, stats, nil
-}
-
-// runOne analyzes (or replays) one package. analyzed reports whether
-// real work happened.
-func (r *Runner) runOne(path string, store *FactStore) (fs []Finding, analyzed bool, err error) {
-	var key string
-	if r.Cache != nil {
-		key, err = r.Cache.Key(path)
-		if err == nil && key != "" {
-			if e, ok := r.Cache.Get(key); ok {
-				store.AddCached(path, e.Facts)
-				return e.Findings, false, nil
-			}
-		}
-		// An unreadable key (fresh syntax error in a header) falls
-		// through to the real load, which reports it properly.
-		err = nil
-	}
-	p, err := r.Loader.Load(path)
-	if err != nil {
-		return nil, true, err
-	}
-	fs, err = RunPackage(p, r.Analyzers, r.CheckAllows, store)
-	if err != nil {
-		return nil, true, err
-	}
-	if r.Cache != nil && key != "" {
-		if facts := store.factsOf(path); facts != nil {
-			// Best effort: a failed write costs the next run a recompute.
-			_ = r.Cache.Put(key, &CacheEntry{Findings: fs, Facts: facts})
-		}
-	}
-	return fs, true, nil
-}
-
-// waves topologically layers the requested packages: wave k holds the
-// packages whose module dependencies (within the requested set) all sit
-// in earlier waves, so a wave's packages never wait on each other and
-// can run fully parallel.
-func (r *Runner) waves(paths []string) ([][]string, error) {
-	deps, err := r.depGraph(paths)
-	if err != nil {
-		return nil, err
-	}
-	inSet := map[string]bool{}
-	for _, p := range paths {
-		inSet[p] = true
-	}
-	level := map[string]int{}
-	var rank func(p string, visiting map[string]bool) (int, error)
-	rank = func(p string, visiting map[string]bool) (int, error) {
-		if l, ok := level[p]; ok {
-			return l, nil
-		}
-		if visiting[p] {
-			return 0, fmt.Errorf("msvet: import cycle through %s", p)
-		}
-		visiting[p] = true
-		defer delete(visiting, p)
-		l := 0
-		for _, d := range deps[p] {
-			if !inSet[d] {
-				continue
-			}
-			dl, err := rank(d, visiting)
+	var tainted map[string]bool
+	for {
+		stats.Rounds++
+		store := NewFactStore(r.Loader.ModPath(), r.Loader.Load)
+		store.seedFields(tainted)
+		var findings []Finding
+		for _, path := range paths {
+			p, err := r.Loader.Load(path)
 			if err != nil {
-				return 0, err
+				return nil, nil, err
 			}
-			if dl+1 > l {
-				l = dl + 1
+			fs, err := RunPackage(p, r.Analyzers, r.CheckAllows, store)
+			if err != nil {
+				return nil, nil, err
+			}
+			findings = append(findings, fs...)
+		}
+		if store.staleFieldReads() {
+			// Tainted fields only grow, and each extra round strictly
+			// grows them, so this terminates.
+			tainted = store.fields
+			continue
+		}
+		for _, a := range r.Analyzers {
+			if a.Finish != nil {
+				findings = append(findings, a.Finish(store)...)
 			}
 		}
-		level[p] = l
-		return l, nil
+		sortFindings(findings)
+		return findings, stats, nil
 	}
-	maxLevel := 0
-	for _, p := range paths {
-		l, err := rank(p, map[string]bool{})
-		if err != nil {
-			return nil, err
-		}
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	waves := make([][]string, maxLevel+1)
-	for _, p := range paths {
-		waves[level[p]] = append(waves[level[p]], p)
-	}
-	for _, w := range waves {
-		sort.Strings(w)
-	}
-	return waves, nil
-}
-
-// depGraph scans module-internal imports from file headers — through
-// the cache's scanner when present (shared memoization), or a throwaway
-// one otherwise.
-func (r *Runner) depGraph(paths []string) (map[string][]string, error) {
-	c := r.Cache
-	if c == nil {
-		// Header scanning needs no cache directory; a bare scanner with
-		// the same memoization shape does the job.
-		c = &Cache{
-			modRoot: r.Loader.ModRoot(),
-			modPath: r.Loader.ModPath(),
-			ctx:     buildCtxNoCgo(),
-			keys:    map[string]string{},
-			deps:    map[string][]string{},
-			err:     map[string]error{},
-		}
-	}
-	graph := map[string][]string{}
-	for _, p := range paths {
-		deps, err := c.Deps(p)
-		if err != nil {
-			return nil, fmt.Errorf("msvet: scan %s: %w", p, err)
-		}
-		graph[p] = deps
-	}
-	return graph, nil
 }
 
 func sortFindings(findings []Finding) {

@@ -35,8 +35,9 @@ var recvMethods = map[string]bool{
 
 // SendrecvAnalyzer reports constant Send tags with no matching Recv
 // site and vice versa. Collection happens during fact computation (so
-// the cache can replay it); the verdict is global, so it lives in the
-// Finish hook, which runs once after every package's facts exist.
+// packages analyzed only as dependencies contribute too); the verdict
+// is global, so it lives in the Finish hook, which runs once after
+// every package's facts exist.
 var SendrecvAnalyzer = &Analyzer{
 	Name: "sendrecv",
 	Doc: "matches constant Send tags against Recv/TryRecv/RecvTimeout/PeekArrival tags " +

@@ -28,6 +28,20 @@ import (
 	"strings"
 )
 
+// collectiveMethods are the mpsim.Rank operations every rank must enter
+// in the same order: the blocking collectives plus collective IO. A
+// call reached by only some ranks deadlocks the cluster or silently
+// mismatches payloads — the MPI collective-matching rule the paper's
+// merge inherits (Gyulassy et al. 2012 §4).
+var collectiveMethods = map[string]bool{
+	"Barrier": true, "Bcast": true,
+	"ReduceFloat64": true, "ReduceInt64": true,
+	"AllreduceFloat64": true, "AllreduceMaxTime": true,
+	"Gather": true, "AllgatherInt64": true,
+	"Scatter": true, "Alltoall": true,
+	"CollectiveWrite": true, "CollectiveRead": true,
+}
+
 // SpmdAnalyzer reports rank-divergent collective sequences. The heavy
 // lifting happens during fact computation (analyzePackage); Run replays
 // the pending diagnostics through the Pass so //msvet:allow filtering
@@ -63,7 +77,7 @@ type termKind uint8
 const (
 	termNone     termKind = iota // path still running
 	termReturn                   // normal return
-	termBreak                    // exits the innermost loop
+	termBreak                    // exits the innermost for, switch or select
 	termContinue                 // next iteration
 	termAbort                    // error return or panic: cluster abort, not divergence
 )
@@ -440,10 +454,16 @@ func (b *summaryBuilder) stmt(s ast.Stmt, cur []pvar) []pvar {
 		return b.returnStmt(s, cur)
 	case *ast.BranchStmt:
 		switch s.Tok {
-		case token.BREAK:
-			return terminate(cur, termBreak)
-		case token.CONTINUE:
-			return terminate(cur, termContinue)
+		case token.BREAK, token.CONTINUE:
+			if s.Label != nil {
+				// A labeled target may be any enclosing statement; give
+				// up on the function rather than risk a wrong comparison.
+				b.opaque = true
+			} else if s.Tok == token.BREAK {
+				return terminate(cur, termBreak)
+			} else {
+				return terminate(cur, termContinue)
+			}
 		case token.GOTO:
 			// goto breaks the structured walk; give up on the function
 			// rather than risk a wrong comparison.
@@ -472,13 +492,19 @@ func (b *summaryBuilder) returnStmt(s *ast.ReturnStmt, cur []pvar) []pvar {
 	if b.returnsError(s) {
 		t = termAbort
 	}
-	return terminate(cur, t)
+	// Paths a result expression already ended (a panic, a callee that
+	// always aborts) keep their termination.
+	alive, done := splitVars(cur)
+	return append(done, terminate(alive, t)...)
 }
 
 // returnsError reports whether the return statement carries a non-nil
 // error in the function's final error result — in this codebase that is
 // a cluster abort (mpsim joins rank errors and tears the run down), not
 // a divergent path, so such paths are excluded from sequence matching.
+// An error that is the result of a call entering a collective on this
+// very path (`return r.CollectiveWrite(...)`, or a helper that may) is
+// not an abort: it is nil whenever the collective succeeds.
 func (b *summaryBuilder) returnsError(s *ast.ReturnStmt) bool {
 	if b.sig == nil || b.sig.Results().Len() == 0 {
 		return false
@@ -491,11 +517,27 @@ func (b *summaryBuilder) returnsError(s *ast.ReturnStmt) bool {
 	if len(s.Results) != b.sig.Results().Len() {
 		return false // naked return: assume normal
 	}
-	le := ast.Unparen(s.Results[len(s.Results)-1])
-	if id, ok := le.(*ast.Ident); ok && id.Name == "nil" {
-		return false
+	switch le := ast.Unparen(s.Results[len(s.Results)-1]).(type) {
+	case *ast.Ident:
+		return le.Name != "nil"
+	case *ast.CallExpr:
+		return !b.entersCollective(le)
 	}
 	return true
+}
+
+// entersCollective reports whether the call is an mpsim collective or a
+// module function whose summary may reach one.
+func (b *summaryBuilder) entersCollective(call *ast.CallExpr) bool {
+	if name, ok := methodOn(b.a.p.Info, call, mpsimPath, "Rank"); ok {
+		return collectiveMethods[name]
+	}
+	fn := staticCallee(b.a.p.Info, call)
+	if fn == nil {
+		return false
+	}
+	sum, ok := b.a.summaryFor(fn)
+	return ok && sum.May
 }
 
 func (b *summaryBuilder) ifStmt(s *ast.IfStmt, cur []pvar) []pvar {
@@ -550,7 +592,7 @@ func (b *summaryBuilder) switchStmt(s *ast.SwitchStmt, cur []pvar) []pvar {
 		return nil
 	}
 	cls, params := maskClass(m)
-	arms = b.labelArms(arms, cls, params, s.Pos())
+	arms = b.labelArms(exitBreaks(arms), cls, params, s.Pos())
 	return append(done, b.cross(alive, arms)...)
 }
 
@@ -585,15 +627,15 @@ func (b *summaryBuilder) typeSwitchStmt(s *ast.TypeSwitchStmt, cur []pvar) []pva
 		return nil
 	}
 	cls, params := maskClass(m)
-	arms = b.labelArms(arms, cls, params, s.Pos())
+	arms = b.labelArms(exitBreaks(arms), cls, params, s.Pos())
 	return append(done, b.cross(alive, arms)...)
 }
 
 // selectStmt treats comm-clause selection as rank-uniform: select in
 // this codebase appears only in host-side plumbing, never between
 // collectives, and labeling scheduler nondeterminism as rank-dependence
-// would drown real findings. The droppederr and collective analyzers
-// still see inside the arms.
+// would drown real findings. The droppederr analyzer still sees inside
+// the arms.
 func (b *summaryBuilder) selectStmt(s *ast.SelectStmt, cur []pvar) []pvar {
 	alive, done := splitVars(cur)
 	if len(alive) == 0 {
@@ -614,7 +656,7 @@ func (b *summaryBuilder) selectStmt(s *ast.SelectStmt, cur []pvar) []pvar {
 	if b.opaque {
 		return nil
 	}
-	arms = b.dedupe(arms)
+	arms = b.dedupe(exitBreaks(arms))
 	return append(done, b.cross(alive, arms)...)
 }
 
@@ -736,10 +778,24 @@ func (b *summaryBuilder) rangeStmt(s *ast.RangeStmt, cur []pvar) []pvar {
 // body variant describes. Return/abort pass through untouched — they
 // exit the whole function.
 func normalizeLoopExits(vs []pvar) []pvar {
+	return resume(vs, termBreak, termContinue)
+}
+
+// exitBreaks resumes the paths an unlabeled break ends inside a switch,
+// type switch or select arm: the break exits that statement, so the
+// path falls through to the statement after it.
+func exitBreaks(vs []pvar) []pvar {
+	return resume(vs, termBreak)
+}
+
+// resume turns the given terminations back into running paths.
+func resume(vs []pvar, kinds ...termKind) []pvar {
 	out := make([]pvar, len(vs))
 	for i, v := range vs {
-		if v.term == termBreak || v.term == termContinue {
-			v.term = termNone
+		for _, k := range kinds {
+			if v.term == k {
+				v.term = termNone
+			}
 		}
 		out[i] = v
 	}

@@ -1,12 +1,11 @@
 package msvet
 
-// taint.go is the interprocedural rank-taint engine (DESIGN §16). It
-// replaces the collective analyzer's one-step `root := r.ID() == 0`
-// special case with a dataflow over the whole call graph: any value
-// derived — through assignments, struct fields, return values, or
-// implicit control flow — from the rank identity (Rank.ID, the mpsim
-// rank id field, or root-asymmetric collective results) is tainted, and
-// the branches it guards are rank-conditional.
+// taint.go is the interprocedural rank-taint engine (DESIGN §16): a
+// dataflow over the whole call graph in which any value derived —
+// through assignments, struct fields, return values, or implicit
+// control flow — from the rank identity (Rank.ID, the mpsim rank id
+// field, or root-asymmetric collective results) is tainted, and the
+// branches it guards are rank-conditional.
 //
 // OwnerTable lookups taint exactly when queried with rank-derived keys:
 // the grid package's own facts record that Blocks(rank)'s result flows
@@ -79,21 +78,26 @@ type pkgAnalysis struct {
 	building map[string]bool
 	diags    map[string][]Diagnostic
 	reported map[token.Pos]bool
+
+	// cleanReads records the field keys read while not tainted, so the
+	// store can tell when a later package's taint makes them stale.
+	cleanReads map[string]bool
 }
 
 // analyzePackage computes the facts of one loaded package: the taint
 // fixpoint first, then the collective-sequence summaries (spmd.go),
 // which consume the final taint environment.
-func analyzePackage(p *Package, store *FactStore) (*pkgAnalysis, error) {
+func analyzePackage(p *Package, store *FactStore) *pkgAnalysis {
 	a := &pkgAnalysis{
-		p:         p,
-		store:     store,
-		facts:     newPackageFacts(p.Pkg.Path()),
-		funcIndex: map[string]funcInfo{},
-		locals:    map[types.Object]TaintMask{},
-		slots:     map[types.Object]int{},
-		building:  map[string]bool{},
-		diags:     map[string][]Diagnostic{},
+		p:          p,
+		store:      store,
+		facts:      newPackageFacts(p.Pkg.Path()),
+		funcIndex:  map[string]funcInfo{},
+		locals:     map[types.Object]TaintMask{},
+		slots:      map[types.Object]int{},
+		building:   map[string]bool{},
+		diags:      map[string][]Diagnostic{},
+		cleanReads: map[string]bool{},
 	}
 	a.collectFuncs()
 	a.graph = buildCallGraph(a)
@@ -108,7 +112,7 @@ func analyzePackage(p *Package, store *FactStore) (*pkgAnalysis, error) {
 	}
 	a.buildSummaries()
 	a.collectTags()
-	return a, nil
+	return a
 }
 
 // collectFuncs indexes every function declaration with a body and
@@ -477,8 +481,12 @@ func (a *pkgAnalysis) exprMask(e ast.Expr) TaintMask {
 		if sel, ok := a.p.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
 			if field, ok := sel.Obj().(*types.Var); ok {
 				key := fieldKeyOf(sel.Recv(), field)
-				if key != "" && (a.facts.Fields[key] || a.store.FieldTainted(key)) {
+				switch {
+				case key == "":
+				case a.facts.Fields[key] || a.store.fields[key]:
 					mask |= RankTaint
+				default:
+					a.cleanReads[key] = true
 				}
 			}
 		}
