@@ -33,13 +33,14 @@ chaos-nightly:
 	$(GO) test -race -count=1 -run Chaos ./...
 
 # Brief coverage-guided fuzz of the merge frame decoder, the
-# checkpoint decoder and the gradient's cell order (against the
-# cube.Compare oracle) on top of the seeded corpus that `make test`
-# already replays.
+# checkpoint decoder, the complex decoder (round trip to a fixed point)
+# and the gradient's cell order (against the cube.Compare oracle) on
+# top of the seeded corpus that `make test` already replays.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCellOrder -fuzztime 30s ./internal/gradient/
 	$(GO) test -run '^$$' -fuzz FuzzChaosUnframe -fuzztime 30s ./internal/merge/
 	$(GO) test -run '^$$' -fuzz FuzzChaosDecodeCheckpoint -fuzztime 30s ./internal/pario/
+	$(GO) test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/mscomplex/
 
 # Standard vet plus the repo's own invariant multichecker (cmd/msvet,
 # DESIGN §11, §16): the per-package analyzers plus the interprocedural
@@ -117,12 +118,14 @@ benchgate-wall:
 
 # The intra-rank kernel surface in one target: worker-pool unit tests,
 # the cross-width byte-equivalence and sweep-determinism suite, the
-# pooled gradient/tracer microbenchmarks and the one-block gradient
-# microbenchmark of the smooth-field pipeline case.
+# pooled gradient/tracer microbenchmarks, the one-block gradient
+# microbenchmark of the smooth-field pipeline case and the merge-heavy
+# noise-field pipeline (add -cpuprofile to profile the merge path).
 kernels:
 	$(GO) test ./internal/kernel/ ./internal/serial/
 	$(GO) test -run '^$$' -bench 'Pooled' -benchtime 3x ./internal/gradient/ ./internal/mscomplex/
 	$(GO) test -run '^$$' -bench 'GradientSmoothBlock' -benchtime 3x ./internal/gradient/
+	$(GO) test -run '^$$' -bench 'PipelineNoiseMerge' -benchtime 3x -benchmem .
 
 # The paper-evaluation drivers as Go microbenchmarks.
 microbench:

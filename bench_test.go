@@ -11,6 +11,7 @@
 package parms_test
 
 import (
+	"runtime"
 	"testing"
 
 	"parms"
@@ -157,6 +158,24 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 		}
 		b.ReportMetric(res.Times.Compute, "virt-compute-s")
 		b.ReportMetric(res.Times.Merge, "virt-merge-s")
+	}
+}
+
+// BenchmarkPipelineNoiseMerge measures one full parallel run on a 49³
+// uniform-noise field across 16 virtual ranks, the merge-heavy case:
+// per-block simplification, serialization, gluing and re-simplification
+// of ~81k nodes dominate, not the gradient. Profile the merge path with
+//
+//	go test -run '^$' -bench PipelineNoiseMerge -cpuprofile cpu.prof .
+func BenchmarkPipelineNoiseMerge(b *testing.B) {
+	vol := parms.RandomField(parms.Dims{49, 49, 49}, 1)
+	opts := parms.Options{Procs: 16, FullMerge: true, Persistence: 0.01, MaxParallel: runtime.NumCPU()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := parms.Compute(vol, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

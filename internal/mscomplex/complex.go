@@ -119,9 +119,38 @@ type Complex struct {
 
 // New creates an empty complex covering the given region blocks.
 func New(region []int32) *Complex {
+	return newSized(region, 0)
+}
+
+// newSized is New with room for nodes nodes reserved in Nodes and in
+// the cell index, for callers that know their final node count.
+func newSized(region []int32, nodes int) *Complex {
 	r := append([]int32(nil), region...)
 	sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
-	return &Complex{Region: r, byCell: make(map[grid.Addr]NodeID)}
+	return &Complex{
+		Region: r,
+		Nodes:  make([]Node, 0, nodes),
+		byCell: make(map[grid.Addr]NodeID, nodes),
+	}
+}
+
+// carveArcLists gives every node an empty incidence list with room for
+// exactly deg[i] arcs, all carved from one backing array. Each list's
+// capacity is clipped to its own range, so an append beyond deg[i] —
+// from Glue, Simplify or ensureListed — reallocates that node's list
+// alone and never writes into a neighbour's.
+func carveArcLists(nodes []Node, deg []int32) {
+	total := 0
+	for _, d := range deg {
+		total += int(d)
+	}
+	backing := make([]ArcID, total)
+	off := 0
+	for i, d := range deg {
+		end := off + int(d)
+		nodes[i].arcs = backing[off:off:end]
+		off = end
+	}
 }
 
 // AddNode inserts a node and returns its id. Inserting a second node at

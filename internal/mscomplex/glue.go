@@ -2,6 +2,7 @@ package mscomplex
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -22,17 +23,32 @@ func f32frombits(b uint32) float32 { return math.Float32frombits(b) }
 //     reclassifies boundary status: nodes interior to the union become
 //     candidates for cancellation in the next simplification.
 func (c *Complex) Glue(other *Complex) {
+	c.Nodes = slices.Grow(c.Nodes, len(other.Nodes))
+	c.Arcs = slices.Grow(c.Arcs, len(other.Arcs))
+	c.Geoms = slices.Grow(c.Geoms, len(other.Geoms))
+
 	// A node of other is "shared" when its cell is also contained in a
-	// block of the receiver's region.
-	sharedWithRoot := func(n *Node) bool {
-		for _, o := range n.Owners {
+	// block of the receiver's region. An arc between two shared nodes
+	// is already present in the receiver; every other arc is added, and
+	// deg counts the arcs each node of other gains.
+	shared := make([]bool, len(other.Nodes))
+	for i := range other.Nodes {
+		for _, o := range other.Nodes[i].Owners {
 			if c.InRegion(o) {
-				return true
+				shared[i] = true
+				break
 			}
 		}
-		return false
+	}
+	deg := make([]int32, len(other.Nodes))
+	for i := range other.Arcs {
+		if a := &other.Arcs[i]; a.Alive && !(shared[a.Upper] && shared[a.Lower]) {
+			deg[a.Upper]++
+			deg[a.Lower]++
+		}
 	}
 
+	firstNew := len(c.Nodes)
 	remap := make([]NodeID, len(other.Nodes))
 	for i := range other.Nodes {
 		n := &other.Nodes[i]
@@ -52,15 +68,26 @@ func (c *Complex) Glue(other *Complex) {
 		}
 		c.Work.NodesGlued++
 	}
-
-	geomMemo := make(map[GeomID]GeomID)
-	for i := range other.Arcs {
-		a := &other.Arcs[i]
-		if !a.Alive {
+	// Room for the incoming arcs: new nodes' lists are carved from one
+	// array, existing nodes' lists grow once.
+	newDeg := make([]int32, len(c.Nodes)-firstNew)
+	for i := range other.Nodes {
+		if !other.Nodes[i].Alive || deg[i] == 0 {
 			continue
 		}
-		if sharedWithRoot(&other.Nodes[a.Upper]) && sharedWithRoot(&other.Nodes[a.Lower]) {
-			continue // both endpoints on the shared boundary: already present
+		if id := int(remap[i]); id >= firstNew {
+			newDeg[id-firstNew] = deg[i]
+		} else {
+			c.Nodes[id].arcs = slices.Grow(c.Nodes[id].arcs, int(deg[i]))
+		}
+	}
+	carveArcLists(c.Nodes[firstNew:], newDeg)
+
+	geomMemo := unseenGeoms(len(other.Geoms))
+	for i := range other.Arcs {
+		a := &other.Arcs[i]
+		if !a.Alive || shared[a.Upper] && shared[a.Lower] {
+			continue
 		}
 		geom := c.importGeom(other, a.Geom, geomMemo)
 		c.AddArc(remap[a.Upper], remap[a.Lower], geom)
@@ -87,9 +114,10 @@ func (c *Complex) Glue(other *Complex) {
 
 // importGeom deep-copies a geometry DAG from another complex,
 // preserving sharing: a child referenced by several composites is
-// imported once.
-func (c *Complex) importGeom(other *Complex, g GeomID, memo map[GeomID]GeomID) GeomID {
-	if id, ok := memo[g]; ok {
+// imported once. memo maps other's geometry ids to the receiver's, -1
+// for not yet imported.
+func (c *Complex) importGeom(other *Complex, g GeomID, memo []GeomID) GeomID {
+	if id := memo[g]; id >= 0 {
 		return id
 	}
 	geom := &other.Geoms[g]
@@ -107,22 +135,35 @@ func (c *Complex) importGeom(other *Complex, g GeomID, memo map[GeomID]GeomID) G
 	return id
 }
 
+// unseenGeoms returns a geometry memo of n entries, all -1.
+func unseenGeoms(n int) []GeomID {
+	memo := make([]GeomID, n)
+	for i := range memo {
+		memo[i] = -1
+	}
+	return memo
+}
+
 // Compact rebuilds the complex keeping only alive nodes and arcs and the
 // geometry objects they reference (shared children once), releasing the
 // memory of cancelled elements — the paper's cleanup step that drops all
 // but the coarsest level of the hierarchy before communication. The
-// hierarchy record is preserved.
+// hierarchy record is preserved. The result is built at its final size:
+// one walk counts and numbers what survives, then every array is
+// allocated once and filled, composite part lists and node incidence
+// lists each carved from one backing array. Leaf geometries and node
+// owner lists are shared with the receiver, not copied.
 func (c *Complex) Compact() *Complex {
-	out := New(c.Region)
+	l := c.layout()
+	out := newSized(c.Region, l.nodes)
 	out.Hierarchy = c.Hierarchy
 	out.Work = c.Work
-	remap := make([]NodeID, len(c.Nodes))
 	for i := range c.Nodes {
 		n := &c.Nodes[i]
 		if !n.Alive {
 			continue
 		}
-		remap[i] = out.AddNode(Node{
+		out.AddNode(Node{
 			Cell:    n.Cell,
 			Index:   n.Index,
 			Value:   n.Value,
@@ -130,14 +171,35 @@ func (c *Complex) Compact() *Complex {
 			Owners:  n.Owners,
 		})
 	}
-	geomMemo := make(map[GeomID]GeomID)
-	for i := range c.Arcs {
-		a := &c.Arcs[i]
-		if !a.Alive {
+	out.Geoms = make([]Geom, 0, len(l.geomOrder))
+	parts := make([]GeomPart, l.parts)
+	for _, g := range l.geomOrder {
+		geom := &c.Geoms[g]
+		if geom.Parts == nil {
+			out.AddLeafGeom(geom.Cells)
 			continue
 		}
-		geom := out.importGeom(c, a.Geom, geomMemo)
-		out.AddArc(remap[a.Upper], remap[a.Lower], geom)
+		n := len(geom.Parts)
+		own := parts[:n:n]
+		parts = parts[n:]
+		for i, p := range geom.Parts {
+			own[i] = GeomPart{ID: l.geomSlot[p.ID], Reversed: p.Reversed}
+		}
+		out.AddCompositeGeom(own)
+	}
+	deg := make([]int32, l.nodes)
+	for i := range c.Arcs {
+		if a := &c.Arcs[i]; a.Alive {
+			deg[l.nodeSlot[a.Upper]]++
+			deg[l.nodeSlot[a.Lower]]++
+		}
+	}
+	carveArcLists(out.Nodes, deg)
+	out.Arcs = make([]Arc, 0, l.arcs)
+	for i := range c.Arcs {
+		if a := &c.Arcs[i]; a.Alive {
+			out.AddArc(l.nodeSlot[a.Upper], l.nodeSlot[a.Lower], l.geomSlot[a.Geom])
+		}
 	}
 	return out
 }

@@ -13,7 +13,7 @@ func fullBlock(dims grid.Dims) grid.Block {
 	return grid.Block{ID: 0, Lo: [3]int{0, 0, 0}, Hi: [3]int{dims[0] - 1, dims[1] - 1, dims[2] - 1}}
 }
 
-func traceVolume(t *testing.T, vol *grid.Volume) *Complex {
+func traceVolume(t testing.TB, vol *grid.Volume) *Complex {
 	t.Helper()
 	dims := vol.Dims
 	c := cube.New(dims, fullBlock(dims), vol)
@@ -169,7 +169,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 }
 
 // computeBlocks builds the per-block simplified complexes of a volume.
-func computeBlocks(t *testing.T, vol *grid.Volume, nblocks int, threshold float32) (*grid.Decomposition, []*Complex) {
+func computeBlocks(t testing.TB, vol *grid.Volume, nblocks int, threshold float32) (*grid.Decomposition, []*Complex) {
 	t.Helper()
 	dec, err := grid.Decompose(vol.Dims, nblocks)
 	if err != nil {

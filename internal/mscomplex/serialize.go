@@ -35,27 +35,88 @@ import (
 // survives merging and storage.
 const serialMagic = 0x3243534d // "MSC2"
 
+// layout is the alive part of a complex as Serialize and Compact lay it
+// out: alive nodes and arcs in id order, and the geometry objects
+// reachable from alive arcs numbered children first, shared children
+// once, so a reader resolves every reference in one pass.
+type layout struct {
+	nodeSlot  []NodeID // new id of each node; -1 = dead
+	geomSlot  []GeomID // new id of each geometry; -1 = unreachable
+	geomOrder []GeomID // reachable geometries by new id
+	nodes     int
+	arcs      int
+	parts     int // parts of the reachable composites
+	// size is the exact number of bytes Serialize emits.
+	size int64
+}
+
+// layout walks the complex once, assigning node and geometry slots and
+// summing the payload size.
+func (c *Complex) layout() *layout {
+	// One array holds both geometry tables: at most every geometry is
+	// reachable.
+	geoms := make([]GeomID, 2*len(c.Geoms))
+	l := &layout{
+		nodeSlot:  make([]NodeID, len(c.Nodes)),
+		geomSlot:  geoms[:len(c.Geoms)],
+		geomOrder: geoms[len(c.Geoms):len(c.Geoms)],
+	}
+	l.size = 4 + 4 + 4*int64(len(c.Region)) + 4
+	for i := range c.Nodes {
+		n := &c.Nodes[i]
+		if !n.Alive {
+			l.nodeSlot[i] = -1
+			continue
+		}
+		l.nodeSlot[i] = NodeID(l.nodes)
+		l.nodes++
+		l.size += 8 + 1 + 4 + 8 + 2 + 4*int64(len(n.Owners))
+	}
+	for i := range l.geomSlot {
+		l.geomSlot[i] = -1
+	}
+	l.size += 4 // geometry count
+	for i := range c.Arcs {
+		if c.Arcs[i].Alive {
+			l.arcs++
+			l.visit(c, c.Arcs[i].Geom)
+		}
+	}
+	l.size += 4 + 12*int64(l.arcs)
+	l.size += 4 + 36*int64(len(c.Hierarchy))
+	return l
+}
+
+// visit numbers geometry g after its children.
+func (l *layout) visit(c *Complex, g GeomID) {
+	if l.geomSlot[g] >= 0 {
+		return
+	}
+	geom := &c.Geoms[g]
+	if geom.Parts == nil {
+		l.size += 1 + 4 + 8*int64(len(geom.Cells))
+	} else {
+		for _, p := range geom.Parts {
+			l.visit(c, p.ID)
+		}
+		l.parts += len(geom.Parts)
+		l.size += 1 + 2 + 5*int64(len(geom.Parts))
+	}
+	l.geomSlot[g] = GeomID(len(l.geomOrder))
+	l.geomOrder = append(l.geomOrder, g)
+}
+
 // Serialize encodes the alive part of the complex for communication or
 // storage and returns the byte payload.
 func (c *Complex) Serialize() []byte {
-	nodeSlot := make([]int32, len(c.Nodes))
-	for i := range nodeSlot {
-		nodeSlot[i] = -1
-	}
-	var w writer
+	l := c.layout()
+	w := writer{buf: make([]byte, 0, l.size)}
 	w.u32(serialMagic)
 	w.u32(uint32(len(c.Region)))
 	for _, b := range c.Region {
 		w.u32(uint32(b))
 	}
-	alive := 0
-	for i := range c.Nodes {
-		if c.Nodes[i].Alive {
-			nodeSlot[i] = int32(alive)
-			alive++
-		}
-	}
-	w.u32(uint32(alive))
+	w.u32(uint32(l.nodes))
 	for i := range c.Nodes {
 		n := &c.Nodes[i]
 		if !n.Alive {
@@ -71,30 +132,8 @@ func (c *Complex) Serialize() []byte {
 		}
 	}
 
-	// Geometry objects reachable from alive arcs, children before
-	// parents so the reader can resolve references in one pass.
-	geomSlot := make(map[GeomID]uint32)
-	var geomOrder []GeomID
-	var visit func(g GeomID)
-	visit = func(g GeomID) {
-		if _, ok := geomSlot[g]; ok {
-			return
-		}
-		for _, p := range c.Geoms[g].Parts {
-			visit(p.ID)
-		}
-		geomSlot[g] = uint32(len(geomOrder))
-		geomOrder = append(geomOrder, g)
-	}
-	arcCount := 0
-	for i := range c.Arcs {
-		if c.Arcs[i].Alive {
-			arcCount++
-			visit(c.Arcs[i].Geom)
-		}
-	}
-	w.u32(uint32(len(geomOrder)))
-	for _, g := range geomOrder {
+	w.u32(uint32(len(l.geomOrder)))
+	for _, g := range l.geomOrder {
 		geom := &c.Geoms[g]
 		if geom.Parts == nil {
 			w.u8(0)
@@ -106,7 +145,7 @@ func (c *Complex) Serialize() []byte {
 			w.u8(1)
 			w.u16(uint16(len(geom.Parts)))
 			for _, p := range geom.Parts {
-				w.u32(geomSlot[p.ID])
+				w.u32(uint32(l.geomSlot[p.ID]))
 				if p.Reversed {
 					w.u8(1)
 				} else {
@@ -116,15 +155,15 @@ func (c *Complex) Serialize() []byte {
 		}
 	}
 
-	w.u32(uint32(arcCount))
+	w.u32(uint32(l.arcs))
 	for i := range c.Arcs {
 		a := &c.Arcs[i]
 		if !a.Alive {
 			continue
 		}
-		w.u32(uint32(nodeSlot[a.Upper]))
-		w.u32(uint32(nodeSlot[a.Lower]))
-		w.u32(geomSlot[a.Geom])
+		w.u32(uint32(l.nodeSlot[a.Upper]))
+		w.u32(uint32(l.nodeSlot[a.Lower]))
+		w.u32(uint32(l.geomSlot[a.Geom]))
 	}
 
 	w.u32(uint32(len(c.Hierarchy)))
@@ -136,6 +175,9 @@ func (c *Complex) Serialize() []byte {
 		w.f32(h.LowerValue)
 		w.u32(uint32(h.ArcsRemoved))
 		w.u32(uint32(h.ArcsCreated))
+	}
+	if int64(len(w.buf)) != l.size {
+		panic(fmt.Sprintf("mscomplex: serialized %d bytes, sized %d", len(w.buf), l.size))
 	}
 	c.Work.BytesCoded += int64(len(w.buf))
 	return w.buf
@@ -158,12 +200,13 @@ func Deserialize(data []byte) (*Complex, error) {
 	for i := range region {
 		region[i] = int32(r.u32())
 	}
-	c := New(region)
 	nNodes := int(r.u32())
 	if !r.fits(nNodes, 8+1+4+8+2) {
 		return nil, fmt.Errorf("mscomplex: node count %d exceeds payload", nNodes)
 	}
-	ids := make([]NodeID, nNodes)
+	// Nodes, geometries and arcs are added in slot order to an empty
+	// complex, so a slot is also the element's id.
+	c := newSized(region, nNodes)
 	for i := 0; i < nNodes; i++ {
 		var n Node
 		n.Cell = grid.Addr(r.u64())
@@ -187,14 +230,14 @@ func Deserialize(data []byte) (*Complex, error) {
 		if _, dup := c.NodeAt(n.Cell); dup {
 			return nil, fmt.Errorf("mscomplex: duplicate node at cell %d", n.Cell)
 		}
-		ids[i] = c.AddNode(n)
+		c.AddNode(n)
 	}
 
 	nGeoms := int(r.u32())
 	if !r.fits(nGeoms, 1) {
 		return nil, fmt.Errorf("mscomplex: geometry count %d exceeds payload", nGeoms)
 	}
-	geomIDs := make([]GeomID, nGeoms)
+	c.Geoms = make([]Geom, 0, nGeoms)
 	for i := 0; i < nGeoms; i++ {
 		switch kind := r.u8(); kind {
 		case 0:
@@ -206,7 +249,7 @@ func Deserialize(data []byte) (*Complex, error) {
 			for j := range cells {
 				cells[j] = grid.Addr(r.u64())
 			}
-			geomIDs[i] = c.AddLeafGeom(cells)
+			c.AddLeafGeom(cells)
 		case 1:
 			nParts := int(r.u16())
 			if !r.fits(nParts, 5) {
@@ -219,9 +262,9 @@ func Deserialize(data []byte) (*Complex, error) {
 				if slot >= i {
 					return nil, fmt.Errorf("mscomplex: geometry %d references later object %d", i, slot)
 				}
-				parts[j] = GeomPart{ID: geomIDs[slot], Reversed: rev}
+				parts[j] = GeomPart{ID: GeomID(slot), Reversed: rev}
 			}
-			geomIDs[i] = c.AddCompositeGeom(parts)
+			c.AddCompositeGeom(parts)
 		default:
 			return nil, fmt.Errorf("mscomplex: unknown geometry kind %d", kind)
 		}
@@ -231,6 +274,21 @@ func Deserialize(data []byte) (*Complex, error) {
 	if !r.fits(nArcs, 12) {
 		return nil, fmt.Errorf("mscomplex: arc count %d exceeds payload", nArcs)
 	}
+	// Size every node's incidence list from the arc section before
+	// adding arcs; out-of-range endpoints are rejected below.
+	deg := make([]int32, nNodes)
+	arcSection := r.off
+	for i := 0; i < nArcs; i++ {
+		upper, lower := int(r.u32()), int(r.u32())
+		r.u32()
+		if upper < nNodes && lower < nNodes {
+			deg[upper]++
+			deg[lower]++
+		}
+	}
+	r.off = arcSection
+	carveArcLists(c.Nodes, deg)
+	c.Arcs = make([]Arc, 0, nArcs)
 	for i := 0; i < nArcs; i++ {
 		upper := int(r.u32())
 		lower := int(r.u32())
@@ -244,11 +302,11 @@ func Deserialize(data []byte) (*Complex, error) {
 		if geomSlot >= nGeoms {
 			return nil, fmt.Errorf("mscomplex: arc %d references geometry out of range", i)
 		}
-		if c.Nodes[ids[upper]].Index != c.Nodes[ids[lower]].Index+1 {
+		if c.Nodes[upper].Index != c.Nodes[lower].Index+1 {
 			return nil, fmt.Errorf("mscomplex: arc %d connects index %d to %d",
-				i, c.Nodes[ids[upper]].Index, c.Nodes[ids[lower]].Index)
+				i, c.Nodes[upper].Index, c.Nodes[lower].Index)
 		}
-		c.AddArc(ids[upper], ids[lower], geomIDs[geomSlot])
+		c.AddArc(NodeID(upper), NodeID(lower), GeomID(geomSlot))
 	}
 
 	nHier := int(r.u32())
@@ -279,42 +337,7 @@ func Deserialize(data []byte) (*Complex, error) {
 // SerializedSize returns the exact number of bytes Serialize would emit,
 // without building the payload.
 func (c *Complex) SerializedSize() int64 {
-	size := int64(4 + 4 + 4*len(c.Region) + 4)
-	for i := range c.Nodes {
-		n := &c.Nodes[i]
-		if !n.Alive {
-			continue
-		}
-		size += 8 + 1 + 4 + 8 + 2 + 4*int64(len(n.Owners))
-	}
-	size += 4 // geometry count
-	seen := make(map[GeomID]bool)
-	var visit func(g GeomID)
-	visit = func(g GeomID) {
-		if seen[g] {
-			return
-		}
-		seen[g] = true
-		geom := &c.Geoms[g]
-		if geom.Parts == nil {
-			size += 1 + 4 + 8*int64(len(geom.Cells))
-			return
-		}
-		size += 1 + 2 + 5*int64(len(geom.Parts))
-		for _, p := range geom.Parts {
-			visit(p.ID)
-		}
-	}
-	size += 4 // arc count
-	for i := range c.Arcs {
-		if !c.Arcs[i].Alive {
-			continue
-		}
-		visit(c.Arcs[i].Geom)
-		size += 4 + 4 + 4
-	}
-	size += 4 + 36*int64(len(c.Hierarchy))
-	return size
+	return c.layout().size
 }
 
 type writer struct{ buf []byte }

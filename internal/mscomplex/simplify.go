@@ -1,9 +1,5 @@
 package mscomplex
 
-import (
-	"container/heap"
-)
-
 // SimplifyOptions controls persistence-based simplification.
 type SimplifyOptions struct {
 	// Threshold is the maximum persistence of a cancellation. Pairs
@@ -30,11 +26,13 @@ type candidate struct {
 	arc       ArcID
 }
 
+// candidateHeap is a binary min-heap of candidates. push and pop sift
+// exactly as container/heap's Push and Pop do, without boxing every
+// candidate in an interface.
 type candidateHeap []candidate
 
-func (h candidateHeap) Len() int { return len(h) }
-func (h candidateHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+func (h candidateHeap) less(i, j int) bool {
+	a, b := &h[i], &h[j]
 	if a.pers != b.pers {
 		return a.pers < b.pers
 	}
@@ -46,13 +44,43 @@ func (h candidateHeap) Less(i, j int) bool {
 	}
 	return a.arc < b.arc
 }
-func (h candidateHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candidateHeap) Push(x interface{}) { *h = append(*h, x.(candidate)) }
-func (h *candidateHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
+
+func (h *candidateHeap) push(x candidate) {
+	*h = append(*h, x)
+	q := *h
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *candidateHeap) pop() candidate {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	x := q[n]
+	*h = q[:n]
 	return x
 }
 
@@ -79,7 +107,7 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 		}
 	}
 
-	h := &candidateHeap{}
+	h := make(candidateHeap, 0, len(c.Arcs))
 	push := func(a ArcID) {
 		arc := &c.Arcs[a]
 		if !arc.Alive {
@@ -92,7 +120,7 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 		if p > opts.Threshold {
 			return
 		}
-		heap.Push(h, candidate{
+		h.push(candidate{
 			pers:      p,
 			upperCell: uint64(c.Nodes[arc.Upper].Cell),
 			lowerCell: uint64(c.Nodes[arc.Lower].Cell),
@@ -103,9 +131,12 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 		push(ArcID(a))
 	}
 
-	var arcBuf []ArcID
-	for h.Len() > 0 {
-		cand := heap.Pop(h).(candidate)
+	// Per-cancellation scratch, reused across the loop.
+	var arcBuf, ups, downs, newArcs []ArcID
+	pairCount := make(map[[2]NodeID]int)
+	countedQ := make(map[NodeID]bool)
+	for len(h) > 0 {
+		cand := h.pop()
 		arc := &c.Arcs[cand.arc]
 		if !arc.Alive {
 			continue
@@ -117,9 +148,10 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 		// Gather the surviving neighborhood before surgery.
 		// ups: index d+1 neighbors of u other than v.
 		// downs: index d neighbors of v other than u.
-		var ups, downs []ArcID
-		arcBuf = arcBuf[:0]
-		for _, a := range c.ArcsOf(u, arcBuf) {
+		ups, downs = ups[:0], downs[:0]
+		arcBuf = c.ArcsOf(u, arcBuf[:0])
+		degU := len(arcBuf)
+		for _, a := range arcBuf {
 			if other := c.OtherEnd(a, u); other != v {
 				if c.Arcs[a].Upper == u {
 					continue // u is the upper end: neighbor has index d-1
@@ -127,8 +159,9 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 				ups = append(ups, a)
 			}
 		}
-		arcBuf = arcBuf[:0]
-		for _, a := range c.ArcsOf(v, arcBuf) {
+		arcBuf = c.ArcsOf(v, arcBuf[:0])
+		degV := len(arcBuf)
+		for _, a := range arcBuf {
 			if other := c.OtherEnd(a, v); other != u {
 				if c.Arcs[a].Lower == v {
 					continue // v is the lower end: neighbor has index d+2
@@ -143,17 +176,15 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 
 		// Remove the cancelled pair and every arc touching it,
 		// recording what changes so the hierarchy can be navigated
-		// back (hierarchy.go).
-		rec := undoRecord{lower: u, upper: v}
-		arcBuf = arcBuf[:0]
-		for _, a := range c.ArcsOf(u, arcBuf) {
+		// back (hierarchy.go). The single u–v arc is listed by both.
+		rec := undoRecord{lower: u, upper: v, removedArcs: make([]ArcID, 0, degU+degV-1)}
+		rec.removedArcs = c.ArcsOf(u, rec.removedArcs)
+		for _, a := range rec.removedArcs {
 			c.Arcs[a].Alive = false
-			rec.removedArcs = append(rec.removedArcs, a)
 		}
-		arcBuf = arcBuf[:0]
-		for _, a := range c.ArcsOf(v, arcBuf) {
+		rec.removedArcs = c.ArcsOf(v, rec.removedArcs)
+		for _, a := range rec.removedArcs[degU:] {
 			c.Arcs[a].Alive = false
-			rec.removedArcs = append(rec.removedArcs, a)
 		}
 		removed := len(rec.removedArcs)
 		c.Nodes[u].Alive = false
@@ -165,15 +196,18 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 		// Parallel records between one (q, p) pair are clamped at two:
 		// multiplicity never decreases while both endpoints live, so
 		// "≥ 2" blocks cancellation identically however large it is.
-		created := 0
-		pairCount := make(map[[2]NodeID]int)
-		countedQ := make(map[NodeID]bool)
+		// The composites' part lists are carved from one array per
+		// cancellation.
+		clear(pairCount)
+		clear(countedQ)
+		parts := make([]GeomPart, 3*len(ups)*len(downs))
+		newArcs = newArcs[:0]
 		for _, qa := range ups {
 			q := c.Arcs[qa].Upper
 			if !countedQ[q] {
 				countedQ[q] = true
-				arcBuf = arcBuf[:0]
-				for _, a := range c.ArcsOf(q, arcBuf) {
+				arcBuf = c.ArcsOf(q, arcBuf[:0])
+				for _, a := range arcBuf {
 					if c.Arcs[a].Upper == q {
 						pairCount[[2]NodeID{q, c.Arcs[a].Lower}]++
 					}
@@ -186,16 +220,20 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 					continue
 				}
 				pairCount[key]++
-				geom := c.AddCompositeGeom([]GeomPart{
-					{ID: c.Arcs[qa].Geom},
-					{ID: arc.Geom, Reversed: true},
-					{ID: c.Arcs[pa].Geom},
-				})
-				na := c.AddArc(q, p, geom)
-				rec.createdArcs = append(rec.createdArcs, na)
-				created++
+				g := parts[:3:3]
+				parts = parts[3:]
+				g[0] = GeomPart{ID: c.Arcs[qa].Geom}
+				g[1] = GeomPart{ID: arc.Geom, Reversed: true}
+				g[2] = GeomPart{ID: c.Arcs[pa].Geom}
+				na := c.AddArc(q, p, c.AddCompositeGeom(g))
+				newArcs = append(newArcs, na)
 				push(na)
 			}
+		}
+		created := len(newArcs)
+		if created > 0 {
+			rec.createdArcs = make([]ArcID, created)
+			copy(rec.createdArcs, newArcs)
 		}
 
 		c.undo = append(c.undo, rec)

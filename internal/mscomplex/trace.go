@@ -89,10 +89,10 @@ func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptio
 	if maxArcs <= 0 {
 		maxArcs = 2
 	}
-	ms := New([]int32{int32(c.Block.ID)})
+	criticals := f.CriticalCells()
+	ms := newSized([]int32{int32(c.Block.ID)}, len(criticals))
 	res := &TraceResult{Complex: ms}
 
-	criticals := f.CriticalCells()
 	for _, ci := range criticals {
 		idx := int(ci)
 		var kb [8]cube.VertKey
@@ -149,22 +149,45 @@ func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptio
 		}
 	})
 
-	// Phase 3: sequential commit in critical-cell order.
+	// Phase 3: sequential commit in critical-cell order. The first pass
+	// resolves every arc's endpoints and counts node degrees, so the
+	// second fills arrays and incidence lists allocated at final size.
+	nGeoms := 0
 	for i := range outs {
-		start := int(starts[i])
-		origin, ok := ms.NodeAt(c.GlobalAddr(start))
+		nGeoms += len(outs[i].emits)
+	}
+	origins := make([]NodeID, len(outs))
+	lowers := make([]NodeID, 0, nGeoms)
+	deg := make([]int32, len(ms.Nodes))
+	nArcs := 0
+	for i := range outs {
+		origin, ok := ms.NodeAt(c.GlobalAddr(int(starts[i])))
 		if !ok {
 			panic("mscomplex: tracing from a cell with no node")
 		}
+		origins[i] = origin
 		for _, e := range outs[i].emits {
 			lower, ok := ms.NodeAt(c.GlobalAddr(e.terminal))
 			if !ok {
 				panic("mscomplex: critical terminal with no node")
 			}
+			lowers = append(lowers, lower)
+			deg[origin] += int32(e.records)
+			deg[lower] += int32(e.records)
+			nArcs += e.records
+		}
+	}
+	carveArcLists(ms.Nodes, deg)
+	ms.Geoms = make([]Geom, 0, nGeoms)
+	ms.Arcs = make([]Arc, 0, nArcs)
+	k := 0
+	for i := range outs {
+		for _, e := range outs[i].emits {
 			geom := ms.AddLeafGeom(e.geom)
-			for k := 0; k < e.records; k++ {
-				ms.AddArc(origin, lower, geom)
+			for r := 0; r < e.records; r++ {
+				ms.AddArc(origins[i], lowers[k], geom)
 			}
+			k++
 		}
 		res.Truncated += outs[i].truncated
 		ms.Work.PathSteps += outs[i].steps
@@ -276,6 +299,20 @@ type tracer struct {
 	seen    []int32 // epoch at which the cell was discovered
 	visited []int32 // epoch at which the cell was DFS-expanded
 	epoch   int32
+
+	// Scratch reused across starts: the DFS stack, the reversed parent
+	// walk of reconstruct and the vertex-chain walk of walkChain.
+	stack []frame
+	rev   []int
+	walk  []grid.Addr
+}
+
+// frame is one DFS stack entry of traceFrom.
+type frame struct {
+	cell     int
+	next     [5]int
+	nNext    int
+	expanded bool
 }
 
 func (t *tracer) reset() {
@@ -343,13 +380,12 @@ func (t *tracer) traceChain(start int) startOut {
 // building the representative geometry for a path that starts at the
 // saddle cell start: [saddle, vertex, pairing edge, vertex, ..., final
 // vertex]. If restart is a non-negative vertex id and the walk reaches
-// it, the geometry restarts there. Returns the geometry and the
-// terminal vertex's cell index.
+// it, the geometry restarts there. Returns the geometry, an exact-size
+// copy of the walk, and the terminal vertex's cell index.
 func (t *tracer) walkChain(start, v, restart int) ([]grid.Addr, int) {
 	c := t.f.C
 	succ := t.f.Succ0()
-	cells := make([]grid.Addr, 0, 8)
-	cells = append(cells, c.GlobalAddr(start))
+	cells := append(t.walk[:0], c.GlobalAddr(start))
 	for {
 		if v == restart {
 			cells = cells[:1]
@@ -357,7 +393,10 @@ func (t *tracer) walkChain(start, v, restart int) ([]grid.Addr, int) {
 		cell := t.f.VertexCell(v)
 		cells = append(cells, c.GlobalAddr(cell))
 		if succ[v] < 0 {
-			return cells, cell
+			t.walk = cells
+			geom := make([]grid.Addr, len(cells))
+			copy(geom, cells)
+			return geom, cell
 		}
 		cells = append(cells, c.GlobalAddr(int(t.f.HeadOf(cell))))
 		v = int(succ[v])
@@ -378,13 +417,7 @@ func (t *tracer) traceFrom(start int) startOut {
 	// Iterative DFS over tail cells to produce a reverse topological
 	// order of the reachability DAG (V-fields are acyclic, so finish
 	// order is well defined).
-	type frame struct {
-		cell     int
-		next     [5]int
-		nNext    int
-		expanded bool
-	}
-	var stack []frame
+	stack := t.stack[:0]
 	var fb [6]int
 	roots := c.Facets(start, fb[:0])
 	nRoots := len(roots)
@@ -428,6 +461,7 @@ func (t *tracer) traceFrom(start int) startOut {
 			}
 		}
 	}
+	t.stack = stack
 	var out startOut
 	out.steps += int64(len(t.order))
 
@@ -486,10 +520,11 @@ func (t *tracer) traceFrom(start int) startOut {
 func (t *tracer) reconstruct(start, terminal int, out *startOut) []grid.Addr {
 	c := t.f.C
 	// Walk parents from terminal back to a root facet.
-	var rev []int
+	rev := t.rev[:0]
 	for cell := terminal; cell != -1; cell = int(t.parent[cell]) {
 		rev = append(rev, cell)
 	}
+	t.rev = rev
 	cells := make([]grid.Addr, 0, 2*len(rev)+1)
 	cells = append(cells, c.GlobalAddr(start))
 	for i := len(rev) - 1; i >= 0; i-- {

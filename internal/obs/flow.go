@@ -83,11 +83,29 @@ type FlowID struct {
 // flowStream is one emitter's flow list. Appends happen only from that
 // rank's goroutine, so stream order is deterministic; the mutex exists
 // for the receive-side completion writes and for mid-run snapshot
-// readers (the live /flows endpoint).
+// readers (the live /flows endpoint). The list is stored in fixed-size
+// chunks, so recording allocates about what it keeps: a doubling slice
+// would allocate three times the final size, and the flow recorder's
+// allocation budget is measured against the pipeline's own.
 type flowStream struct {
-	mu    sync.Mutex
-	seq   int64
-	flows []Flow
+	mu     sync.Mutex
+	seq    int64
+	chunks [][]Flow
+	n      int
+}
+
+// flowChunk is the number of flows per chunk.
+const flowChunk = 32
+
+// add appends f and returns its position + 1.
+func (st *flowStream) add(f Flow) int32 {
+	if st.n%flowChunk == 0 {
+		st.chunks = append(st.chunks, make([]Flow, 0, flowChunk))
+	}
+	last := &st.chunks[len(st.chunks)-1]
+	*last = append(*last, f)
+	st.n++
+	return int32(st.n)
 }
 
 // FlowRecorder captures per-message causal flow records for a cluster
@@ -153,11 +171,11 @@ func (fr *FlowRecorder) Begin(emitter, src, dst, tag, bytes int, kind string, se
 	if n < 0 || (n > 1 && seq%n != 0) {
 		return FlowID{}
 	}
-	st.flows = append(st.flows, Flow{
+	index := st.add(Flow{
 		Seq: seq, Emitter: emitter, Src: src, Dst: dst, Tag: tag,
 		Bytes: bytes, Kind: kind, SendVT: send, ArriveVT: arrive,
 	})
-	return FlowID{emitter: int32(emitter), index: int32(len(st.flows))}
+	return FlowID{emitter: int32(emitter), index: index}
 }
 
 // Complete finishes a flow from the receive side: the receiver's clock
@@ -176,10 +194,13 @@ func (fr *FlowRecorder) Complete(id FlowID, recvStart, recv vtime.Time) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	i := int(id.index) - 1
-	if i >= len(st.flows) || st.flows[i].Done {
+	if i >= st.n {
 		return
 	}
-	f := &st.flows[i]
+	f := &st.chunks[i/flowChunk][i%flowChunk]
+	if f.Done {
+		return
+	}
 	f.RecvStartVT = recvStart
 	f.RecvVT = recv
 	if f.RecvVT < f.SendVT {
@@ -201,7 +222,7 @@ func (fr *FlowRecorder) Emit(emitter, src, dst, tag, bytes int, kind string, sen
 	}
 	st := &fr.streams[emitter]
 	st.mu.Lock()
-	st.flows = append(st.flows, Flow{
+	st.add(Flow{
 		Seq: st.seq, Emitter: emitter, Src: src, Dst: dst, Tag: tag,
 		Bytes: bytes, Kind: kind, SendVT: send, ArriveVT: recv,
 		RecvStartVT: recv, RecvVT: recv, Done: true,
@@ -221,7 +242,9 @@ func (fr *FlowRecorder) Flows() []Flow {
 	for e := range fr.streams {
 		st := &fr.streams[e]
 		st.mu.Lock()
-		out = append(out, st.flows...)
+		for _, c := range st.chunks {
+			out = append(out, c...)
+		}
 		st.mu.Unlock()
 	}
 	return out
