@@ -61,7 +61,6 @@ func main() {
 	ckptDir := flag.String("ckptdir", "ckpt", "checkpoint directory on the simulated filesystem")
 	ckptGC := flag.Bool("ckpt-gc", false, "reclaim checkpoints superseded by newer rounds as soon as they are safely on disk")
 	migrate := flag.Bool("migrate", false, "migrate a crashed rank's blocks to healthy ranks via the block ownership table")
-	speculate := flag.Bool("speculate", false, "race a local recompute against late merge payloads instead of waiting out stragglers")
 	avoidFlag := flag.String("avoid", "", "comma-separated ranks the initial block rotation should skip (e.g. \"3,17\")")
 	autoAvoid := flag.String("auto-avoid", "", "msinsight report JSON (file or /insight dump) whose recommendation.avoid_ranks seeds -avoid")
 	flag.Parse()
@@ -157,7 +156,6 @@ func main() {
 		CheckpointDir:   *ckptDir,
 		CheckpointGC:    *ckptGC,
 		Migrate:         *migrate,
-		Speculate:       *speculate,
 		AvoidRanks:      avoid,
 	})
 	if err != nil {
@@ -179,7 +177,8 @@ func main() {
 		fmt.Printf("faults     %s\n", res.FaultReport.String())
 	}
 	fmt.Printf("merge      radices %v -> %d output block(s)\n", radices, res.OutputBlocks)
-	fmt.Printf("complex    nodes %v (min, 1-saddle, 2-saddle, max), %d arcs\n", res.Nodes, res.Arcs)
+	fmt.Printf("complex    nodes %v (min, 1-saddle, 2-saddle, max), %d arcs, %d truncated saddle pairs\n",
+		res.Nodes, res.Arcs, res.Truncated)
 	fmt.Printf("output     %s (%d bytes)\n", outFile, res.OutputBytes)
 	mode := "modeled"
 	if *measured {

@@ -85,27 +85,24 @@ type ComputeKernel struct {
 }
 
 // FaultDrill is the deterministic recovery drill attached to the bench
-// snapshot: one 64-rank merge with migration, speculation, and
-// checkpoint GC all on, a rank crash and a straggler payload injected.
+// snapshot: one 64-rank merge with migration and checkpoint GC on, a
+// rank crash and a straggler payload injected.
 // Every counter below is modeled, not measured, so the benchdiff gate
 // matches the counts exactly and the seconds within the stage-time
 // tolerance; the drill catches silent drift in recovery paths the
 // fault-free scaling sweep never exercises.
 type FaultDrill struct {
-	Procs                       int     `json:"procs"`
-	Migrations                  int     `json:"migrations"`
-	MigratedBlocks              []int   `json:"migrated_blocks"`
-	Timeouts                    int     `json:"timeouts"`
-	TimeoutWaitSeconds          float64 `json:"timeout_wait_seconds"`
-	SpeculationPayloadWins      int     `json:"speculation_payload_wins"`
-	SpeculationRecomputeWins    int     `json:"speculation_recompute_wins"`
-	SpeculationCancelledSeconds float64 `json:"speculation_cancelled_seconds"`
-	CheckpointsGCed             int     `json:"checkpoints_gced"`
-	CheckpointGCBytes           int64   `json:"checkpoint_gc_bytes"`
-	CheckpointRestores          int     `json:"checkpoint_restores"`
-	Recomputes                  int     `json:"recomputes"`
-	MergeSeconds                float64 `json:"merge_seconds"`
-	Nodes                       [4]int  `json:"nodes"`
+	Procs              int     `json:"procs"`
+	Migrations         int     `json:"migrations"`
+	MigratedBlocks     []int   `json:"migrated_blocks"`
+	Timeouts           int     `json:"timeouts"`
+	TimeoutWaitSeconds float64 `json:"timeout_wait_seconds"`
+	CheckpointsGCed    int     `json:"checkpoints_gced"`
+	CheckpointGCBytes  int64   `json:"checkpoint_gc_bytes"`
+	CheckpointRestores int     `json:"checkpoint_restores"`
+	Recomputes         int     `json:"recomputes"`
+	MergeSeconds       float64 `json:"merge_seconds"`
+	Nodes              [4]int  `json:"nodes"`
 }
 
 // TracerOverhead is the flow-recorder cost probe attached to the bench
@@ -136,10 +133,9 @@ type BenchResult struct {
 	Scale     float64    `json:"scale"`
 	CreatedAt string     `json:"created_at"`
 	Runs      []BenchRun `json:"runs"`
-	// FaultDrill is absent in snapshots taken before the migration /
-	// speculation work landed; the gate only compares it when the
-	// baseline carries one. TracerOverhead likewise dates from the flow
-	// tracing work.
+	// FaultDrill is absent in snapshots taken before the migration work
+	// landed; the gate only compares it when the baseline carries one.
+	// TracerOverhead likewise dates from the flow tracing work.
 	FaultDrill     *FaultDrill     `json:"fault_drill,omitempty"`
 	TracerOverhead *TracerOverhead `json:"tracer_overhead,omitempty"`
 	// ComputeKernel dates from the data-parallel kernel work; older
@@ -331,10 +327,10 @@ func benchTracerOverhead(cfg Config) (*TracerOverhead, error) {
 
 // benchFaultDrill runs the snapshot's recovery drill: a 64-rank
 // radix-4 merge of the chaos-suite sinusoid with per-round checkpoints,
-// GC, migration, and speculation all on. Rank 4 crashes entering round
-// 1 (its block migrates and restores from the dead rank's checkpoint)
-// and rank 3's round-0 payload is delayed just past the receive
-// deadline (the speculation race resolves in the payload's favor). The
+// GC and migration on. Rank 4 crashes entering round 1 (its block
+// migrates and restores from the dead rank's checkpoint) and rank 3's
+// round-0 payload is delayed just past the receive deadline (the root
+// gives up on it and recovers the subtree by Restore or Rebuild). The
 // injections and the virtual clock are deterministic, so every
 // resulting counter is a stable fingerprint of the recovery machinery.
 func benchFaultDrill(cfg Config) (*FaultDrill, error) {
@@ -359,7 +355,6 @@ func benchFaultDrill(cfg Config) (*FaultDrill, error) {
 		CheckpointEvery: 1,
 		CheckpointGC:    true,
 		Migrate:         true,
-		Speculate:       true,
 		MergeTimeout:    0.001,
 	})
 	if err != nil {
@@ -367,20 +362,17 @@ func benchFaultDrill(cfg Config) (*FaultDrill, error) {
 	}
 	rep := res.FaultReport
 	return &FaultDrill{
-		Procs:                       procs,
-		Migrations:                  rep.Migrations,
-		MigratedBlocks:              rep.MigratedBlocks,
-		Timeouts:                    rep.Timeouts,
-		TimeoutWaitSeconds:          rep.TimeoutWaitSeconds,
-		SpeculationPayloadWins:      rep.SpeculationPayloadWins,
-		SpeculationRecomputeWins:    rep.SpeculationRecomputeWins,
-		SpeculationCancelledSeconds: rep.SpeculationCancelledSeconds,
-		CheckpointsGCed:             rep.CheckpointsGCed,
-		CheckpointGCBytes:           rep.CheckpointGCBytes,
-		CheckpointRestores:          rep.CheckpointRestores,
-		Recomputes:                  rep.Recomputes,
-		MergeSeconds:                res.Times.Merge,
-		Nodes:                       res.Nodes,
+		Procs:              procs,
+		Migrations:         rep.Migrations,
+		MigratedBlocks:     rep.MigratedBlocks,
+		Timeouts:           rep.Timeouts,
+		TimeoutWaitSeconds: rep.TimeoutWaitSeconds,
+		CheckpointsGCed:    rep.CheckpointsGCed,
+		CheckpointGCBytes:  rep.CheckpointGCBytes,
+		CheckpointRestores: rep.CheckpointRestores,
+		Recomputes:         rep.Recomputes,
+		MergeSeconds:       res.Times.Merge,
+		Nodes:              res.Nodes,
 	}, nil
 }
 

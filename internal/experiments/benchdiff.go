@@ -135,9 +135,6 @@ func WriteBenchDelta(w io.Writer, baseline, fresh *BenchResult) {
 			{"migrations", float64(base.Migrations), float64(got.Migrations), false},
 			{"timeouts", float64(base.Timeouts), float64(got.Timeouts), false},
 			{"timeout wait", base.TimeoutWaitSeconds, got.TimeoutWaitSeconds, true},
-			{"spec payload wins", float64(base.SpeculationPayloadWins), float64(got.SpeculationPayloadWins), false},
-			{"spec recompute wins", float64(base.SpeculationRecomputeWins), float64(got.SpeculationRecomputeWins), false},
-			{"spec cancelled", base.SpeculationCancelledSeconds, got.SpeculationCancelledSeconds, true},
 			{"ckpts GCed", float64(base.CheckpointsGCed), float64(got.CheckpointsGCed), false},
 			{"GC bytes", float64(base.CheckpointGCBytes), float64(got.CheckpointGCBytes), false},
 			{"restores", float64(base.CheckpointRestores), float64(got.CheckpointRestores), false},
@@ -437,8 +434,6 @@ func compareFaultDrill(base, got *FaultDrill, tol float64) []string {
 		{"procs", int64(base.Procs), int64(got.Procs)},
 		{"migrations", int64(base.Migrations), int64(got.Migrations)},
 		{"timeouts", int64(base.Timeouts), int64(got.Timeouts)},
-		{"speculation_payload_wins", int64(base.SpeculationPayloadWins), int64(got.SpeculationPayloadWins)},
-		{"speculation_recompute_wins", int64(base.SpeculationRecomputeWins), int64(got.SpeculationRecomputeWins)},
 		{"checkpoints_gced", int64(base.CheckpointsGCed), int64(got.CheckpointsGCed)},
 		{"checkpoint_gc_bytes", base.CheckpointGCBytes, got.CheckpointGCBytes},
 		{"checkpoint_restores", int64(base.CheckpointRestores), int64(got.CheckpointRestores)},
@@ -466,7 +461,6 @@ func compareFaultDrill(base, got *FaultDrill, tol float64) []string {
 		base, got float64
 	}{
 		{"timeout_wait_seconds", base.TimeoutWaitSeconds, got.TimeoutWaitSeconds},
-		{"speculation_cancelled_seconds", base.SpeculationCancelledSeconds, got.SpeculationCancelledSeconds},
 		{"merge_seconds", base.MergeSeconds, got.MergeSeconds},
 	}
 	for _, s := range seconds {

@@ -451,17 +451,6 @@ type Report struct {
 	// MigratedBlocks lists the blocks that changed owner after a rank
 	// failure (sorted, deduplicated after aggregation).
 	MigratedBlocks []int
-	// SpeculationPayloadWins counts speculative recoveries cancelled
-	// because the late payload arrived cheaper than the local recompute
-	// would have finished.
-	SpeculationPayloadWins int
-	// SpeculationRecomputeWins counts speculative recoveries that beat
-	// the late (or lost) payload and were committed.
-	SpeculationRecomputeWins int
-	// SpeculationCancelledSeconds totals the modeled virtual time spent
-	// on speculative recoveries that lost the race — pure overhead the
-	// speculation policy risks to win latency.
-	SpeculationCancelledSeconds float64
 	// CheckpointsGCed counts superseded checkpoint files reclaimed by
 	// the checkpoint garbage collector.
 	CheckpointsGCed int
@@ -486,9 +475,6 @@ func (r *Report) Merge(o *Report) {
 	r.TimeoutWaitSeconds += o.TimeoutWaitSeconds
 	r.Migrations += o.Migrations
 	r.MigratedBlocks = append(r.MigratedBlocks, o.MigratedBlocks...)
-	r.SpeculationPayloadWins += o.SpeculationPayloadWins
-	r.SpeculationRecomputeWins += o.SpeculationRecomputeWins
-	r.SpeculationCancelledSeconds += o.SpeculationCancelledSeconds
 	r.CheckpointsGCed += o.CheckpointsGCed
 	r.CheckpointGCBytes += o.CheckpointGCBytes
 }
@@ -508,18 +494,16 @@ func (r *Report) Faulty() bool {
 		r.CheckpointFallbacks != 0 || r.IORetries != 0 ||
 		len(r.LostBlocks) != 0 || len(r.RecoveredBlocks) != 0 ||
 		len(r.RestoredBlocks) != 0 ||
-		r.Migrations != 0 || len(r.MigratedBlocks) != 0 ||
-		r.SpeculationPayloadWins != 0 || r.SpeculationRecomputeWins != 0
+		r.Migrations != 0 || len(r.MigratedBlocks) != 0
 }
 
 func (r *Report) String() string {
 	return fmt.Sprintf(
-		"crashes=%d timeouts=%d (wait=%.3fs) corruptions=%d recomputes=%d (cells=%d) restores=%d (bytes=%d, fallbacks=%d) ioRetries=%d migrations=%d spec=%d/%d (cancelled=%.3fs) gc=%d (bytes=%d) lost=%v recovered=%v restored=%v migrated=%v",
+		"crashes=%d timeouts=%d (wait=%.3fs) corruptions=%d recomputes=%d (cells=%d) restores=%d (bytes=%d, fallbacks=%d) ioRetries=%d migrations=%d gc=%d (bytes=%d) lost=%v recovered=%v restored=%v migrated=%v",
 		r.RankCrashes, r.Timeouts, r.TimeoutWaitSeconds, r.Corruptions,
 		r.Recomputes, r.RecomputeCells,
 		r.CheckpointRestores, r.CheckpointBytesRead, r.CheckpointFallbacks,
 		r.IORetries, r.Migrations,
-		r.SpeculationRecomputeWins, r.SpeculationPayloadWins, r.SpeculationCancelledSeconds,
 		r.CheckpointsGCed, r.CheckpointGCBytes,
 		r.LostBlocks, r.RecoveredBlocks, r.RestoredBlocks, r.MigratedBlocks)
 }

@@ -37,17 +37,14 @@ type Options struct {
 	// possible.
 	Timeout vtime.Time
 	// Recompute rebuilds one original block's simplified, compacted
-	// complex from source data, charging the work to rk's clock and the
-	// recovery counters to rep (either may differ from the Execute
-	// rank/report: speculative recovery runs on a quiet twin with a
-	// scratch report so a cancelled race leaves no trace). When set,
-	// Execute degrades gracefully: a member that times out or arrives
-	// corrupted is excluded from its group's glue, recorded, and
-	// deterministically reconstructed — the compute stage is
+	// complex from source data, charging the work to r's clock. When
+	// set, Execute degrades gracefully: a member that times out or
+	// arrives corrupted is excluded from its group's glue, recorded,
+	// and deterministically reconstructed — the compute stage is
 	// deterministic, so the rebuilt subtree is identical to the lost
 	// one. When nil, any missing block is a hard error (the
 	// pre-fault-tolerance behavior).
-	Recompute func(rk *mpsim.Rank, rep *fault.Report, block int) (*mscomplex.Complex, error)
+	Recompute func(r *mpsim.Rank, block int) (*mscomplex.Complex, error)
 	// Report, when non-nil, accumulates this rank's observed fault
 	// events.
 	Report *fault.Report
@@ -73,12 +70,6 @@ type Options struct {
 	// round, so fault-free modeled times are unchanged unless asked
 	// for.
 	Migrate bool
-	// Speculate races a local Recover of a late member subtree against
-	// its still-pending payload when a receive times out: whichever
-	// completes earlier on the virtual clock wins and the loser is
-	// cancelled. Requires Recompute; wins and cancelled work are
-	// accounted in Report.
-	Speculate bool
 }
 
 // Execute runs the merge rounds of the schedule over the per-block
@@ -302,9 +293,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					payload, _ = r.Recv(srcRank, tag)
 				}
 				var other *mscomplex.Complex
-				if lost && opts.Speculate && opts.Recompute != nil {
-					other, payload = speculate(r, sched, nblocks, m, srcRank, tag, round, opts)
-				}
 				if !lost {
 					var err error
 					other, err = decodeMember(payload)
@@ -412,85 +400,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 	return stats, nil
 }
 
-// speculate races a local recovery of a late member subtree against its
-// still-pending payload, after RecvTimeout already gave up on block
-// coming from srcRank. It runs Recover on a quiet speculative twin of
-// this rank, then compares completion times on the virtual clock: the
-// payload (if pending at all) would complete at arrival + receive
-// overhead, the recompute at Clock() + twin cost. The winner is
-// committed — payload: a now-immediate Recv, recompute: Adopt of the
-// twin's clock and the scratch report — and the loser cancelled:
-// a losing recompute's scratch report is dropped so cancelled work
-// never pollutes the recovery counters, a losing payload is left
-// unconsumed in the mailbox (ignored for the rest of the run).
-//
-// Returns (nil, nil) when neither side can produce the subtree — the
-// caller then falls through to the ordinary Restore/Rebuild path.
-func speculate(r *mpsim.Rank, sched Schedule, nblocks, block, srcRank, tag, round int, opts Options) (*mscomplex.Complex, []byte) {
-	tr := r.Tracer()
-	reg := r.Metrics()
-	specStart := r.Clock()
-	arrival, pending := r.PeekArrival(srcRank, tag)
-	twin := r.Speculative()
-	specReport := &fault.Report{}
-	specOpts := opts
-	specOpts.Report = specReport
-	recovered, recErr := Recover(twin, sched, nblocks, block, round, specOpts)
-	cost := r.SpeculationCost(twin)
-	recvDone := arrival + vtime.Time(r.Machine().RecvOverhead)
-	if pending && (recErr != nil || recvDone <= specStart+cost) {
-		// The late payload finishes first (or is the only option left):
-		// it is already pending, so this Recv returns immediately,
-		// advancing the clock to its arrival stamp.
-		data, _ := r.Recv(srcRank, tag)
-		other, err := decodeMember(data)
-		if err == nil {
-			if opts.Report != nil {
-				opts.Report.SpeculationPayloadWins++
-				opts.Report.SpeculationCancelledSeconds += float64(cost)
-			}
-			tr.Span("speculate", specStart, r.Clock(),
-				obs.S("winner", "payload"), obs.I("block", int64(block)),
-				obs.I("round", int64(round)), obs.F("cancelled_s", float64(cost)))
-			if lg := r.Logger(); lg != nil {
-				lg.Info("speculate.payload_win", "rank", r.ID(), "block", block,
-					"round", round, "cancelled_s", float64(cost), "vt", float64(r.Clock()))
-			}
-			if reg != nil {
-				reg.Counter("merge_speculation_payload_wins_total").Add(1)
-				reg.Gauge("merge_speculation_cancelled_seconds_total").Add(float64(cost))
-			}
-			return other, data
-		}
-		// The straggler's payload is corrupt on top of late; fall back
-		// to the recompute result if the twin produced one.
-		if opts.Report != nil {
-			opts.Report.Corruptions++
-		}
-		tr.Instant("fault:corrupt", r.Clock(), obs.I("block", int64(block)),
-			obs.I("src", int64(srcRank)), obs.I("round", int64(round)))
-	}
-	if recErr != nil {
-		return nil, nil
-	}
-	r.Adopt(twin)
-	if opts.Report != nil {
-		opts.Report.Merge(specReport)
-		opts.Report.SpeculationRecomputeWins++
-	}
-	tr.Span("speculate", specStart, r.Clock(),
-		obs.S("winner", "recompute"), obs.I("block", int64(block)),
-		obs.I("round", int64(round)), obs.F("cost_s", float64(cost)))
-	if lg := r.Logger(); lg != nil {
-		lg.Info("speculate.recompute_win", "rank", r.ID(), "block", block,
-			"round", round, "cost_s", float64(cost), "vt", float64(r.Clock()))
-	}
-	if reg != nil {
-		reg.Counter("merge_speculation_recompute_wins_total").Add(1)
-	}
-	return recovered, nil
-}
-
 // decodeMember unframes and deserializes one merge payload, rejecting
 // any corruption.
 func decodeMember(payload []byte) (*mscomplex.Complex, error) {
@@ -522,7 +431,7 @@ func Rebuild(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 	}
 	local := make(map[int]*mscomplex.Complex, span)
 	for b := block; b < end; b++ {
-		ms, err := opts.Recompute(r, opts.Report, b)
+		ms, err := opts.Recompute(r, b)
 		if err != nil {
 			return nil, err
 		}

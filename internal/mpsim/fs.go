@@ -200,9 +200,7 @@ func (r *Rank) retryIO(op func() error) error {
 			return err
 		}
 		r.ioRetries++
-		if !r.quiet {
-			r.cluster.metrics.ioRetries.Add(1)
-		}
+		r.cluster.metrics.ioRetries.Add(1)
 		r.tr.Instant("fault:io_retry", r.clock.Now(), obs.I("attempt", int64(attempt+1)))
 		if lg := r.Logger(); lg != nil {
 			lg.Warn("io.retry", "rank", r.id, "attempt", attempt+1,
@@ -314,10 +312,8 @@ func (r *Rank) ioAccount(rankBytes int64) {
 	// All ranks complete together: the operation takes as long as the
 	// slowest participant.
 	finish := r.AllreduceFloat64(float64(r.Clock())+float64(myTime), "max")
-	r.clock.AdvanceTo(vtimeFromFloat(finish))
+	r.clock.AdvanceTo(vtime.Time(finish))
 }
-
-func vtimeFromFloat(s float64) vtime.Time { return vtime.Time(s) }
 
 // IOAccount advances every rank's clock for one collective I/O round in
 // which this rank moved rankBytes. It must be called collectively; ranks

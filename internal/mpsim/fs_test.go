@@ -112,3 +112,40 @@ func TestRecvAnySource(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestFSRemove(t *testing.T) {
+	fs := NewFS()
+	fs.Put("a", []byte("hello"))
+	n, ok := fs.Remove("a")
+	if !ok || n != 5 {
+		t.Fatalf("Remove(a) = (%d, %v), want (5, true)", n, ok)
+	}
+	if _, err := fs.Get("a"); err == nil {
+		t.Fatal("file still readable after Remove")
+	}
+	if _, ok := fs.Remove("a"); ok {
+		t.Fatal("second Remove reported the file present")
+	}
+}
+
+func TestRankRemoveFileNoClockCharge(t *testing.T) {
+	c, err := New(Config{Procs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.FS().Put("x", []byte{1, 2, 3})
+	_, err = c.Run(func(r *Rank) error {
+		before := r.Clock()
+		n, ok := r.RemoveFile("x")
+		if !ok || n != 3 {
+			t.Errorf("RemoveFile = (%d, %v), want (3, true)", n, ok)
+		}
+		if r.Clock() != before {
+			t.Errorf("RemoveFile charged the clock: %v -> %v", before, r.Clock())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -268,10 +268,6 @@ type Rank struct {
 	msgsRecv  int64
 	ioRetries int64
 	failed    bool
-	// quiet marks a speculative twin (see Speculative): no tracing,
-	// logging, metrics, or fault-plan crashes, so a cancelled
-	// speculation leaves no mark on the run's observable record.
-	quiet bool
 }
 
 // ID returns this rank's index in [0, Size).
@@ -305,25 +301,14 @@ func (r *Rank) MessagesRecv() int64 { return r.msgsRecv }
 func (r *Rank) Tracer() *obs.RankTracer { return r.tr }
 
 // Metrics returns the cluster's metrics registry, nil when
-// observability is off or this is a speculative twin.
-func (r *Rank) Metrics() *obs.Registry {
-	if r.quiet {
-		return nil
-	}
-	return r.cluster.cfg.Obs.Registry()
-}
+// observability is off.
+func (r *Rank) Metrics() *obs.Registry { return r.cluster.cfg.Obs.Registry() }
 
 // Logger returns the cluster's structured event logger, nil when none
 // is attached. Events logged through it carry a "vt" attribute so log
 // lines join against trace spans on the virtual timeline; callers must
 // gate on the nil return, as slog itself has no nil-receiver no-op.
-// Speculative twins are quiet and always return nil.
-func (r *Rank) Logger() *slog.Logger {
-	if r.quiet {
-		return nil
-	}
-	return r.cluster.cfg.Obs.Logger()
-}
+func (r *Rank) Logger() *slog.Logger { return r.cluster.cfg.Obs.Logger() }
 
 // IORetries returns the number of filesystem operations this rank has
 // retried after transient errors.
@@ -336,7 +321,7 @@ func (r *Rank) IORetries() int64 { return r.ioRetries }
 // with the plan's restart penalty added to the virtual clock.
 func (r *Rank) Checkpoint(stage string) bool {
 	p := r.cluster.cfg.Faults
-	if r.quiet || p == nil || !p.OnCheckpoint(r.id, stage, float64(r.clock.Now())) {
+	if p == nil || !p.OnCheckpoint(r.id, stage, float64(r.clock.Now())) {
 		return false
 	}
 	r.failed = true
@@ -384,7 +369,7 @@ type message struct {
 	data     []byte
 	arrival  vtime.Time
 	// flow is the send-side record this delivery completes on receive;
-	// the zero FlowID (observability off, sampled out, quiet twin) makes
+	// the zero FlowID (observability off, sampled out) makes
 	// completion a no-op.
 	flow obs.FlowID
 }
@@ -520,13 +505,10 @@ func (r *Rank) TrySend(dst, tag int, data []byte) error {
 	}
 	for _, d := range deliveries {
 		a := arrival + vtime.Time(d.ExtraDelay)
-		var fid obs.FlowID
-		if !r.quiet {
-			// One flow per delivery, so a duplicated message shows two
-			// records of which only one completes.
-			fid = r.cluster.flows.Begin(r.id, r.id, dst, tag, len(d.Data),
-				flowKind(tag), r.clock.Now(), a)
-		}
+		// One flow per delivery, so a duplicated message shows two
+		// records of which only one completes.
+		fid := r.cluster.flows.Begin(r.id, r.id, dst, tag, len(d.Data),
+			flowKind(tag), r.clock.Now(), a)
 		r.cluster.mailboxes[dst].put(message{
 			src: r.id, tag: tag, data: d.Data, arrival: a, flow: fid,
 		})
@@ -548,11 +530,8 @@ func flowKind(tag int) string {
 // stream: data that reached the rank outside Send/Recv, such as a
 // migrated block rebuilt from a dead owner's checkpoints. start is the
 // rank's clock when the restore began; the flow's receive time is the
-// clock now. No-op on quiet twins and when observability is off.
+// clock now. No-op when observability is off.
 func (r *Rank) NoteFlow(kind string, src, tag, bytes int, start vtime.Time) {
-	if r.quiet {
-		return
-	}
 	r.cluster.flows.Emit(r.id, src, r.id, tag, bytes, kind, start, r.clock.Now())
 }
 
@@ -574,9 +553,7 @@ func (r *Rank) Recv(src, tag int) ([]byte, int) {
 	r.clock.AdvanceTo(msg.arrival)
 	r.clock.Advance(vtime.Time(r.cluster.machine.RecvOverhead))
 	r.countRecv(len(msg.data))
-	if !r.quiet {
-		r.cluster.flows.Complete(msg.flow, recvStart, r.clock.Now())
-	}
+	r.cluster.flows.Complete(msg.flow, recvStart, r.clock.Now())
 	return msg.data, msg.src
 }
 
@@ -619,9 +596,7 @@ func (r *Rank) RecvTimeout(src, tag int, timeout vtime.Time) ([]byte, int, bool)
 	r.clock.AdvanceTo(msg.arrival)
 	r.clock.Advance(vtime.Time(r.cluster.machine.RecvOverhead))
 	r.countRecv(len(msg.data))
-	if !r.quiet {
-		r.cluster.flows.Complete(msg.flow, recvStart, r.clock.Now())
-	}
+	r.cluster.flows.Complete(msg.flow, recvStart, r.clock.Now())
 	return msg.data, msg.src, true
 }
 

@@ -29,9 +29,7 @@ import (
 // sendMethods / recvMethods are the Rank point-to-point families; the
 // tag is argument index 1 in every one of them.
 var sendMethods = map[string]bool{"Send": true, "TrySend": true}
-var recvMethods = map[string]bool{
-	"Recv": true, "TryRecv": true, "RecvTimeout": true, "PeekArrival": true,
-}
+var recvMethods = map[string]bool{"Recv": true, "TryRecv": true, "RecvTimeout": true}
 
 // SendrecvAnalyzer reports constant Send tags with no matching Recv
 // site and vice versa. Collection happens during fact computation (so
@@ -40,7 +38,7 @@ var recvMethods = map[string]bool{
 // every package's facts exist.
 var SendrecvAnalyzer = &Analyzer{
 	Name: "sendrecv",
-	Doc: "matches constant Send tags against Recv/TryRecv/RecvTimeout/PeekArrival tags " +
+	Doc: "matches constant Send tags against Recv/TryRecv/RecvTimeout tags " +
 		"repo-wide; a one-sided tag constant strands messages or blocks the receiver",
 	Run:    runSendrecv,
 	Finish: finishSendrecv,

@@ -34,11 +34,9 @@ import (
 // mismatches payloads — the MPI collective-matching rule the paper's
 // merge inherits (Gyulassy et al. 2012 §4).
 var collectiveMethods = map[string]bool{
-	"Barrier": true, "Bcast": true,
-	"ReduceFloat64": true, "ReduceInt64": true,
+	"Barrier": true, "Bcast": true, "ReduceFloat64": true,
 	"AllreduceFloat64": true, "AllreduceMaxTime": true,
 	"Gather": true, "AllgatherInt64": true,
-	"Scatter": true, "Alltoall": true,
 	"CollectiveWrite": true, "CollectiveRead": true,
 }
 

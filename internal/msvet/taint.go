@@ -14,12 +14,12 @@ package msvet
 // `for rank := range procs { owners.Blocks(rank) }` maximum does not —
 // both are real idioms in the pipeline.
 //
-// Results of the symmetric collectives (Allreduce*, Allgather*, Bcast,
-// Alltoall) are taint *sinks*: every rank computes the identical value,
-// so they launder rank-dependence away — which is precisely how the
-// repo turns per-rank block counts into the uniform collective-write
-// round count. Rooted collectives (Gather, Reduce*) stay tainted: only
-// the root sees the data.
+// Results of the symmetric collectives (Allreduce*, Allgather*, Bcast)
+// are taint *sinks*: every rank computes the identical value, so they
+// launder rank-dependence away — which is precisely how the repo turns
+// per-rank block counts into the uniform collective-write round count.
+// Rooted collectives (Gather, ReduceFloat64) stay tainted: only the
+// root sees the data.
 
 import (
 	"go/ast"
@@ -31,14 +31,13 @@ import (
 // results are untainted no matter the arguments.
 var uniformCollectives = map[string]bool{
 	"AllreduceFloat64": true, "AllreduceMaxTime": true,
-	"AllgatherInt64": true, "Bcast": true, "Alltoall": true,
-	"Barrier": true, "Scatter": true,
+	"AllgatherInt64": true, "Bcast": true, "Barrier": true,
 }
 
 // rootedCollectives deliver data only at the root; their results are
 // rank-asymmetric by construction.
 var rootedCollectives = map[string]bool{
-	"Gather": true, "ReduceFloat64": true, "ReduceInt64": true,
+	"Gather": true, "ReduceFloat64": true,
 }
 
 // maxTaintRounds bounds the per-package fixpoint; masks only grow, and

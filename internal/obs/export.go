@@ -46,9 +46,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	// source track at injection time and one binding "f" on the
 	// destination track at consumption time, so Perfetto draws an arrow
 	// per message. Only completed flows export — an orphan (dropped
-	// duplicate, cancelled speculation payload) has no consumption
-	// point to bind to, and tracecheck treats an unpaired "s" as a
-	// defect.
+	// duplicate, payload that arrived after its receive timed out) has
+	// no consumption point to bind to, and tracecheck treats an
+	// unpaired "s" as a defect.
 	for _, f := range t.Flows().Flows() {
 		if !f.Done {
 			continue

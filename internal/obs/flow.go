@@ -13,14 +13,12 @@ import (
 
 // Flow kinds. A flow's kind names the mechanism that moved the data:
 // ordinary point-to-point traffic, collective-tag traffic (the modeled
-// reliable tree network), a speculative recompute adopted in place of a
-// late payload, or a migrated block restored from a dead owner's
-// checkpoints.
+// reliable tree network), or a migrated block restored from a dead
+// owner's checkpoints.
 const (
-	FlowP2P              = "p2p"
-	FlowCollective       = "collective"
-	FlowSpeculativeAdopt = "speculative-adopt"
-	FlowMigratedRestore  = "migrated-restore"
+	FlowP2P             = "p2p"
+	FlowCollective      = "collective"
+	FlowMigratedRestore = "migrated-restore"
 )
 
 // Flow is one causal message record: who sent what to whom, when it was
@@ -33,9 +31,8 @@ type Flow struct {
 	Seq     int64 `json:"seq"`
 	Emitter int   `json:"emitter"`
 	// Src and Dst are the logical endpoints. Src == Emitter for real
-	// sends; synthetic flows (speculative-adopt, migrated-restore) are
-	// emitted by the consuming rank with Src naming where the data
-	// logically came from.
+	// sends; synthetic flows (migrated-restore) are emitted by the
+	// consuming rank with Src naming where the data logically came from.
 	Src   int    `json:"src"`
 	Dst   int    `json:"dst"`
 	Tag   int    `json:"tag"`
@@ -52,8 +49,8 @@ type Flow struct {
 	RecvStartVT vtime.Time `json:"recv_start"`
 	RecvVT      vtime.Time `json:"recv"`
 	// Done marks a consumed message. A flow left open at end of run is
-	// an orphan: a dropped duplicate delivery, or a speculation's late
-	// payload that lost the race and stays in the mailbox forever.
+	// an orphan: a dropped duplicate delivery, or a payload that arrived
+	// after its receive timed out and stays in the mailbox forever.
 	Done bool `json:"done"`
 }
 
@@ -210,9 +207,9 @@ func (fr *FlowRecorder) Complete(id FlowID, recvStart, recv vtime.Time) {
 }
 
 // Emit records a synthetic, already-complete flow: data that reached
-// its consumer outside Send/Recv (a speculative recompute adopted onto
-// the rank, a migrated block restored from checkpoints). Must be called
-// from the emitting rank's goroutine, like Begin.
+// its consumer outside Send/Recv (a migrated block restored from
+// checkpoints). Must be called from the emitting rank's goroutine, like
+// Begin.
 func (fr *FlowRecorder) Emit(emitter, src, dst, tag, bytes int, kind string, send, recv vtime.Time) {
 	if fr == nil || emitter < 0 || emitter >= len(fr.streams) || fr.sample.Load() < 0 {
 		return

@@ -14,7 +14,7 @@ func TestFlowRecorderRoundTrip(t *testing.T) {
 	}
 	fr.Complete(id, 1.25, 1.75)
 	fr.Complete(id, 9.0, 9.0) // duplicate completion must not overwrite
-	fr.Emit(2, 3, 2, 0, 0, FlowSpeculativeAdopt, 2.0, 2.5)
+	fr.Emit(2, 3, 2, 0, 0, FlowMigratedRestore, 2.0, 2.5)
 
 	flows := fr.Flows()
 	if len(flows) != 2 {
@@ -31,7 +31,7 @@ func TestFlowRecorderRoundTrip(t *testing.T) {
 		t.Errorf("WaitSeconds = %g, want 0.25 (arrive - recv start)", w)
 	}
 	s := flows[1]
-	if !s.Done || s.Kind != FlowSpeculativeAdopt || s.Src != 3 || s.Dst != 2 {
+	if !s.Done || s.Kind != FlowMigratedRestore || s.Src != 3 || s.Dst != 2 {
 		t.Errorf("synthetic flow mismatch: %+v", s)
 	}
 	if s.WaitSeconds() != 0 {

@@ -9,6 +9,8 @@ import (
 
 	"parms/internal/fault"
 	"parms/internal/grid"
+	"parms/internal/mpsim"
+	"parms/internal/obs"
 	"parms/internal/pario"
 	"parms/internal/synth"
 )
@@ -135,22 +137,37 @@ func TestChaosMigrationWithoutCheckpoints(t *testing.T) {
 	}
 }
 
-// TestChaosSpeculationBeatsTimeout: a merge payload delayed just past
-// the receive deadline. With speculation off the root recomputes the
-// subtree from scratch; with speculation on it races that recompute
-// against the still-pending payload, the payload wins (it lands ~1ms
-// after the deadline, the recompute costs ~10ms), the cancelled twin's
-// work never reaches the recovery counters, and the run finishes
-// earlier on the virtual clock than the plain timeout-then-recompute
-// path — with a byte-identical output, since the glued payload is the
-// real one.
-func TestChaosSpeculationBeatsTimeout(t *testing.T) {
+// TestChaosDelayedPayloadRecovers: a merge payload delayed just past
+// the receive deadline. The root times out once, gives up on the
+// payload and rebuilds the member's subtree from source data; the late
+// payload is never consumed (its flow stays open) and the node counts
+// match the fault-free run. With per-round checkpoints on, the root
+// probes them first: whichever path the report shows must account for
+// block 3, and a restore must reproduce the fault-free bytes.
+func TestChaosDelayedPayloadRecovers(t *testing.T) {
 	vol := synth.Sinusoid(17, 2)
 	base := Params{
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{8}, Persistence: 0.2,
 		MergeTimeout: 0.001,
 	}
+	delayed := func(p Params) (*mpsim.Cluster, *Result, *obs.Observer) {
+		ob := obs.New(8)
+		c, err := mpsim.New(mpsim.Config{
+			Procs: 8, Faults: fault.NewPlan(41).DelayMessage(3, 0, 1, 0.002),
+			RecvGrace: 2 * time.Second, Obs: ob,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pario.WriteVolume(c.FS(), p.File, vol)
+		res, err := Run(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, res, ob
+	}
+
 	fs, clean, err := runChaos(t, 8, nil, 0, base, vol)
 	if err != nil {
 		t.Fatal(err)
@@ -160,93 +177,57 @@ func TestChaosSpeculationBeatsTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	delayed := func(spec bool) (*Result, []byte) {
-		p := base
-		p.Speculate = spec
-		plan := fault.NewPlan(41).DelayMessage(3, 0, 1, 0.002)
-		fs, res, err := runChaos(t, 8, plan, 2*time.Second, p, vol)
-		if err != nil {
-			t.Fatalf("spec=%v: %v", spec, err)
-		}
-		out, err := fs.FS().Get("vol.msc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, out
-	}
-
-	plain, _ := delayed(false)
-	if rep := plain.FaultReport; rep.Timeouts != 1 || rep.Recomputes != 1 {
-		t.Fatalf("plain run report %v; want 1 timeout, 1 recompute", rep)
-	}
-
-	spec, specBytes := delayed(true)
-	rep := spec.FaultReport
-	if rep.SpeculationPayloadWins != 1 || rep.SpeculationRecomputeWins != 0 {
-		t.Errorf("speculation wins payload=%d recompute=%d, want 1 and 0",
-			rep.SpeculationPayloadWins, rep.SpeculationRecomputeWins)
-	}
-	if rep.SpeculationCancelledSeconds <= 0 {
-		t.Errorf("SpeculationCancelledSeconds = %v, want > 0 (the losing twin's work)",
-			rep.SpeculationCancelledSeconds)
-	}
-	// The cancelled recompute must leave no trace in the recovery
-	// counters: the scratch report is dropped with the loser.
-	if rep.Recomputes != 0 || rep.RecomputeCells != 0 || len(rep.RecoveredBlocks) != 0 {
-		t.Errorf("cancelled speculation polluted recovery counters: %v", rep)
-	}
-	if rep.Timeouts != 1 {
-		t.Errorf("Timeouts = %d, want 1 (the deadline still fired)", rep.Timeouts)
-	}
-	if spec.Times.Merge >= plain.Times.Merge {
-		t.Errorf("speculative merge %.6fs not faster than plain %.6fs",
-			spec.Times.Merge, plain.Times.Merge)
-	}
-	if spec.Nodes != clean.Nodes {
-		t.Errorf("nodes %v, fault-free %v", spec.Nodes, clean.Nodes)
-	}
-	if !bytes.Equal(specBytes, cleanBytes) {
-		t.Errorf("payload-win output differs from fault-free run (%d vs %d bytes)",
-			len(specBytes), len(cleanBytes))
-	}
-}
-
-// TestChaosSpeculationRecomputeWins: the payload is delayed far beyond
-// any useful arrival, so the twin's recompute wins the race and is
-// adopted — clock, IO retries, and recovery counters all fold into the
-// parent, and the orphaned payload stays unconsumed in the mailbox
-// without disturbing the result.
-func TestChaosSpeculationRecomputeWins(t *testing.T) {
-	vol := synth.Sinusoid(17, 2)
-	params := Params{
-		File: "vol", Dims: vol.Dims, DType: grid.F32,
-		Radices: []int{8}, Persistence: 0.2,
-		MergeTimeout: 0.001, Speculate: true,
-	}
-	_, clean, err := runChaos(t, 8, nil, 0, params, vol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := fault.NewPlan(43).DelayMessage(3, 0, 1, 50.0)
-	_, res, err := runChaos(t, 8, plan, 2*time.Second, params, vol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res, ob := delayed(base)
 	rep := res.FaultReport
-	if rep.SpeculationRecomputeWins != 1 || rep.SpeculationPayloadWins != 0 {
-		t.Errorf("speculation wins recompute=%d payload=%d, want 1 and 0",
-			rep.SpeculationRecomputeWins, rep.SpeculationPayloadWins)
-	}
-	// The adopted twin's recovery work is real and must be reported.
-	if rep.Recomputes != 1 || rep.RecomputeCells <= 0 {
-		t.Errorf("Recomputes = %d (cells %d), want the adopted twin's rebuild on the books",
-			rep.Recomputes, rep.RecomputeCells)
+	if rep.Timeouts != 1 || rep.Recomputes != 1 || rep.RecomputeCells <= 0 {
+		t.Errorf("report %v; want 1 timeout and 1 recompute", &rep)
 	}
 	if got := blockList(rep.RecoveredBlocks); got != blockList([]int{3}) {
 		t.Errorf("recovered %v, want [3]", rep.RecoveredBlocks)
 	}
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
+	}
+	late := 0
+	for _, f := range ob.Tracer().Flows().Flows() {
+		if f.Kind == obs.FlowP2P && f.Src == 3 && f.Dst == 0 {
+			late++
+			if f.Done {
+				t.Errorf("late payload was consumed: %+v", f)
+			}
+		}
+	}
+	if late != 1 {
+		t.Errorf("%d point-to-point flows from rank 3 to the root, want the 1 late payload", late)
+	}
+
+	ckpt := base
+	ckpt.CheckpointEvery = 1
+	c, res, _ := delayed(ckpt)
+	rep = res.FaultReport
+	if rep.Timeouts != 1 || rep.CheckpointRestores+rep.Recomputes != 1 {
+		t.Fatalf("report %v; want 1 timeout and one restore or recompute", &rep)
+	}
+	t.Logf("checkpointed arm: %v", &rep)
+	recovered := rep.RecoveredBlocks
+	if rep.CheckpointRestores == 1 {
+		recovered = rep.RestoredBlocks
+	}
+	if got := blockList(recovered); got != blockList([]int{3}) {
+		t.Errorf("recovered %v, want [3] (report %v)", recovered, &rep)
+	}
+	if res.Nodes != clean.Nodes {
+		t.Errorf("checkpointed nodes %v, fault-free %v", res.Nodes, clean.Nodes)
+	}
+	if rep.CheckpointRestores == 1 {
+		got, err := c.FS().Get("vol.msc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, cleanBytes) {
+			t.Errorf("restored output differs from fault-free run (%d vs %d bytes)",
+				len(got), len(cleanBytes))
+		}
 	}
 }
 

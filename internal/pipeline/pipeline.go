@@ -83,11 +83,6 @@ type Params struct {
 	// the run's ownership table instead of recovering them in place on
 	// the restarted rank (see merge.Options.Migrate). Off by default.
 	Migrate bool
-	// Speculate races a local recompute against a still-pending late
-	// payload whenever a merge receive times out, committing whichever
-	// finishes earlier on the virtual clock (see
-	// merge.Options.Speculate). Off by default.
-	Speculate bool
 	// AvoidRanks seeds the ownership table's initial rotation away from
 	// the listed ranks — typically a previous run's
 	// analyze Recommendation.AvoidRanks — so known stragglers start the
@@ -138,8 +133,9 @@ type Result struct {
 	// Times.Compute is the max. Their ratio measures load imbalance
 	// under the block-cyclic assignment (section IV-A).
 	ComputeMean float64
-	// Truncated counts critical cells whose V-path enumeration hit the
-	// trace cap (0 in all shipped experiments).
+	// Truncated counts (saddle, saddle) pairs whose arc multiplicity
+	// exceeded the tracer's MaxArcsPerPair and was clamped, summed over
+	// the compute stage's blocks (mscomplex.TraceResult.Truncated).
 	Truncated int
 	// Complexes holds the final complexes by block id when
 	// Params.KeepComplexes is set.
@@ -422,7 +418,7 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 	// --- Merge rounds (section IV-F) ---
 	mopts := merge.Options{
 		Threshold: p.Persistence, Report: report, Owners: owners,
-		Migrate: p.Migrate, Speculate: p.Speculate,
+		Migrate: p.Migrate,
 	}
 	if p.CheckpointEvery > 0 {
 		mopts.Checkpoint = &merge.Checkpoint{
@@ -431,7 +427,7 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 	}
 	if ft {
 		mopts.Timeout = vtime.Time(timeout)
-		mopts.Recompute = recomputeBlock(c, p, dec)
+		mopts.Recompute = recomputeBlock(c, p, dec, report)
 	}
 	rounds, err := merge.Execute(r, sched, nblocks, complexes, mopts)
 	if err != nil {
@@ -476,22 +472,19 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 	// lists gathered at rank 0 and normalized there.
 	report.IORetries += int(r.IORetries())
 	agg := fault.Report{
-		RankCrashes:                 int(r.AllreduceFloat64(float64(report.RankCrashes), "sum")),
-		Timeouts:                    int(r.AllreduceFloat64(float64(report.Timeouts), "sum")),
-		Corruptions:                 int(r.AllreduceFloat64(float64(report.Corruptions), "sum")),
-		Recomputes:                  int(r.AllreduceFloat64(float64(report.Recomputes), "sum")),
-		RecomputeCells:              int64(r.AllreduceFloat64(float64(report.RecomputeCells), "sum")),
-		CheckpointRestores:          int(r.AllreduceFloat64(float64(report.CheckpointRestores), "sum")),
-		CheckpointBytesRead:         int64(r.AllreduceFloat64(float64(report.CheckpointBytesRead), "sum")),
-		CheckpointFallbacks:         int(r.AllreduceFloat64(float64(report.CheckpointFallbacks), "sum")),
-		IORetries:                   int(r.AllreduceFloat64(float64(report.IORetries), "sum")),
-		TimeoutWaitSeconds:          r.AllreduceFloat64(report.TimeoutWaitSeconds, "sum"),
-		Migrations:                  int(r.AllreduceFloat64(float64(report.Migrations), "sum")),
-		SpeculationPayloadWins:      int(r.AllreduceFloat64(float64(report.SpeculationPayloadWins), "sum")),
-		SpeculationRecomputeWins:    int(r.AllreduceFloat64(float64(report.SpeculationRecomputeWins), "sum")),
-		SpeculationCancelledSeconds: r.AllreduceFloat64(report.SpeculationCancelledSeconds, "sum"),
-		CheckpointsGCed:             int(r.AllreduceFloat64(float64(report.CheckpointsGCed), "sum")),
-		CheckpointGCBytes:           int64(r.AllreduceFloat64(float64(report.CheckpointGCBytes), "sum")),
+		RankCrashes:         int(r.AllreduceFloat64(float64(report.RankCrashes), "sum")),
+		Timeouts:            int(r.AllreduceFloat64(float64(report.Timeouts), "sum")),
+		Corruptions:         int(r.AllreduceFloat64(float64(report.Corruptions), "sum")),
+		Recomputes:          int(r.AllreduceFloat64(float64(report.Recomputes), "sum")),
+		RecomputeCells:      int64(r.AllreduceFloat64(float64(report.RecomputeCells), "sum")),
+		CheckpointRestores:  int(r.AllreduceFloat64(float64(report.CheckpointRestores), "sum")),
+		CheckpointBytesRead: int64(r.AllreduceFloat64(float64(report.CheckpointBytesRead), "sum")),
+		CheckpointFallbacks: int(r.AllreduceFloat64(float64(report.CheckpointFallbacks), "sum")),
+		IORetries:           int(r.AllreduceFloat64(float64(report.IORetries), "sum")),
+		TimeoutWaitSeconds:  r.AllreduceFloat64(report.TimeoutWaitSeconds, "sum"),
+		Migrations:          int(r.AllreduceFloat64(float64(report.Migrations), "sum")),
+		CheckpointsGCed:     int(r.AllreduceFloat64(float64(report.CheckpointsGCed), "sum")),
+		CheckpointGCBytes:   int64(r.AllreduceFloat64(float64(report.CheckpointGCBytes), "sum")),
 	}
 	var listMsg []byte
 	for _, list := range [][]int{report.LostBlocks, report.RecoveredBlocks, report.RestoredBlocks, report.MigratedBlocks} {
@@ -548,12 +541,11 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 // block's simplified, compacted complex from source data. The compute
 // stage is deterministic, so the result is identical to the complex the
 // block originally produced. The re-read and recompute costs are
-// charged to the rank the callback is invoked with — the real rank on
-// the ordinary recovery path, a quiet speculative twin (with a scratch
-// report) during a speculation race.
-func recomputeBlock(c *mpsim.Cluster, p Params, dec *grid.Decomposition) func(rk *mpsim.Rank, rep *fault.Report, bid int) (*mscomplex.Complex, error) {
+// charged to the rank the callback is invoked with, the I/O retries and
+// recomputed cells to rep.
+func recomputeBlock(c *mpsim.Cluster, p Params, dec *grid.Decomposition, rep *fault.Report) func(rk *mpsim.Rank, bid int) (*mscomplex.Complex, error) {
 
-	return func(rk *mpsim.Rank, rep *fault.Report, bid int) (*mscomplex.Complex, error) {
+	return func(rk *mpsim.Rank, bid int) (*mscomplex.Complex, error) {
 		b := dec.Blocks[bid]
 		var vol *grid.Volume
 		if p.Source != nil {
@@ -564,9 +556,7 @@ func recomputeBlock(c *mpsim.Cluster, p Params, dec *grid.Decomposition) func(rk
 			vol = v
 		} else {
 			v, retries, err := pario.ReadBlockVolumeStats(c.FS(), p.File, p.Dims, p.DType, b)
-			if rep != nil {
-				rep.IORetries += retries
-			}
+			rep.IORetries += retries
 			if retries > 0 {
 				rk.Tracer().Instant("fault:io_retry", rk.Clock(),
 					obs.I("block", int64(bid)), obs.I("retries", int64(retries)))
@@ -590,9 +580,7 @@ func recomputeBlock(c *mpsim.Cluster, p Params, dec *grid.Decomposition) func(rk
 		rk.Compute(w)
 		// The gradient cells live in field.Work, not the complex's
 		// ledger — record them here so the recompute budget is visible.
-		if rep != nil {
-			rep.RecomputeCells += field.Work.CellsVisited
-		}
+		rep.RecomputeCells += field.Work.CellsVisited
 		return compacted, nil
 	}
 }

@@ -198,11 +198,6 @@ type Options struct {
 	// failure exchange costs one collective, so fault-free modeled
 	// times are unchanged unless asked for.
 	Migrate bool
-	// Speculate races a local recompute of a late merge subtree against
-	// its still-pending payload when a receive times out, committing
-	// whichever completes earlier on the virtual clock (see
-	// FaultReport.SpeculationPayloadWins / SpeculationRecomputeWins).
-	Speculate bool
 	// AvoidRanks seeds the ownership table's initial block rotation
 	// away from the listed ranks (typically a prior run's
 	// Recommendation.AvoidRanks from msinsight), so known stragglers
@@ -244,6 +239,9 @@ type Result struct {
 	Arcs  int
 	// BytesSent totals point-to-point communication payload.
 	BytesSent int64
+	// Truncated counts (saddle, saddle) pairs whose arc multiplicity
+	// exceeded the tracer's cap and was clamped, summed over blocks.
+	Truncated int
 	// Complexes holds the surviving complexes keyed by root block id.
 	Complexes map[int]*Complex
 	// FaultReport tallies the fault events observed across ranks
@@ -334,7 +332,6 @@ func Compute(vol *Volume, opt Options) (*Result, error) {
 		CheckpointDir:   opt.CheckpointDir,
 		CheckpointGC:    opt.CheckpointGC,
 		Migrate:         opt.Migrate,
-		Speculate:       opt.Speculate,
 		AvoidRanks:      opt.AvoidRanks,
 	})
 	if err != nil {
@@ -350,6 +347,7 @@ func Compute(vol *Volume, opt Options) (*Result, error) {
 		Nodes:        res.Nodes,
 		Arcs:         res.Arcs,
 		BytesSent:    res.BytesSent,
+		Truncated:    res.Truncated,
 		Complexes:    res.Complexes,
 		FaultReport:  res.FaultReport,
 		Trace:        res.Trace,
@@ -404,7 +402,6 @@ func ComputeInSitu(dims Dims, source func(lo, hi [3]int) *Volume,
 		CheckpointDir:   opt.CheckpointDir,
 		CheckpointGC:    opt.CheckpointGC,
 		Migrate:         opt.Migrate,
-		Speculate:       opt.Speculate,
 		AvoidRanks:      opt.AvoidRanks,
 		Source: func(b grid.Block) (*Volume, error) {
 			return source(b.Lo, b.Hi), nil
@@ -423,6 +420,7 @@ func ComputeInSitu(dims Dims, source func(lo, hi [3]int) *Volume,
 		Nodes:        res.Nodes,
 		Arcs:         res.Arcs,
 		BytesSent:    res.BytesSent,
+		Truncated:    res.Truncated,
 		Complexes:    res.Complexes,
 		FaultReport:  res.FaultReport,
 		Trace:        res.Trace,

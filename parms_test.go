@@ -6,6 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"parms/internal/cube"
+	"parms/internal/gradient"
+	"parms/internal/grid"
+	"parms/internal/mscomplex"
 	"parms/internal/obs"
 )
 
@@ -261,5 +265,33 @@ func TestPublicEventLog(t *testing.T) {
 	}
 	if strings.Contains(out, `"time":`) {
 		t.Errorf("log lines carry wall-clock timestamps (nondeterministic):\n%s", out)
+	}
+}
+
+// TestResultTruncated: a noise field has (saddle, saddle) pairs joined
+// by more arcs than the tracer keeps, and Result.Truncated reports how
+// many were clamped, summed over the per-block traces.
+func TestResultTruncated(t *testing.T) {
+	dims := Dims{17, 17, 17}
+	vol := RandomField(dims, 1)
+	res, err := Compute(vol, Options{Procs: 8, FullMerge: true, Persistence: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := grid.Decompose(dims, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, b := range dec.Blocks {
+		field := gradient.Compute(cube.New(dims, b, vol.SubVolume(b.Lo, b.Hi)), dec)
+		want += mscomplex.FromField(field, dec, mscomplex.TraceOptions{}).Truncated
+	}
+	if want == 0 {
+		t.Fatal("no block clamped a saddle pair; the field no longer exercises the cap")
+	}
+	t.Logf("%d saddle pairs clamped", want)
+	if res.Truncated != want {
+		t.Errorf("Result.Truncated = %d, per-block traces clamped %d", res.Truncated, want)
 	}
 }
