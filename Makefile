@@ -43,11 +43,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/mscomplex/
 
 # Standard vet plus the repo's own invariant multichecker (cmd/msvet,
-# DESIGN §11, §16): the per-package analyzers plus the interprocedural
-# SPMD collective-sequence matcher. msvet exits 1 on any finding or on
-# a malformed/stale //msvet:allow annotation, 2 on loader errors. Every
-# run is one cold sequential pass; -stats prints the package count, the
-# field-taint rounds and the elapsed seconds.
+# DESIGN §11). Collective order is checked at run time by mpsim's
+# ledger (DESIGN §16), not here. msvet exits 1 on any finding or on a
+# malformed/stale //msvet:allow annotation, 2 on loader errors. Every
+# run is one cold sequential pass; -stats prints the package count and
+# the elapsed seconds.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/msvet -stats ./...
@@ -55,15 +55,19 @@ vet:
 msvet:
 	$(GO) run ./cmd/msvet -stats ./...
 
-# The lint umbrella mirrors exactly what the CI lint job enforces:
-# formatting, go vet, and the msvet invariant suite.
+# The lint umbrella is exactly what the CI lint job enforces:
+# formatting, go vet, and the msvet invariant suite. CI passes
+# MSVETFLAGS='-github -sarif msvet.sarif' to get annotations and SARIF
+# from the same run.
+MSVETFLAGS ?=
+
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/msvet ./...
+	$(GO) run ./cmd/msvet $(MSVETFLAGS) ./...
 
 # One small traced pipeline run: generate a sinusoid volume, run msc
 # with tracing and metrics on 16 ranks, then validate the trace JSON

@@ -1,11 +1,10 @@
 // Command msvet is the repo's invariant multichecker: the static
-// analyzers that make the determinism and collective-ordering bug
-// classes unrepresentable (DESIGN §11, §16), including the
-// interprocedural SPMD collective-sequence matcher. It loads every
-// non-test package of the module from source — no go command, no
-// network — runs the suite in one sequential pass over the packages in
-// sorted order (repeated only while field taint is still growing), and
-// exits non-zero when any finding (or a malformed or stale
+// analyzers that make the determinism and message-passing bug classes
+// unrepresentable (DESIGN §11). Collective order is not among them:
+// mpsim checks it at run time (DESIGN §16). msvet loads every non-test
+// package of the module from source — no go command, no network —
+// runs the suite in one sequential pass over the packages in sorted
+// order, and exits non-zero when any finding (or a malformed or stale
 // //msvet:allow annotation) survives.
 //
 // Usage:
@@ -37,7 +36,7 @@ func run() int {
 	runNames := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file ('-' for stdout)")
 	github := flag.Bool("github", false, "emit GitHub Actions ::error annotations alongside findings")
-	stats := flag.Bool("stats", false, "print package, round and timing statistics to stderr")
+	stats := flag.Bool("stats", false, "print package count and timing to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: msvet [flags] [packages]\n\nFlags:\n")
 		flag.PrintDefaults()
@@ -124,7 +123,7 @@ func run() int {
 	}
 
 	start := time.Now()
-	findings, runStats, err := runner.Run(paths)
+	findings, err := runner.Run(paths)
 	if err != nil {
 		return fatal(err)
 	}
@@ -154,8 +153,7 @@ func run() int {
 	}
 
 	if *stats {
-		fmt.Fprintf(os.Stderr, "msvet: %d packages, %d round(s), %.2fs\n",
-			runStats.Packages, runStats.Rounds, elapsed.Seconds())
+		fmt.Fprintf(os.Stderr, "msvet: %d packages, %.2fs\n", len(paths), elapsed.Seconds())
 	}
 
 	if len(findings) > 0 {

@@ -458,27 +458,6 @@ type Report struct {
 	CheckpointGCBytes int64
 }
 
-// Merge folds another report into r.
-func (r *Report) Merge(o *Report) {
-	r.RankCrashes += o.RankCrashes
-	r.Timeouts += o.Timeouts
-	r.Corruptions += o.Corruptions
-	r.Recomputes += o.Recomputes
-	r.RecomputeCells += o.RecomputeCells
-	r.CheckpointRestores += o.CheckpointRestores
-	r.CheckpointBytesRead += o.CheckpointBytesRead
-	r.CheckpointFallbacks += o.CheckpointFallbacks
-	r.IORetries += o.IORetries
-	r.LostBlocks = append(r.LostBlocks, o.LostBlocks...)
-	r.RecoveredBlocks = append(r.RecoveredBlocks, o.RecoveredBlocks...)
-	r.RestoredBlocks = append(r.RestoredBlocks, o.RestoredBlocks...)
-	r.TimeoutWaitSeconds += o.TimeoutWaitSeconds
-	r.Migrations += o.Migrations
-	r.MigratedBlocks = append(r.MigratedBlocks, o.MigratedBlocks...)
-	r.CheckpointsGCed += o.CheckpointsGCed
-	r.CheckpointGCBytes += o.CheckpointGCBytes
-}
-
 // Normalize sorts and deduplicates the block lists.
 func (r *Report) Normalize() {
 	r.LostBlocks = sortDedup(r.LostBlocks)

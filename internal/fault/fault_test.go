@@ -146,10 +146,9 @@ func TestFSRules(t *testing.T) {
 	}
 }
 
-func TestReportMergeNormalize(t *testing.T) {
-	a := &Report{RankCrashes: 1, Timeouts: 2, LostBlocks: []int{5, 3}, RecoveredBlocks: []int{3}}
-	b := &Report{Corruptions: 1, Recomputes: 2, IORetries: 4, LostBlocks: []int{3, 9}, RecoveredBlocks: []int{9, 5}}
-	a.Merge(b)
+func TestReportNormalize(t *testing.T) {
+	a := &Report{RankCrashes: 1, Timeouts: 2, Corruptions: 1, Recomputes: 2, IORetries: 4,
+		LostBlocks: []int{5, 3, 3, 9}, RecoveredBlocks: []int{3, 9, 5}}
 	a.Normalize()
 	if a.RankCrashes != 1 || a.Timeouts != 2 || a.Corruptions != 1 || a.Recomputes != 2 || a.IORetries != 4 {
 		t.Fatalf("counts: %s", a)

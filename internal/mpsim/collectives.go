@@ -20,19 +20,28 @@ const (
 // barrier every clock reads at least the time the slowest rank arrived,
 // plus the modeled synchronization cost.
 func (r *Rank) Barrier() {
+	r.collective("Barrier", noRoot)
 	r.reduceTree(tagBarrierUp, nil, nil)
-	r.bcastTree(0, tagBarrierDown, nil)
+	r.bcastTreeRooted(0, tagBarrierDown, nil)
 }
 
 // Bcast distributes root's data to every rank and returns it. Non-root
 // callers pass nil (or anything; the argument is ignored on non-roots).
 func (r *Rank) Bcast(root int, data []byte) []byte {
+	r.collective("Bcast", root)
 	return r.bcastTreeRooted(root, tagBcast, data)
 }
 
-// ReduceFloat64 combines one float64 per rank at the root using op
-// ("sum", "max", "min"). Only the root's return value is meaningful.
-func (r *Rank) ReduceFloat64(root int, x float64, op string) float64 {
+// AllreduceFloat64 combines one float64 across all ranks using op
+// ("sum", "max", "min") and returns the result on every rank.
+func (r *Rank) AllreduceFloat64(x float64, op string) float64 {
+	r.collective("AllreduceFloat64", noRoot)
+	return r.allreduce(x, op)
+}
+
+// allreduce reduces to rank 0 along the binomial tree and broadcasts
+// the result back down it.
+func (r *Rank) allreduce(x float64, op string) float64 {
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
 	combine := func(a, b []byte) []byte {
@@ -51,31 +60,9 @@ func (r *Rank) ReduceFloat64(root int, x float64, op string) float64 {
 		binary.LittleEndian.PutUint64(out, math.Float64bits(v))
 		return out
 	}
-	res := r.reduceTree(tagReduce, buf, combine)
-	if r.id != 0 {
-		res = buf
-	}
-	// Rotate the result to the requested root if it is not rank 0.
-	if root != 0 {
-		if r.id == 0 {
-			r.Send(root, tagReduce+1, res)
-		}
-		if r.id == root {
-			res, _ = r.Recv(0, tagReduce+1)
-		}
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(res))
-}
-
-// AllreduceFloat64 combines one float64 across all ranks and returns the
-// result on every rank.
-func (r *Rank) AllreduceFloat64(x float64, op string) float64 {
-	v := r.ReduceFloat64(0, x, op)
-	buf := make([]byte, 8)
-	if r.id == 0 {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-	}
-	out := r.bcastTreeRooted(0, tagBcast, buf)
+	// reduceTree returns the combined payload on rank 0 and nil
+	// elsewhere; non-roots receive theirs from the broadcast.
+	out := r.bcastTreeRooted(0, tagBcast, r.reduceTree(tagReduce, buf, combine))
 	return math.Float64frombits(binary.LittleEndian.Uint64(out))
 }
 
@@ -84,7 +71,8 @@ func (r *Rank) AllreduceFloat64(x float64, op string) float64 {
 // how the pipeline timestamps stage boundaries the way a real trace
 // would (MPI_Wtime after MPI_Barrier).
 func (r *Rank) AllreduceMaxTime() float64 {
-	return r.AllreduceFloat64(float64(r.Clock()), "max")
+	r.collective("AllreduceMaxTime", noRoot)
+	return r.allreduce(float64(r.Clock()), "max")
 }
 
 // Gather collects each rank's data at the root. The returned slice has
@@ -94,6 +82,11 @@ func (r *Rank) AllreduceMaxTime() float64 {
 // max(clock, arrival) plus a fixed overhead, so an arrival-ordered
 // fold would make the root's virtual time depend on host scheduling.
 func (r *Rank) Gather(root int, data []byte) [][]byte {
+	r.collective("Gather", root)
+	return r.gather(root, data)
+}
+
+func (r *Rank) gather(root int, data []byte) [][]byte {
 	if r.id == root {
 		out := make([][]byte, r.Size())
 		out[root] = data
@@ -112,9 +105,10 @@ func (r *Rank) Gather(root int, data []byte) [][]byte {
 
 // AllgatherInt64 collects one int64 from every rank onto every rank.
 func (r *Rank) AllgatherInt64(x int64) []int64 {
+	r.collective("AllgatherInt64", noRoot)
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, uint64(x))
-	parts := r.Gather(0, buf)
+	parts := r.gather(0, buf)
 	var packed []byte
 	if r.id == 0 {
 		packed = make([]byte, 8*r.Size())
@@ -150,11 +144,6 @@ func (r *Rank) reduceTree(tag int, data []byte, combine func(a, b []byte) []byte
 		}
 	}
 	return acc
-}
-
-// bcastTree broadcasts rank 0's data down a binomial tree.
-func (r *Rank) bcastTree(root int, tag int, data []byte) []byte {
-	return r.bcastTreeRooted(root, tag, data)
 }
 
 // bcastTreeRooted broadcasts from an arbitrary root by relabeling ranks

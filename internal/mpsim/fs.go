@@ -219,6 +219,7 @@ func (r *Rank) retryIO(op func() error) error {
 // completion time, like a collective MPI_File_write_all. Transient
 // filesystem errors are retried with backoff; permanent ones surface.
 func (r *Rank) CollectiveWrite(name string, off int64, data []byte) error {
+	r.collective("CollectiveWrite", noRoot)
 	var err error
 	if len(data) > 0 {
 		err = r.retryIO(func() error { return r.cluster.fs.WriteAt(name, off, data) })
@@ -234,6 +235,7 @@ func (r *Rank) CollectiveWrite(name string, off int64, data []byte) error {
 // participate; n may be zero. Transient filesystem errors are retried
 // with backoff.
 func (r *Rank) CollectiveRead(name string, off int64, n int) ([]byte, error) {
+	r.collective("CollectiveRead", noRoot)
 	var data []byte
 	var err error
 	if n > 0 {
@@ -307,15 +309,18 @@ func (r *Rank) RemoveFile(name string) (int64, bool) {
 // with an Allreduce (which also performs the collective synchronization
 // a two-phase MPI-IO operation implies).
 func (r *Rank) ioAccount(rankBytes int64) {
-	total := r.AllreduceFloat64(float64(rankBytes), "sum")
+	total := r.allreduce(float64(rankBytes), "sum")
 	myTime := r.cluster.machine.IOTime(rankBytes, int64(total))
 	// All ranks complete together: the operation takes as long as the
 	// slowest participant.
-	finish := r.AllreduceFloat64(float64(r.Clock())+float64(myTime), "max")
+	finish := r.allreduce(float64(r.Clock())+float64(myTime), "max")
 	r.clock.AdvanceTo(vtime.Time(finish))
 }
 
 // IOAccount advances every rank's clock for one collective I/O round in
 // which this rank moved rankBytes. It must be called collectively; ranks
 // that moved nothing pass 0 (the "null" participation of section IV-G).
-func (r *Rank) IOAccount(rankBytes int64) { r.ioAccount(rankBytes) }
+func (r *Rank) IOAccount(rankBytes int64) {
+	r.collective("IOAccount", noRoot)
+	r.ioAccount(rankBytes)
+}

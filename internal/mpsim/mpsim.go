@@ -88,6 +88,9 @@ type Cluster struct {
 	// dead peer will never send (the MPI_Abort semantics).
 	aborted atomic.Bool
 
+	// ledger matches every rank's sequence of public collectives.
+	ledger ledger
+
 	gate chan struct{} // nil when MaxParallel == 0
 }
 
@@ -207,12 +210,15 @@ func (c *Cluster) Obs() *obs.Observer { return c.cfg.Obs }
 // Run executes body once per rank, concurrently, and blocks until every
 // rank returns. It returns the per-rank final clocks and all rank errors
 // joined (errors.Join), so a chaos run reports every failing rank, not
-// just the first. Mailboxes are reset before the run, so a Cluster can
-// host several consecutive programs.
+// just the first. Ranks that enter different collectives, or a
+// different number of them, fail with ErrCollectiveMismatch instead of
+// deadlocking. Mailboxes and the collective ledger are reset before the
+// run, so a Cluster can host several consecutive programs.
 func (c *Cluster) Run(body func(r *Rank) error) ([]vtime.Time, error) {
 	for _, mb := range c.mailboxes {
 		mb.reset()
 	}
+	c.ledger.reset()
 	c.aborted.Store(false)
 	clocks := make([]vtime.Time, c.cfg.Procs)
 	errs := make([]error, c.cfg.Procs)
@@ -229,6 +235,9 @@ func (c *Cluster) Run(body func(r *Rank) error) ([]vtime.Time, error) {
 			r.acquire()
 			defer r.release()
 			errs[id] = safeBody(body, r)
+			if errs[id] == nil {
+				errs[id] = c.ledger.finish(id, r.collectives)
+			}
 			if errs[id] != nil {
 				// The traffic tally localizes the failure: a rank that
 				// died mid-merge shows the sends/receives it completed.
@@ -248,6 +257,10 @@ func (c *Cluster) Run(body func(r *Rank) error) ([]vtime.Time, error) {
 func safeBody(body func(*Rank) error, r *Rank) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			if e, ok := p.(error); ok && errors.Is(e, ErrCollectiveMismatch) {
+				err = e
+				return
+			}
 			err = fmt.Errorf("panicked: %v", p)
 		}
 	}()
@@ -268,6 +281,8 @@ type Rank struct {
 	msgsRecv  int64
 	ioRetries int64
 	failed    bool
+	// collectives counts the public collectives this rank has entered.
+	collectives int
 }
 
 // ID returns this rank's index in [0, Size).

@@ -22,17 +22,16 @@ func CheckFixture(l *Loader, dir, pkgPath string, analyzers []*Analyzer, checkAl
 	if err != nil {
 		return nil, err
 	}
-	store := NewFactStore(l.ModPath(), l.Load)
-	findings, err := RunPackage(p, analyzers, checkAllows, store)
+	facts := &Facts{}
+	findings, err := RunPackage(p, analyzers, checkAllows, facts)
 	if err != nil {
 		return nil, err
 	}
-	// Repo-wide verdicts (sendrecv pairing) run over the fixture's
-	// store, which holds the fixture package plus whatever module
-	// packages it pulled in — matching the real driver's shape.
+	// Repo-wide verdicts (sendrecv pairing) run over the fixture
+	// package alone, as if it were the whole module.
 	for _, a := range analyzers {
 		if a.Finish != nil {
-			findings = append(findings, a.Finish(store)...)
+			findings = append(findings, a.Finish(facts)...)
 		}
 	}
 

@@ -6,7 +6,7 @@ import (
 )
 
 // mpsimPath is the import path of the message-passing substrate whose
-// call discipline the spmd and droppederr analyzers enforce.
+// call discipline the droppederr and sendrecv analyzers enforce.
 const mpsimPath = "parms/internal/mpsim"
 
 // pkgFunc resolves a call to a package-level function and returns its
@@ -63,24 +63,6 @@ func methodOn(info *types.Info, call *ast.CallExpr, pkgPath, typeName string) (n
 	return fn.Name(), true
 }
 
-// typeIsNamed reports whether t (through pointers) is the named type
-// pkgPath.typeName.
-func typeIsNamed(t types.Type, pkgPath, typeName string) bool {
-	for {
-		ptr, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == typeName && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
 // containsCall reports whether the expression tree contains any node
 // for which pred returns true.
 func containsMatch(n ast.Node, pred func(ast.Node) bool) bool {
@@ -96,24 +78,6 @@ func containsMatch(n ast.Node, pred func(ast.Node) bool) bool {
 		return true
 	})
 	return found
-}
-
-// children invokes f once for each immediate-enough child of n, by
-// reusing ast.Inspect and stopping below the first level. ast.Inspect
-// has no native one-level iterator, so we track the root.
-func children(n ast.Node, f func(ast.Node)) {
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if c == nil {
-			return false
-		}
-		if first {
-			first = false
-			return true
-		}
-		f(c)
-		return false
-	})
 }
 
 // funcBodies yields every function body in the files: declarations and

@@ -1,7 +1,9 @@
 // Package msvet is a repo-specific static-analysis suite that enforces
-// the determinism and collective-ordering invariants the reproduction's
+// the determinism and message-passing invariants the reproduction's
 // guarantees rest on: byte-identical same-seed traces, byte-exact
 // checkpoint restores, and deterministic fault replay (DESIGN §10–§11).
+// Collective order is checked at run time by mpsim's ledger instead
+// (DESIGN §16).
 //
 // The suite is deliberately built on the standard library alone
 // (go/ast, go/parser, go/types) rather than golang.org/x/tools/go/
@@ -25,7 +27,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -43,10 +44,16 @@ type Analyzer struct {
 	// Run inspects one package and reports findings through pass.Report.
 	Run func(pass *Pass) error
 	// Finish, if set, runs once after every package has been analyzed
-	// and returns repo-wide findings resolved over the fact store —
-	// verdicts (like send/recv tag pairing) that no single package can
-	// decide.
-	Finish func(store *FactStore) []Finding
+	// and returns repo-wide findings over what Run recorded in the
+	// run's Facts — verdicts (like send/recv tag pairing) that no
+	// single package can decide.
+	Finish func(facts *Facts) []Finding
+}
+
+// Facts is what analyzers record across the packages of one run for
+// their Finish hooks.
+type Facts struct {
+	SendTags, RecvTags []TagUse
 }
 
 // A Pass carries one type-checked package through one analyzer.
@@ -57,24 +64,12 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	Report   func(Diagnostic)
-
-	// state is the package's interprocedural analysis state (taint
-	// environment, collective summaries, pending diagnostics), computed
-	// once per package and shared by every analyzer's pass.
-	state *pkgAnalysis
-	// markAllowed marks the justified //msvet:allow annotation of this
-	// analyzer covering (file, line) as used without reporting anything
-	// — for findings that are suppressed at fact-collection time and
-	// judged repo-wide in Finish.
-	markAllowed func(file string, line int)
-}
-
-// MarkAllowed records that a justified allow annotation covering the
-// line is live, so the stale-annotation check does not flag it.
-func (p *Pass) MarkAllowed(file string, line int) {
-	if p.markAllowed != nil {
-		p.markAllowed(file, line)
-	}
+	// Allowed reports whether a justified //msvet:allow annotation of
+	// this analyzer covers pos, and marks that annotation live — for
+	// sites judged repo-wide in Finish rather than reported here.
+	Allowed func(pos token.Pos) bool
+	// Facts is shared by every package of the run.
+	Facts *Facts
 }
 
 // A Diagnostic is one finding at a source position.
@@ -98,7 +93,6 @@ func Analyzers() []*Analyzer {
 		SpanbalanceAnalyzer,
 		OwnerAnalyzer,
 		KernelAnalyzer,
-		SpmdAnalyzer,
 		SendrecvAnalyzer,
 	}
 }
@@ -199,36 +193,16 @@ func (f Finding) String() string {
 // checkAllows is true (the full suite is running), malformed and unused
 // annotations are reported as findings of the pseudo-analyzer
 // "msvet:allow" — drift in the escape hatches fails the build just like
-// a live violation. The store supplies (and receives) the package's
-// interprocedural facts; it may be nil for analyzers that need none.
-func RunPackage(p *Package, analyzers []*Analyzer, checkAllows bool, store *FactStore) ([]Finding, error) {
+// a live violation. Run hooks record repo-wide facts into facts.
+func RunPackage(p *Package, analyzers []*Analyzer, checkAllows bool, facts *Facts) ([]Finding, error) {
 	type allowIndex struct {
 		byLine map[string]map[int]*allowRec
 		all    []*allowRec
 	}
 	allows := map[*ast.File]allowIndex{}
-	fileByName := map[string]*ast.File{}
 	for _, f := range p.Files {
 		byLine, all := parseAllows(p.Fset, f)
 		allows[f] = allowIndex{byLine, all}
-		fileByName[p.Fset.Position(f.Pos()).Filename] = f
-	}
-	fileOf := func(pos token.Pos) *ast.File {
-		for _, f := range p.Files {
-			if f.FileStart <= pos && pos <= f.FileEnd {
-				return f
-			}
-		}
-		return nil
-	}
-
-	var state *pkgAnalysis
-	if store != nil {
-		var err error
-		state, err = store.EnsureFor(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: facts: %w", p.Pkg.Path(), err)
-		}
 	}
 
 	var findings []Finding
@@ -236,31 +210,31 @@ func RunPackage(p *Package, analyzers []*Analyzer, checkAllows bool, store *Fact
 		if a.Applies != nil && !a.Applies(p.Pkg.Path()) {
 			continue
 		}
-		a := a
+		allowed := func(pos token.Pos) bool {
+			for _, f := range p.Files {
+				if f.FileStart <= pos && pos <= f.FileEnd {
+					rec := allows[f].byLine[a.Name][p.Fset.Position(pos).Line]
+					if rec != nil && rec.justified {
+						rec.used = true
+						return true
+					}
+				}
+			}
+			return false
+		}
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     p.Fset,
 			Files:    p.Files,
 			Pkg:      p.Pkg,
 			Info:     p.Info,
-			state:    state,
-			markAllowed: func(file string, line int) {
-				if f := fileByName[file]; f != nil {
-					if rec := allows[f].byLine[a.Name][line]; rec != nil && rec.justified {
-						rec.used = true
-					}
+			Allowed:  allowed,
+			Facts:    facts,
+			Report: func(d Diagnostic) {
+				if !allowed(d.Pos) {
+					findings = append(findings, Finding{Pos: p.Fset.Position(d.Pos), Analyzer: a.Name, Message: d.Message})
 				}
 			},
-		}
-		pass.Report = func(d Diagnostic) {
-			position := p.Fset.Position(d.Pos)
-			if f := fileOf(d.Pos); f != nil {
-				if rec := allows[f].byLine[a.Name][position.Line]; rec != nil && rec.justified {
-					rec.used = true
-					return
-				}
-			}
-			findings = append(findings, Finding{Pos: position, Analyzer: a.Name, Message: d.Message})
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", p.Pkg.Path(), a.Name, err)
@@ -286,15 +260,6 @@ func RunPackage(p *Package, analyzers []*Analyzer, checkAllows bool, store *Fact
 		}
 	}
 
-	sort.SliceStable(findings, func(i, j int) bool {
-		a, b := findings[i].Pos, findings[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
+	sortFindings(findings)
 	return findings, nil
 }

@@ -48,7 +48,7 @@ func TestWallclockSkipsNondeterministicPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunPackage(p, []*Analyzer{WallclockAnalyzer}, false, NewFactStore(l.ModPath(), l.Load))
+	findings, err := RunPackage(p, []*Analyzer{WallclockAnalyzer}, false, &Facts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +81,6 @@ func TestKernelFixture(t *testing.T) {
 	checkFixture(t, "kernel", "parms/internal/gradient", []*Analyzer{KernelAnalyzer}, false)
 }
 
-func TestSpmdFixture(t *testing.T) {
-	checkFixture(t, "spmd", "parms/internal/pipeline", []*Analyzer{SpmdAnalyzer}, false)
-}
-
 func TestSendrecvFixture(t *testing.T) {
 	checkFixture(t, "sendrecv", "parms/internal/pipeline", []*Analyzer{SendrecvAnalyzer}, false)
 }
@@ -97,7 +93,7 @@ func TestKernelSkipsColdPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunPackage(p, []*Analyzer{KernelAnalyzer}, false, NewFactStore(l.ModPath(), l.Load))
+	findings, err := RunPackage(p, []*Analyzer{KernelAnalyzer}, false, &Facts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +110,7 @@ func TestOwnerExemptInGridPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunPackage(p, []*Analyzer{OwnerAnalyzer}, false, NewFactStore(l.ModPath(), l.Load))
+	findings, err := RunPackage(p, []*Analyzer{OwnerAnalyzer}, false, &Facts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +125,7 @@ func TestRawframeExemptInFramingPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunPackage(p, []*Analyzer{RawframeAnalyzer}, false, NewFactStore(l.ModPath(), l.Load))
+	findings, err := RunPackage(p, []*Analyzer{RawframeAnalyzer}, false, &Facts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +151,7 @@ func TestCleanModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunPackage(p, Analyzers(), true, NewFactStore(l.ModPath(), l.Load))
+	findings, err := RunPackage(p, Analyzers(), true, &Facts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +182,7 @@ func TestRepoIsClean(t *testing.T) {
 		t.Fatalf("module enumeration found only %d packages: %v", len(paths), paths)
 	}
 	r := &Runner{Loader: l, Analyzers: Analyzers(), CheckAllows: true}
-	findings, _, err := r.Run(paths)
+	findings, err := r.Run(paths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +194,7 @@ func TestRepoIsClean(t *testing.T) {
 // TestAnalyzerMetadata keeps names and docs wired: names are the allow
 // grammar's vocabulary, so they must be stable and non-empty.
 func TestAnalyzerMetadata(t *testing.T) {
-	want := []string{"wallclock", "maporder", "droppederr", "rawframe", "spanbalance", "owner", "kernel", "spmd", "sendrecv"}
+	want := []string{"wallclock", "maporder", "droppederr", "rawframe", "spanbalance", "owner", "kernel", "sendrecv"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

@@ -2,14 +2,9 @@ package msvet
 
 // runner.go is the analysis driver: one sequential pass over the
 // requested packages in sorted order, then the repo-wide Finish hooks
-// over the completed fact store. Module dependencies need no schedule —
-// FactStore.Facts analyzes a dependency on first use — so the pass is
-// deterministic by construction. Field taint is the one fact that flows
-// between packages that need not import each other (a sibling can taint
-// a field of a shared struct), so the pass is repeated, seeded with
-// every field tainted so far, until no package read a field as clean
-// that ended up tainted. This is the one entry point cmd/msvet and the
-// repo-clean test share, so their findings are identical.
+// over the facts the pass recorded. This is the one entry point
+// cmd/msvet and the repo-clean test share, so their findings are
+// identical.
 
 import "sort"
 
@@ -20,49 +15,31 @@ type Runner struct {
 	CheckAllows bool
 }
 
-// RunStats reports what a run did, for -stats output and tests.
-type RunStats struct {
-	Packages int // packages requested
-	Rounds   int // passes until field taint reached its fixpoint
-}
-
 // Run analyzes the given module packages and returns the merged,
 // position-sorted findings (per-package analyzers plus Finish hooks).
-func (r *Runner) Run(paths []string) ([]Finding, *RunStats, error) {
+func (r *Runner) Run(paths []string) ([]Finding, error) {
 	paths = append([]string(nil), paths...)
 	sort.Strings(paths)
-	stats := &RunStats{Packages: len(paths)}
-	var tainted map[string]bool
-	for {
-		stats.Rounds++
-		store := NewFactStore(r.Loader.ModPath(), r.Loader.Load)
-		store.seedFields(tainted)
-		var findings []Finding
-		for _, path := range paths {
-			p, err := r.Loader.Load(path)
-			if err != nil {
-				return nil, nil, err
-			}
-			fs, err := RunPackage(p, r.Analyzers, r.CheckAllows, store)
-			if err != nil {
-				return nil, nil, err
-			}
-			findings = append(findings, fs...)
+	facts := &Facts{}
+	var findings []Finding
+	for _, path := range paths {
+		p, err := r.Loader.Load(path)
+		if err != nil {
+			return nil, err
 		}
-		if store.staleFieldReads() {
-			// Tainted fields only grow, and each extra round strictly
-			// grows them, so this terminates.
-			tainted = store.fields
-			continue
+		fs, err := RunPackage(p, r.Analyzers, r.CheckAllows, facts)
+		if err != nil {
+			return nil, err
 		}
-		for _, a := range r.Analyzers {
-			if a.Finish != nil {
-				findings = append(findings, a.Finish(store)...)
-			}
-		}
-		sortFindings(findings)
-		return findings, stats, nil
+		findings = append(findings, fs...)
 	}
+	for _, a := range r.Analyzers {
+		if a.Finish != nil {
+			findings = append(findings, a.Finish(facts)...)
+		}
+	}
+	sortFindings(findings)
+	return findings, nil
 }
 
 func sortFindings(findings []Finding) {
