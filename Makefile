@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-short chaos chaos-nightly fuzz vet msvet lint trace insight flows bench benchgate benchgate-wall kernels microbench clean
+.PHONY: all build test race race-short chaos chaos-nightly fuzz vet msvet lint trace insight flows bench benchgate benchgate-compute kernels microbench clean
 
 all: lint build test
 
@@ -109,16 +109,15 @@ benchgate:
 	$(GO) run ./cmd/msbench -exp bench -q -json BENCH_nightly.json
 	$(GO) run ./cmd/benchdiff -fresh BENCH_nightly.json
 
-# The wall-clock gate CI runs on every pull request: rerun the bench
-# sweep and judge only compute_seconds (per sweep run and per
-# kernel-probe worker point) against the newest committed baseline,
-# failing on regressions past 10%. Improvements and changes to
-# deterministic counters are report-only here — performance PRs
-# legitimately move those and refresh the baseline; this band just
-# stops compute from getting slower.
-benchgate-wall:
-	$(GO) run ./cmd/msbench -exp bench -q -json BENCH_wall.json
-	$(GO) run ./cmd/benchdiff -fresh BENCH_wall.json -wall -wall-tol 0.10
+# The compute gate CI runs on every pull request: rerun the bench sweep
+# and judge only the sweep runs' modeled compute_seconds against the
+# newest committed baseline, failing on regressions past 10%.
+# Improvements and changes to deterministic counters are report-only
+# here — performance PRs legitimately move those and refresh the
+# baseline; this band just stops modeled compute from getting slower.
+benchgate-compute:
+	$(GO) run ./cmd/msbench -exp bench -q -json BENCH_compute.json
+	$(GO) run ./cmd/benchdiff -fresh BENCH_compute.json -compute -compute-tol 0.10
 
 # The intra-rank kernel surface in one target: worker-pool unit tests,
 # the cross-width byte-equivalence and sweep-determinism suite, the

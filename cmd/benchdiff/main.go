@@ -11,19 +11,20 @@
 //
 //	msbench -exp bench -q -json fresh.json
 //	benchdiff -fresh fresh.json [-baseline BENCH_x.json] [-tol 0.05]
-//	benchdiff -fresh fresh.json -wall [-wall-tol 0.10]
+//	benchdiff -fresh fresh.json -compute [-compute-tol 0.10]
 //
-// With -wall, the strict gate is replaced by the wall-clock gate: only
-// compute_seconds is judged (per sweep run and per kernel-probe worker
-// point), failing on regressions past -wall-tol; improvements and
-// changes to every other quantity are report-only. This is the CI band
-// for performance PRs, which legitimately change deterministic
-// counters.
+// With -compute, the strict gate is replaced by the compute gate: only
+// the sweep runs' modeled compute_seconds is judged, failing on
+// regressions past -compute-tol; improvements and changes to every
+// other quantity are report-only. This is the CI band for performance
+// PRs, which legitimately change deterministic counters.
 //
-// When -baseline is omitted, the lexically newest BENCH_*.json in the
-// current directory (excluding the fresh file) is used — the
-// timestamped names sort chronologically. Exits 1 when the gate fails,
-// 2 on usage errors.
+// When -baseline is omitted, the lexically newest timestamped
+// BENCH_<timestamp>.json in the current directory (excluding the fresh
+// file) is used — the timestamped names sort chronologically, and the
+// gates' own fresh files (BENCH_nightly.json, BENCH_compute.json) are
+// never taken for a baseline. Exits 1 when the gate fails, 2 on usage
+// errors.
 package main
 
 import (
@@ -38,10 +39,10 @@ import (
 
 func main() {
 	fresh := flag.String("fresh", "", "fresh bench snapshot to gate (required)")
-	baseline := flag.String("baseline", "", "baseline snapshot (default: newest BENCH_*.json here)")
+	baseline := flag.String("baseline", "", "baseline snapshot (default: newest BENCH_<timestamp>.json here)")
 	tol := flag.Float64("tol", 0.05, "allowed fractional regression in modeled stage times")
-	wall := flag.Bool("wall", false, "wall-clock gate: judge only compute_seconds regressions")
-	wallTol := flag.Float64("wall-tol", 0.10, "allowed fractional compute_seconds regression with -wall")
+	compute := flag.Bool("compute", false, "compute gate: judge only modeled compute_seconds regressions")
+	computeTol := flag.Float64("compute-tol", 0.10, "allowed fractional compute_seconds regression with -compute")
 	flag.Parse()
 
 	if *fresh == "" {
@@ -74,8 +75,8 @@ func main() {
 	fmt.Println()
 
 	var violations []string
-	if *wall {
-		violations = experiments.CompareBenchWall(base, got, *wallTol)
+	if *compute {
+		violations = experiments.CompareBenchCompute(base, got, *computeTol)
 	} else {
 		violations = experiments.CompareBench(base, got, *tol)
 	}
@@ -87,19 +88,19 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	if *wall {
-		fmt.Printf("benchdiff: OK — %s within wall band of baseline %s (%d runs, compute_seconds tolerance %.0f%%)\n",
-			*fresh, *baseline, len(base.Runs), 100**wallTol)
+	if *compute {
+		fmt.Printf("benchdiff: OK — %s within compute band of baseline %s (%d runs, compute_seconds tolerance %.0f%%)\n",
+			*fresh, *baseline, len(base.Runs), 100**computeTol)
 		return
 	}
 	fmt.Printf("benchdiff: OK — %s matches baseline %s (%d runs, stage-time tolerance %.0f%%)\n",
 		*fresh, *baseline, len(base.Runs), 100**tol)
 }
 
-// newestBaseline picks the lexically newest BENCH_*.json in the current
-// directory, skipping the fresh snapshot itself.
+// newestBaseline picks the lexically newest BENCH_<timestamp>.json in
+// the current directory, skipping the fresh snapshot itself.
 func newestBaseline(fresh string) (string, error) {
-	matches, err := filepath.Glob("BENCH_*.json")
+	matches, err := filepath.Glob("BENCH_[0-9]*.json")
 	if err != nil {
 		return "", err
 	}
@@ -113,7 +114,7 @@ func newestBaseline(fresh string) (string, error) {
 		candidates = append(candidates, m)
 	}
 	if len(candidates) == 0 {
-		return "", fmt.Errorf("no baseline BENCH_*.json found (pass -baseline)")
+		return "", fmt.Errorf("no baseline BENCH_<timestamp>.json found (pass -baseline)")
 	}
 	sort.Strings(candidates)
 	return candidates[len(candidates)-1], nil

@@ -49,7 +49,6 @@ func main() {
 	persistence := flag.Float64("persistence", 0.01, "simplification threshold as a fraction of the data range")
 	out := flag.String("out", "", "output file (default <in>.msc)")
 	parallel := flag.Int("parallel", 0, "host goroutine bound (0 = unbounded)")
-	workers := flag.Int("workers", 0, "intra-rank kernel workers: 1 = sequential, N = N workers (parallel cost model), 0 = auto (cores/ranks, sequential cost model)")
 	measured := flag.Bool("measured", false, "report real wall-clock compute times instead of modeled Blue Gene/P times")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run")
 	flowsOut := flag.String("flows", "", "write the per-message causal flow records as JSON")
@@ -151,7 +150,6 @@ func main() {
 		Persistence:     float32(*persistence * float64(hi-lo)),
 		OutFile:         "output.msc",
 		Measured:        *measured,
-		Workers:         *workers,
 		CheckpointEvery: *ckpt,
 		CheckpointDir:   *ckptDir,
 		CheckpointGC:    *ckptGC,
@@ -167,9 +165,6 @@ func main() {
 
 	fmt.Printf("input      %s (%v %s, range [%g, %g])\n", *in, dims, dtype, lo, hi)
 	fmt.Printf("cluster    %d ranks, %d blocks, %s\n", *procs, nblocks, cluster.Network())
-	if *workers != 0 {
-		fmt.Printf("workers    %d kernel workers per rank\n", *workers)
-	}
 	if len(avoid) > 0 {
 		fmt.Printf("avoid      ranks %v start the run owning no blocks\n", avoid)
 	}

@@ -7,18 +7,12 @@ import (
 	"runtime"
 	"time"
 
-	"parms/internal/cube"
 	"parms/internal/fault"
-	"parms/internal/gradient"
-	"parms/internal/grid"
-	"parms/internal/kernel"
 	"parms/internal/mpsim"
-	"parms/internal/mscomplex"
 	"parms/internal/obs"
 	"parms/internal/pario"
 	"parms/internal/pipeline"
 	"parms/internal/synth"
-	"parms/internal/vtime"
 )
 
 // BenchRun is one traced pipeline execution of the benchmark sweep:
@@ -40,48 +34,11 @@ type BenchRun struct {
 	// perfectly balanced).
 	Imbalance map[string]float64 `json:"imbalance"`
 
-	PeakPayloadBytes int64   `json:"peak_payload_bytes"`
-	BytesSent        int64   `json:"bytes_sent"`
-	BytesRecv        int64   `json:"bytes_recv"`
-	Nodes            [4]int  `json:"nodes"`
-	Arcs             int     `json:"arcs"`
-	WallSeconds      float64 `json:"wall_seconds"`
-	// Workers is the intra-rank kernel pool width the run used; 0 in
-	// snapshots taken before the worker pool existed (sequential).
-	Workers int `json:"workers,omitempty"`
-}
-
-// benchKernelWorkers is the intra-rank pool width of the sweep runs:
-// wide enough that the parallel cost model separates clearly from the
-// sequential portion, narrow enough to stay realistic for the modeled
-// quad-core-class node.
-const benchKernelWorkers = 4
-
-// KernelPoint is one workers setting of the compute-kernel probe.
-type KernelPoint struct {
-	Workers int `json:"workers"`
-	// WallSeconds is measured on the host and is report-only (CI
-	// machines vary); ComputeSeconds is the modeled parallel compute
-	// time and is deterministic.
-	WallSeconds    float64 `json:"wall_seconds"`
-	ComputeSeconds float64 `json:"compute_seconds"`
-}
-
-// ComputeKernel is the data-parallel kernel probe attached to the bench
-// snapshot: one block's gradient + trace run directly (no cluster) at
-// several pool widths. Sweeps and SweepWrites fingerprint the pointer-
-// jumping convergence — they depend only on the data, never on the
-// host or the pool width — while PerWorker records how compute time
-// scales with workers.
-type ComputeKernel struct {
-	Dims    [3]int `json:"dims"`
-	Workers int    `json:"workers"` // width used by the sweep runs above
-	// Sweeps counts pointer-jumping sweeps to convergence, including
-	// the final zero-write sweep; SweepWrites is the per-sweep write
-	// histogram (the convergence cascade).
-	Sweeps      int           `json:"sweeps"`
-	SweepWrites []int64       `json:"sweep_writes"`
-	PerWorker   []KernelPoint `json:"per_worker"`
+	PeakPayloadBytes int64  `json:"peak_payload_bytes"`
+	BytesSent        int64  `json:"bytes_sent"`
+	BytesRecv        int64  `json:"bytes_recv"`
+	Nodes            [4]int `json:"nodes"`
+	Arcs             int    `json:"arcs"`
 }
 
 // FaultDrill is the deterministic recovery drill attached to the bench
@@ -138,9 +95,6 @@ type BenchResult struct {
 	// TracerOverhead likewise dates from the flow tracing work.
 	FaultDrill     *FaultDrill     `json:"fault_drill,omitempty"`
 	TracerOverhead *TracerOverhead `json:"tracer_overhead,omitempty"`
-	// ComputeKernel dates from the data-parallel kernel work; older
-	// baselines without one skip its comparison.
-	ComputeKernel *ComputeKernel `json:"compute_kernel,omitempty"`
 }
 
 // Bench runs a traced strong-scaling sweep (sinusoid dataset, full
@@ -168,7 +122,6 @@ func Bench(cfg Config) (*BenchResult, error) {
 			return nil, err
 		}
 		pario.WriteVolume(cluster.FS(), "volume.raw", vol)
-		start := time.Now()
 		res, err := pipeline.Run(cluster, pipeline.Params{
 			File:        "volume.raw",
 			Dims:        vol.Dims,
@@ -177,12 +130,10 @@ func Bench(cfg Config) (*BenchResult, error) {
 			Radices:     fullRadices(procs),
 			Persistence: float32(0.01 * float64(hi-lo)),
 			OutFile:     "bench.msc",
-			Workers:     benchKernelWorkers,
 		})
 		if err != nil {
 			return nil, err
 		}
-		wall := time.Since(start).Seconds()
 		imb := make(map[string]float64)
 		for _, st := range res.Trace.StageStats("read", "compute", "merge", "write") {
 			imb[st.Name] = st.Imbalance
@@ -203,12 +154,8 @@ func Bench(cfg Config) (*BenchResult, error) {
 			BytesRecv:        reg.CounterValue("mpsim_bytes_recv_total"),
 			Nodes:            res.Nodes,
 			Arcs:             res.Arcs,
-			WallSeconds:      wall,
-			Workers:          benchKernelWorkers,
 		})
 	}
-	cfg.logf("bench: compute kernel probe\n")
-	out.ComputeKernel = benchComputeKernel(cfg)
 	cfg.logf("bench: fault drill\n")
 	drill, err := benchFaultDrill(cfg)
 	if err != nil {
@@ -222,47 +169,6 @@ func Bench(cfg Config) (*BenchResult, error) {
 	}
 	out.TracerOverhead = overhead
 	return out, nil
-}
-
-// benchComputeKernel probes the data-parallel compute kernels directly:
-// one block's gradient assignment and arc trace on the chaos-suite
-// sinusoid, at pool widths 1..8 doubling. No cluster is involved, so
-// the wall seconds isolate the kernels themselves; the modeled seconds
-// come from the same parallel cost model the pipeline charges. The
-// sweep statistics are taken from the width-1 run and must be identical
-// at every width (the golden equivalence tests enforce this; the gate
-// fingerprints them against the baseline).
-func benchComputeKernel(cfg Config) *ComputeKernel {
-	vol := synth.Sinusoid(33, 4)
-	block := grid.Block{
-		ID: 0,
-		Lo: [3]int{0, 0, 0},
-		Hi: [3]int{vol.Dims[0] - 1, vol.Dims[1] - 1, vol.Dims[2] - 1},
-	}
-	machine := vtime.BlueGeneP()
-	ck := &ComputeKernel{Dims: [3]int(vol.Dims), Workers: benchKernelWorkers}
-	for _, w := range []int{1, 2, 4, 8} {
-		var pool *kernel.Pool
-		if w > 1 {
-			pool = kernel.New(w)
-		}
-		start := time.Now()
-		f := gradient.ComputePooled(cube.New(vol.Dims, block, vol), nil, pool)
-		tr := mscomplex.FromFieldPooled(f, nil, mscomplex.TraceOptions{}, pool)
-		wall := time.Since(start).Seconds()
-		work := f.Work
-		work.Add(tr.Complex.Work)
-		ck.PerWorker = append(ck.PerWorker, KernelPoint{
-			Workers:        w,
-			WallSeconds:    wall,
-			ComputeSeconds: float64(machine.ParallelComputeTime(work, w)),
-		})
-		if w == 1 {
-			ck.Sweeps = tr.Kernel.Sweeps
-			ck.SweepWrites = tr.Kernel.SweepWrites
-		}
-	}
-	return ck
 }
 
 // benchTracerOverhead runs the flow-recorder cost probe: one 64-rank
@@ -380,7 +286,7 @@ func benchFaultDrill(cfg Config) (*FaultDrill, error) {
 func (b *BenchResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Benchmark sweep: %s, full merge, 1%% persistence\n", b.Dataset)
 	header := []string{"procs", "read s", "compute s", "merge s", "write s", "total s",
-		"imb compute", "imb merge", "peak payload B", "sent B", "recv B", "wall s"}
+		"imb compute", "imb merge", "peak payload B", "sent B", "recv B"}
 	rows := make([][]string, 0, len(b.Runs))
 	for _, r := range b.Runs {
 		rows = append(rows, []string{
@@ -395,18 +301,9 @@ func (b *BenchResult) Print(w io.Writer) {
 			fmt.Sprint(r.PeakPayloadBytes),
 			fmt.Sprint(r.BytesSent),
 			fmt.Sprint(r.BytesRecv),
-			fmt.Sprintf("%.1f", r.WallSeconds),
 		})
 	}
 	table(w, header, rows)
-	if ck := b.ComputeKernel; ck != nil {
-		fmt.Fprintf(w, "Compute kernel probe: %d×%d×%d block, %d jumping sweeps, writes %v\n",
-			ck.Dims[0], ck.Dims[1], ck.Dims[2], ck.Sweeps, ck.SweepWrites)
-		for _, p := range ck.PerWorker {
-			fmt.Fprintf(w, "  workers=%d  compute %.4fs (modeled)  wall %.3fs\n",
-				p.Workers, p.ComputeSeconds, p.WallSeconds)
-		}
-	}
 }
 
 // WriteJSON writes the sweep as indented JSON.

@@ -90,37 +90,6 @@ func WriteBenchDelta(w io.Writer, baseline, fresh *BenchResult) {
 		}
 	}
 	switch {
-	case baseline.ComputeKernel == nil && fresh.ComputeKernel != nil:
-		fmt.Fprintf(tw, "kernel\t(all)\t-\t-\tnew (no baseline compute kernel probe)\t\n")
-	case baseline.ComputeKernel != nil && fresh.ComputeKernel == nil:
-		fmt.Fprintf(tw, "kernel\t(all)\t-\t-\tcompute kernel probe missing from fresh sweep\t\n")
-	case baseline.ComputeKernel != nil:
-		base, got := baseline.ComputeKernel, fresh.ComputeKernel
-		fmt.Fprintf(tw, "kernel\tsweeps\t%d\t%d\t%s\t\n",
-			base.Sweeps, got.Sweeps, deltaPercent(float64(base.Sweeps), float64(got.Sweeps)))
-		fmt.Fprintf(tw, "kernel\tsweep writes\t%d\t%d\t%s\t\n",
-			sumInt64(base.SweepWrites), sumInt64(got.SweepWrites),
-			deltaPercent(float64(sumInt64(base.SweepWrites)), float64(sumInt64(got.SweepWrites))))
-		gotPW := make(map[int]KernelPoint, len(got.PerWorker))
-		for _, p := range got.PerWorker {
-			gotPW[p.Workers] = p
-		}
-		for _, bp := range base.PerWorker {
-			gp, ok := gotPW[bp.Workers]
-			if !ok {
-				fmt.Fprintf(tw, "kernel\tworkers=%d\t%.4fs\t-\tpoint missing from fresh sweep\t\n",
-					bp.Workers, bp.ComputeSeconds)
-				continue
-			}
-			fmt.Fprintf(tw, "kernel\tworkers=%d compute\t%.4fs\t%.4fs\t%s\t\n",
-				bp.Workers, bp.ComputeSeconds, gp.ComputeSeconds,
-				deltaPercent(bp.ComputeSeconds, gp.ComputeSeconds))
-			fmt.Fprintf(tw, "kernel\tworkers=%d wall\t%.3fs\t%.3fs\t%s\t\n",
-				bp.Workers, bp.WallSeconds, gp.WallSeconds,
-				deltaPercent(bp.WallSeconds, gp.WallSeconds))
-		}
-	}
-	switch {
 	case baseline.FaultDrill == nil && fresh.FaultDrill != nil:
 		fmt.Fprintf(tw, "drill\t(all)\t-\t-\tnew (no baseline fault drill)\t\n")
 	case baseline.FaultDrill != nil && fresh.FaultDrill == nil:
@@ -229,18 +198,17 @@ func CompareBench(baseline, fresh *BenchResult, tol float64) []string {
 	}
 	violations = append(violations, compareFaultDrill(baseline.FaultDrill, fresh.FaultDrill, tol)...)
 	violations = append(violations, compareTracerOverhead(baseline.TracerOverhead, fresh.TracerOverhead, tol)...)
-	violations = append(violations, compareComputeKernel(baseline.ComputeKernel, fresh.ComputeKernel, tol)...)
 	return violations
 }
 
-// CompareBenchWall is the wall-clock gate: it judges only the modeled
-// compute_seconds of the sweep runs and of the intra-rank kernel probe,
-// failing when a fresh value regresses past wallTol over the baseline.
-// Improvements always pass and nothing is matched exactly — this gate
-// answers "did the PR make compute slower", nothing else. Runs or probe
-// points present in the baseline but absent from the fresh sweep still
-// fail: a gate cannot pass by measuring less.
-func CompareBenchWall(baseline, fresh *BenchResult, wallTol float64) []string {
+// CompareBenchCompute is the compute gate: it judges only the modeled
+// compute_seconds of the sweep runs, failing when a fresh value
+// regresses past tol over the baseline. Improvements always pass and
+// nothing is matched exactly — this gate answers "did the PR make
+// modeled compute slower", nothing else. Runs present in the baseline
+// but absent from the fresh sweep still fail: a gate cannot pass by
+// measuring less.
+func CompareBenchCompute(baseline, fresh *BenchResult, tol float64) []string {
 	var violations []string
 	index := make(map[int]BenchRun, len(fresh.Runs))
 	for _, r := range fresh.Runs {
@@ -250,111 +218,17 @@ func CompareBenchWall(baseline, fresh *BenchResult, wallTol float64) []string {
 		got, ok := index[base.Procs]
 		if !ok {
 			violations = append(violations,
-				fmt.Sprintf("wall: procs=%d run missing from fresh sweep", base.Procs))
+				fmt.Sprintf("compute: procs=%d run missing from fresh sweep", base.Procs))
 			continue
 		}
-		if got.ComputeSeconds > base.ComputeSeconds*(1+wallTol) {
+		if got.ComputeSeconds > base.ComputeSeconds*(1+tol) {
 			violations = append(violations, fmt.Sprintf(
-				"wall: procs=%d compute_seconds regressed %.4f -> %.4f (+%.1f%%, tolerance %.0f%%)",
+				"compute: procs=%d compute_seconds regressed %.4f -> %.4f (+%.1f%%, tolerance %.0f%%)",
 				base.Procs, base.ComputeSeconds, got.ComputeSeconds,
-				100*(got.ComputeSeconds/base.ComputeSeconds-1), 100*wallTol))
-		}
-	}
-	if baseline.ComputeKernel == nil {
-		return violations
-	}
-	if fresh.ComputeKernel == nil {
-		return append(violations, "wall: compute kernel probe missing from fresh sweep")
-	}
-	gotPW := make(map[int]KernelPoint, len(fresh.ComputeKernel.PerWorker))
-	for _, p := range fresh.ComputeKernel.PerWorker {
-		gotPW[p.Workers] = p
-	}
-	for _, bp := range baseline.ComputeKernel.PerWorker {
-		gp, ok := gotPW[bp.Workers]
-		if !ok {
-			violations = append(violations, fmt.Sprintf(
-				"wall: kernel workers=%d point missing from fresh sweep", bp.Workers))
-			continue
-		}
-		if gp.ComputeSeconds > bp.ComputeSeconds*(1+wallTol) {
-			violations = append(violations, fmt.Sprintf(
-				"wall: kernel workers=%d compute_seconds regressed %.4f -> %.4f (+%.1f%%, tolerance %.0f%%)",
-				bp.Workers, bp.ComputeSeconds, gp.ComputeSeconds,
-				100*(gp.ComputeSeconds/bp.ComputeSeconds-1), 100*wallTol))
+				100*(got.ComputeSeconds/base.ComputeSeconds-1), 100*tol))
 		}
 	}
 	return violations
-}
-
-// compareComputeKernel gates the intra-rank kernel probe. The sweep
-// count and per-sweep write histogram are deterministic fingerprints of
-// the pointer-jumping tracer and must match exactly; the modeled
-// per-worker compute seconds carry the regression tolerance, and
-// measured wall seconds are report-only (host noise). A fresh probe must
-// also be internally consistent: modeled compute time cannot increase
-// with more workers. Baselines that predate the probe are skipped.
-func compareComputeKernel(base, got *ComputeKernel, tol float64) []string {
-	var violations []string
-	if got != nil {
-		for i := 1; i < len(got.PerWorker); i++ {
-			prev, cur := got.PerWorker[i-1], got.PerWorker[i]
-			if cur.Workers > prev.Workers && cur.ComputeSeconds > prev.ComputeSeconds {
-				violations = append(violations, fmt.Sprintf(
-					"kernel: modeled compute_seconds rose from %.4f (workers=%d) to %.4f (workers=%d); kernel portion must scale",
-					prev.ComputeSeconds, prev.Workers, cur.ComputeSeconds, cur.Workers))
-			}
-		}
-	}
-	if base == nil {
-		return violations
-	}
-	if got == nil {
-		return append(violations, "kernel: compute kernel probe missing from fresh sweep")
-	}
-	if base.Dims != got.Dims {
-		violations = append(violations, fmt.Sprintf(
-			"kernel: probe dims drifted %v -> %v (probes not comparable)", base.Dims, got.Dims))
-		return violations
-	}
-	if base.Sweeps != got.Sweeps {
-		violations = append(violations, fmt.Sprintf(
-			"kernel: sweeps drifted %d -> %d (deterministic quantity, exact match required)",
-			base.Sweeps, got.Sweeps))
-	}
-	if fmt.Sprint(base.SweepWrites) != fmt.Sprint(got.SweepWrites) {
-		violations = append(violations, fmt.Sprintf(
-			"kernel: sweep_writes drifted %v -> %v (deterministic quantity, exact match required)",
-			base.SweepWrites, got.SweepWrites))
-	}
-	gotPW := make(map[int]KernelPoint, len(got.PerWorker))
-	for _, p := range got.PerWorker {
-		gotPW[p.Workers] = p
-	}
-	for _, bp := range base.PerWorker {
-		gp, ok := gotPW[bp.Workers]
-		if !ok {
-			violations = append(violations, fmt.Sprintf(
-				"kernel: workers=%d point missing from fresh sweep", bp.Workers))
-			continue
-		}
-		if gp.ComputeSeconds > bp.ComputeSeconds*(1+tol) {
-			violations = append(violations, fmt.Sprintf(
-				"kernel: workers=%d compute_seconds regressed %.4f -> %.4f (+%.1f%%, tolerance %.0f%%)",
-				bp.Workers, bp.ComputeSeconds, gp.ComputeSeconds,
-				100*(gp.ComputeSeconds/bp.ComputeSeconds-1), 100*tol))
-		}
-	}
-	return violations
-}
-
-// sumInt64 totals a per-sweep histogram for the delta table.
-func sumInt64(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // maxAllocOverheadFrac is the flow recorder's allocation budget: a

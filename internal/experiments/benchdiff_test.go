@@ -67,6 +67,28 @@ func TestCompareBenchCatchesDrift(t *testing.T) {
 	})
 }
 
+func TestCompareBenchCompute(t *testing.T) {
+	fresh := gateBaseline()
+	// Only compute_seconds is judged: drifted counters and slower
+	// merges are report-only, and 9% slower compute is inside the band.
+	fresh.Runs[0].BytesSent++
+	fresh.Runs[0].MergeSeconds *= 2
+	fresh.Runs[0].ComputeSeconds *= 1.09
+	if v := CompareBenchCompute(gateBaseline(), fresh, 0.10); len(v) != 0 {
+		t.Errorf("unexpected violations: %v", v)
+	}
+	fresh.Runs[0].ComputeSeconds = 2.0 * 1.11
+	if v := CompareBenchCompute(gateBaseline(), fresh, 0.10); len(v) != 1 ||
+		!strings.Contains(v[0], "compute_seconds regressed") {
+		t.Errorf("violations = %v, want one compute regression", v)
+	}
+	fresh.Runs[0].Procs = 16
+	if v := CompareBenchCompute(gateBaseline(), fresh, 0.10); len(v) != 1 ||
+		!strings.Contains(v[0], "missing from fresh sweep") {
+		t.Errorf("violations = %v, want one missing-run violation", v)
+	}
+}
+
 func TestWriteBenchDelta(t *testing.T) {
 	base := gateBaseline()
 	fresh := gateBaseline()

@@ -170,17 +170,3 @@ func (d *Decomposition) SharedBoundary(home int, x, y, z int) bool {
 	}
 	return false
 }
-
-// AssignBlocks distributes block IDs to procs ranks in round-robin
-// (block-cyclic) order and returns the list of block IDs owned by rank.
-func AssignBlocks(nblocks, procs, rank int) []int {
-	var out []int
-	for b := rank; b < nblocks; b += procs {
-		out = append(out, b)
-	}
-	return out
-}
-
-// RankOfBlock returns the rank that owns a block under block-cyclic
-// assignment.
-func RankOfBlock(block, procs int) int { return block % procs }

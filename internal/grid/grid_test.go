@@ -191,8 +191,24 @@ func TestOwnersOfRefined(t *testing.T) {
 	}
 }
 
+// assignBlocks is the paper's block-cyclic layout written out directly:
+// the block IDs rank owns when nblocks are dealt round-robin over procs
+// ranks. It is the reference the OwnerTable tests check against; code
+// outside the tests resolves ownership through OwnerTable, which starts
+// from this layout and follows migrations.
+func assignBlocks(nblocks, procs, rank int) []int {
+	var out []int
+	for b := rank; b < nblocks; b += procs {
+		out = append(out, b)
+	}
+	return out
+}
+
+// rankOfBlock is the owner of block under assignBlocks.
+func rankOfBlock(block, procs int) int { return block % procs }
+
 func TestAssignBlocksRoundRobin(t *testing.T) {
-	got := AssignBlocks(10, 4, 1)
+	got := assignBlocks(10, 4, 1)
 	want := []int{1, 5, 9}
 	if len(got) != len(want) {
 		t.Fatalf("assign %v want %v", got, want)
@@ -205,13 +221,13 @@ func TestAssignBlocksRoundRobin(t *testing.T) {
 	// Every block assigned to exactly one rank.
 	seen := make(map[int]bool)
 	for rank := 0; rank < 4; rank++ {
-		for _, b := range AssignBlocks(10, 4, rank) {
+		for _, b := range assignBlocks(10, 4, rank) {
 			if seen[b] {
 				t.Fatalf("block %d assigned twice", b)
 			}
 			seen[b] = true
-			if RankOfBlock(b, 4) != rank {
-				t.Fatalf("RankOfBlock(%d) inconsistent", b)
+			if rankOfBlock(b, 4) != rank {
+				t.Fatalf("rankOfBlock(%d) inconsistent", b)
 			}
 		}
 	}

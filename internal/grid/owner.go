@@ -27,7 +27,7 @@ type OwnerTable struct {
 }
 
 // NewOwnerTable creates the paper's block-cyclic layout: block b is
-// owned by rank b % procs, matching AssignBlocks/RankOfBlock exactly.
+// owned by rank b % procs.
 func NewOwnerTable(nblocks, procs int) *OwnerTable {
 	return NewOwnerTableAvoiding(nblocks, procs, nil)
 }

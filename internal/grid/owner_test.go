@@ -11,19 +11,19 @@ func TestOwnerTableMatchesBlockCyclic(t *testing.T) {
 	} {
 		tab := NewOwnerTable(tc.nblocks, tc.procs)
 		for b := 0; b < tc.nblocks; b++ {
-			if got, want := tab.Owner(b), RankOfBlock(b, tc.procs); got != want {
-				t.Fatalf("nblocks=%d procs=%d: Owner(%d)=%d, RankOfBlock=%d",
+			if got, want := tab.Owner(b), rankOfBlock(b, tc.procs); got != want {
+				t.Fatalf("nblocks=%d procs=%d: Owner(%d)=%d, rankOfBlock=%d",
 					tc.nblocks, tc.procs, b, got, want)
 			}
 		}
 		for rank := 0; rank < tc.procs; rank++ {
 			got := tab.Blocks(rank)
-			want := AssignBlocks(tc.nblocks, tc.procs, rank)
+			want := assignBlocks(tc.nblocks, tc.procs, rank)
 			if len(got) == 0 && len(want) == 0 {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("nblocks=%d procs=%d: Blocks(%d)=%v, AssignBlocks=%v",
+				t.Fatalf("nblocks=%d procs=%d: Blocks(%d)=%v, assignBlocks=%v",
 					tc.nblocks, tc.procs, rank, got, want)
 			}
 		}

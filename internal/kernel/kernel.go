@@ -15,7 +15,6 @@
 package kernel
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -38,20 +37,6 @@ func New(workers int) *Pool {
 		workers = 1
 	}
 	return &Pool{workers: workers}
-}
-
-// AutoWorkers returns the default pool width for one simulated rank when
-// ranks of them run concurrently in one process: an even share of the
-// machine's cores, never below 1.
-func AutoWorkers(ranks int) int {
-	if ranks < 1 {
-		ranks = 1
-	}
-	w := runtime.GOMAXPROCS(0) / ranks
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Workers returns the pool width (1 for a nil pool).

@@ -100,18 +100,6 @@ func TestPerChunkReductionDeterministic(t *testing.T) {
 	}
 }
 
-func TestAutoWorkers(t *testing.T) {
-	if w := AutoWorkers(1); w < 1 {
-		t.Fatalf("AutoWorkers(1) = %d", w)
-	}
-	if w := AutoWorkers(1 << 20); w != 1 {
-		t.Fatalf("AutoWorkers(huge) = %d, want 1", w)
-	}
-	if w := AutoWorkers(0); w < 1 {
-		t.Fatalf("AutoWorkers(0) = %d", w)
-	}
-}
-
 func TestEmptyAndClampedWidths(t *testing.T) {
 	ran := false
 	New(-3).Run(0, 10, func(worker, chunk, lo, hi int) { ran = true })

@@ -363,14 +363,6 @@ func (r *Rank) Compute(w vtime.Work) {
 	r.clock.Advance(r.cluster.machine.ComputeTime(w))
 }
 
-// ComputeParallel advances the rank's clock by the modeled duration of
-// the given work tally when its data-parallel portion runs on an
-// intra-rank pool of workers (vtime.ParallelComputeTime). workers <= 1
-// is exactly Compute.
-func (r *Rank) ComputeParallel(w vtime.Work, workers int) {
-	r.clock.Advance(r.cluster.machine.ParallelComputeTime(w, workers))
-}
-
 // Elapse advances the rank's clock by a literal number of modeled
 // seconds. The pipeline's measured-time mode uses this with real wall
 // clock durations.

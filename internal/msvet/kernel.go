@@ -19,14 +19,13 @@ var kernelPkgs = map[string]bool{
 // KernelAnalyzer flags per-element heap allocation and closure creation
 // inside the loops of functions named *Kernel. Those loops execute once
 // per cell or per vertex of a block — millions of iterations per
-// compute stage — and the worker-pool speedup the cost model assumes
-// (vtime.ParallelComputeTime) only holds while the loop body is
-// branch-predictable flat-array arithmetic. A make/new/append or a
-// composite literal that escapes turns each iteration into an
-// allocation; a func literal additionally forces its captures to the
-// heap. Scratch belongs above the loop, sized once per chunk (see the
-// per-chunk write counter of mscomplex.jumpSweepKernel), where the
-// msvet suite leaves it alone.
+// compute stage — and stay cheap, on one goroutine or split over a
+// kernel.Pool, only while the loop body is branch-predictable
+// flat-array arithmetic. A make/new/append or a composite literal that
+// escapes turns each iteration into an allocation; a func literal
+// additionally forces its captures to the heap. Scratch belongs above
+// the loop, sized once per chunk (see the per-chunk write counter of
+// mscomplex.jumpSweepKernel), where the msvet suite leaves it alone.
 var KernelAnalyzer = &Analyzer{
 	Name: "kernel",
 	Doc: "flags per-element allocation (make/new/append, composite literals) and closure " +

@@ -91,7 +91,6 @@ func Analyzers() []*Analyzer {
 		DroppederrAnalyzer,
 		RawframeAnalyzer,
 		SpanbalanceAnalyzer,
-		OwnerAnalyzer,
 		KernelAnalyzer,
 		SendrecvAnalyzer,
 	}

@@ -73,10 +73,6 @@ func TestSpanbalanceFixture(t *testing.T) {
 	checkFixture(t, "spanbalance", "parms/internal/pipeline", []*Analyzer{SpanbalanceAnalyzer}, false)
 }
 
-func TestOwnerFixture(t *testing.T) {
-	checkFixture(t, "owner", "parms/internal/pipeline", []*Analyzer{OwnerAnalyzer}, false)
-}
-
 func TestKernelFixture(t *testing.T) {
 	checkFixture(t, "kernel", "parms/internal/gradient", []*Analyzer{KernelAnalyzer}, false)
 }
@@ -99,23 +95,6 @@ func TestKernelSkipsColdPackages(t *testing.T) {
 	}
 	if len(findings) != 0 {
 		t.Fatalf("kernel ran outside the kernel packages: %v", findings)
-	}
-}
-
-func TestOwnerExemptInGridPackage(t *testing.T) {
-	// The same fixture under the grid path must be silent: the block-
-	// cyclic helpers' home package (and its tests) may call them freely.
-	l := fixtureLoader(t)
-	p, err := l.LoadDir(filepath.Join("testdata", "owner"), "parms/internal/grid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := RunPackage(p, []*Analyzer{OwnerAnalyzer}, false, &Facts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
-		t.Fatalf("owner ran inside internal/grid: %v", findings)
 	}
 }
 
@@ -194,7 +173,7 @@ func TestRepoIsClean(t *testing.T) {
 // TestAnalyzerMetadata keeps names and docs wired: names are the allow
 // grammar's vocabulary, so they must be stable and non-empty.
 func TestAnalyzerMetadata(t *testing.T) {
-	want := []string{"wallclock", "maporder", "droppederr", "rawframe", "spanbalance", "owner", "kernel", "sendrecv"}
+	want := []string{"wallclock", "maporder", "droppederr", "rawframe", "spanbalance", "kernel", "sendrecv"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

@@ -14,12 +14,10 @@ import (
 // TestMergedGolden pins the merged output bytes: the sha256 of every
 // surviving complex's Serialize() payload, in block-id order, and of the
 // output file, for a full merge and for a partial merge of the same
-// noise field over 8 ranks. Unlike TestPipelineWorkers, which only
-// compares worker widths with each other, these hashes fail on any
-// change to the merged complexes. The CI matrix runs it at every worker
-// width via PARMS_TEST_WORKERS; the hashes do not depend on it.
+// noise field over 8 ranks. Unlike TestScheduleIndependence, which only
+// compares two schedules with each other, these hashes fail on any
+// change to the merged complexes.
 func TestMergedGolden(t *testing.T) {
-	workers := matrixParam(t, "PARMS_TEST_WORKERS", 1)
 	const procs = 8
 	vol := synth.Random(grid.Dims{21, 21, 21}, 1)
 
@@ -52,7 +50,7 @@ func TestMergedGolden(t *testing.T) {
 			c, res := runPipeline(t, procs, Params{
 				File: "vol", Dims: vol.Dims, DType: grid.F32,
 				Radices: tc.radices, Persistence: 0.01,
-				Workers: workers, KeepComplexes: true,
+				KeepComplexes: true,
 			}, vol)
 			ids := make([]int, 0, len(res.Complexes))
 			for id := range res.Complexes {

@@ -16,7 +16,6 @@ import (
 	"parms/internal/fault"
 	"parms/internal/gradient"
 	"parms/internal/grid"
-	"parms/internal/kernel"
 	"parms/internal/merge"
 	"parms/internal/mpsim"
 	"parms/internal/mscomplex"
@@ -48,14 +47,6 @@ type Params struct {
 	// Measured switches compute-stage timing from the modeled cost
 	// model to real wall-clock time (for shared-memory speedup runs).
 	Measured bool
-	// Workers is the intra-rank worker pool width for the compute-stage
-	// kernels (batch gradient passes, pointer-jumping sweeps, per-start
-	// tracing). 1 runs them sequentially; N > 1 runs them on N workers
-	// and models compute time with the parallel cost model; 0 (auto)
-	// sizes the pool to an even share of the host's cores but keeps the
-	// sequential cost model, so modeled times never depend on the host.
-	// Output is byte-identical for every width.
-	Workers int
 	// Trace bounds V-path enumeration.
 	Trace mscomplex.TraceOptions
 	// MergeTimeout is the virtual-time budget (seconds) a merge-group
@@ -170,20 +161,6 @@ var StageSpanNames = []string{
 // modeled scales, so one second distinguishes "lost" from "slow" with a
 // wide margin.
 const defaultMergeTimeout = 1.0
-
-// kernelWorkers resolves Params.Workers for one rank into the real
-// pool width and the width the cost model charges. Explicit widths use
-// the same value for both. 0 (auto) sizes the pool to an even share of
-// the host's cores across the simulated ranks — real wall clock
-// benefits when cores are available — but models virtual time at width
-// 1, so modeled results never depend on the machine the simulation
-// happens to run on.
-func kernelWorkers(workers, procs int) (poolW, modeledW int) {
-	if workers > 0 {
-		return workers, workers
-	}
-	return kernel.AutoWorkers(procs), 1
-}
 
 // Run executes the pipeline on the cluster and returns the combined
 // result. It must be called from a single goroutine; it runs the rank
@@ -335,11 +312,6 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 	truncated := 0
 	var workTotal vtime.Work
 	var sweepsTotal int64
-	poolW, modeledW := kernelWorkers(p.Workers, r.Size())
-	var pool *kernel.Pool
-	if poolW > 1 {
-		pool = kernel.New(poolW)
-	}
 	computeStart := float64(r.Clock())
 	for _, bid := range myBlocks {
 		vol, ok := vols[bid]
@@ -352,8 +324,8 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 		start := time.Now()
 		blockStart := r.Clock()
 		cc := cube.New(p.Dims, b, vol)
-		field := gradient.ComputePooled(cc, dec, pool)
-		traced := mscomplex.FromFieldPooled(field, dec, p.Trace, pool)
+		field := gradient.Compute(cc, dec)
+		traced := mscomplex.FromField(field, dec, p.Trace)
 		truncated += traced.Truncated
 		sweepsTotal += int64(traced.Kernel.Sweeps)
 		ms := traced.Complex
@@ -367,7 +339,7 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 		if p.Measured {
 			r.Elapse(time.Since(start).Seconds())
 		} else {
-			r.ComputeParallel(w, modeledW)
+			r.Compute(w)
 		}
 		if tr.Enabled() {
 			// One nested span per pointer-jumping sweep, placed at the
@@ -375,7 +347,7 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 			// durations, so the trace shows the convergence cascade.
 			sweepAt := blockStart
 			for si, sw := range traced.Kernel.SweepWrites {
-				dur := vtime.Time(float64(sw) * r.Machine().SweepCost / float64(modeledW))
+				dur := vtime.Time(float64(sw) * r.Machine().SweepCost)
 				tr.Span("kernel:sweep", sweepAt, sweepAt+dur,
 					obs.I("id", int64(bid)), obs.I("sweep", int64(si)),
 					obs.I("writes", sw))
@@ -386,8 +358,7 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 				obs.I("id", int64(bid)),
 				obs.I("nodes", int64(n[0]+n[1]+n[2]+n[3])), obs.I("arcs", int64(a)),
 				obs.I("path_steps", w.PathSteps), obs.I("cells", w.CellsVisited),
-				obs.I("sweeps", int64(traced.Kernel.Sweeps)),
-				obs.I("workers", int64(poolW)))
+				obs.I("sweeps", int64(traced.Kernel.Sweeps)))
 		}
 	}
 	if reg := r.Metrics(); reg != nil {

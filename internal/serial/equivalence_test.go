@@ -3,8 +3,6 @@ package serial
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"os"
-	"strconv"
 	"testing"
 
 	"parms/internal/cube"
@@ -17,23 +15,10 @@ import (
 
 // These tests pin the worker-pool equivalence contract: the chunked
 // kernels must produce byte-identical gradient state, traced arcs, and
-// sweep statistics at every pool width. CI runs this file across a
-// workers×procs matrix via PARMS_TEST_WORKERS / PARMS_TEST_PROCS;
-// locally both default to the {1, 8} pair the ISSUE names.
+// sweep statistics at every pool width.
 
-// matrixWorkers returns the pool widths under test: the env override
-// when CI pins one, otherwise sequential plus a wide pool.
-func matrixWorkers(t *testing.T) []int {
-	t.Helper()
-	if s := os.Getenv("PARMS_TEST_WORKERS"); s != "" {
-		w, err := strconv.Atoi(s)
-		if err != nil || w < 1 {
-			t.Fatalf("bad PARMS_TEST_WORKERS=%q", s)
-		}
-		return []int{1, w}
-	}
-	return []int{1, 8}
-}
+// equivalenceWidths are the pool widths compared, sequential first.
+var equivalenceWidths = []int{1, 4, 8}
 
 // pooledHashes computes the full single-block pipeline stage under one
 // pool width and returns the gradient-state and serialized-complex
@@ -61,7 +46,7 @@ func pooledHashes(t *testing.T, vol *grid.Volume, workers int) (string, string, 
 }
 
 func testWorkerEquivalence(t *testing.T, name string, vol *grid.Volume) {
-	widths := matrixWorkers(t)
+	widths := equivalenceWidths
 	baseGrad, baseMS, baseSweeps := pooledHashes(t, vol, widths[0])
 	for _, w := range widths[1:] {
 		grad, ms, sweeps := pooledHashes(t, vol, w)

@@ -209,35 +209,6 @@ func (m *Machine) ComputeTime(w Work) Time {
 	return Time(s)
 }
 
-// SplitParallel splits a work tally into the portion executed by the
-// data-parallel kernels — per-cell batch passes and V-path sweep steps,
-// which scale with the intra-rank worker pool — and the portion that is
-// inherently sequential on a rank (greedy pairing decisions, sorts,
-// cancellations, merge bookkeeping, serialization).
-func SplitParallel(w Work) (par, seq Work) {
-	par = Work{CellsVisited: w.CellsVisited, PathSteps: w.PathSteps, SweepWrites: w.SweepWrites}
-	seq = w
-	seq.CellsVisited = 0
-	seq.PathSteps = 0
-	seq.SweepWrites = 0
-	return par, seq
-}
-
-// ParallelComputeTime converts a work tally into modeled seconds when
-// the data-parallel portion runs on a pool of workers inside the rank.
-// The sequential portion is unaffected (Amdahl's law); workers <= 1
-// reduces exactly to ComputeTime. The model deliberately assumes
-// perfect intra-rank scaling of the kernel portion: the deterministic
-// chunk schedule has no ordering stalls, and modeled time must not
-// depend on the host machine.
-func (m *Machine) ParallelComputeTime(w Work, workers int) Time {
-	if workers <= 1 {
-		return m.ComputeTime(w)
-	}
-	par, seq := SplitParallel(w)
-	return m.ComputeTime(seq) + Time(float64(m.ComputeTime(par))/float64(workers))
-}
-
 // MessageTime returns the modeled transfer time for a message of the
 // given size traversing hops torus links.
 func (m *Machine) MessageTime(bytes int, hops int) Time {

@@ -157,13 +157,6 @@ type Options struct {
 	// Measured switches compute timing from the cost model to real
 	// wall-clock time.
 	Measured bool
-	// Workers is the intra-rank worker pool width for the compute-stage
-	// kernels (batch gradient passes, path-compression sweeps, per-
-	// saddle tracing): 1 = sequential, N > 1 = N workers with the
-	// parallel cost model, 0 (auto) = an even share of the host's cores
-	// with the sequential cost model. Output is byte-identical for
-	// every width.
-	Workers int
 	// Faults injects the given fault plan into the run. The pipeline
 	// then runs fault-tolerantly: merge receives are bounded, corrupted
 	// payloads are rejected by checksum, and lost blocks are recovered
@@ -292,68 +285,9 @@ func newObserver(opt Options) *obs.Observer {
 
 // Compute runs the two-stage parallel algorithm on a volume.
 func Compute(vol *Volume, opt Options) (*Result, error) {
-	if opt.Procs <= 0 {
-		opt.Procs = 1
-	}
-	blocks := opt.Blocks
-	if blocks <= 0 {
-		blocks = opt.Procs
-	}
-	radices := opt.Radices
-	if radices == nil && opt.FullMerge {
-		radices = merge.Full(blocks).Radices
-	}
-	ob := newObserver(opt)
-	cluster, err := mpsim.New(mpsim.Config{
-		Procs:       opt.Procs,
-		Machine:     opt.Machine,
-		MaxParallel: opt.MaxParallel,
-		Faults:      opt.Faults,
-		RecvGrace:   opt.RecvGrace,
-		Obs:         ob,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cluster.FS().Put("volume.raw", vol.Bytes())
 	lo, hi := vol.Range()
-	res, err := pipeline.Run(cluster, pipeline.Params{
-		File:            "volume.raw",
-		Dims:            vol.Dims,
-		DType:           vol.DType,
-		Blocks:          blocks,
-		Radices:         radices,
-		Persistence:     float32(opt.Persistence * float64(hi-lo)),
-		KeepComplexes:   true,
-		Measured:        opt.Measured,
-		Workers:         opt.Workers,
-		MergeTimeout:    opt.MergeTimeout,
-		CheckpointEvery: opt.CheckpointEvery,
-		CheckpointDir:   opt.CheckpointDir,
-		CheckpointGC:    opt.CheckpointGC,
-		Migrate:         opt.Migrate,
-		AvoidRanks:      opt.AvoidRanks,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Times:        res.Times,
-		Rounds:       res.Rounds,
-		Procs:        res.Procs,
-		Blocks:       res.Blocks,
-		OutputBlocks: res.OutputBlocks,
-		OutputBytes:  res.OutputBytes,
-		Nodes:        res.Nodes,
-		Arcs:         res.Arcs,
-		BytesSent:    res.BytesSent,
-		Truncated:    res.Truncated,
-		Complexes:    res.Complexes,
-		FaultReport:  res.FaultReport,
-		Trace:        res.Trace,
-		Metrics:      res.Metrics,
-	}
-	return out, nil
+	in := pipeline.Params{File: "volume.raw", Dims: vol.Dims, DType: vol.DType}
+	return run(opt, in, lo, hi, vol.Bytes())
 }
 
 // ComputeInSitu runs the two-stage algorithm without a read stage: each
@@ -365,48 +299,57 @@ func Compute(vol *Volume, opt Options) (*Result, error) {
 // range the relative persistence threshold is scaled by.
 func ComputeInSitu(dims Dims, source func(lo, hi [3]int) *Volume,
 	rangeLo, rangeHi float32, opt Options) (*Result, error) {
+	in := pipeline.Params{
+		File: "in-situ",
+		Dims: dims,
+		Source: func(b grid.Block) (*Volume, error) {
+			return source(b.Lo, b.Hi), nil
+		},
+	}
+	return run(opt, in, rangeLo, rangeHi, nil)
+}
+
+// run builds the virtual cluster opt describes, completes in (which
+// carries only the input: File, Dims, DType, Source) with the rest of
+// opt, runs the pipeline and converts its result. A non-nil raw is
+// stored as in.File on the cluster filesystem first. lo and hi are the
+// value range the relative persistence threshold is scaled by.
+func run(opt Options, in pipeline.Params, lo, hi float32, raw []byte) (*Result, error) {
 	if opt.Procs <= 0 {
 		opt.Procs = 1
 	}
-	blocks := opt.Blocks
-	if blocks <= 0 {
-		blocks = opt.Procs
-	}
-	radices := opt.Radices
-	if radices == nil && opt.FullMerge {
-		radices = merge.Full(blocks).Radices
-	}
-	ob := newObserver(opt)
 	cluster, err := mpsim.New(mpsim.Config{
 		Procs:       opt.Procs,
 		Machine:     opt.Machine,
 		MaxParallel: opt.MaxParallel,
 		Faults:      opt.Faults,
 		RecvGrace:   opt.RecvGrace,
-		Obs:         ob,
+		Obs:         newObserver(opt),
 	})
 	if err != nil {
 		return nil, err
 	}
-	res, err := pipeline.Run(cluster, pipeline.Params{
-		File:            "in-situ",
-		Dims:            dims,
-		Blocks:          blocks,
-		Radices:         radices,
-		Persistence:     float32(opt.Persistence * float64(rangeHi-rangeLo)),
-		KeepComplexes:   true,
-		Measured:        opt.Measured,
-		Workers:         opt.Workers,
-		MergeTimeout:    opt.MergeTimeout,
-		CheckpointEvery: opt.CheckpointEvery,
-		CheckpointDir:   opt.CheckpointDir,
-		CheckpointGC:    opt.CheckpointGC,
-		Migrate:         opt.Migrate,
-		AvoidRanks:      opt.AvoidRanks,
-		Source: func(b grid.Block) (*Volume, error) {
-			return source(b.Lo, b.Hi), nil
-		},
-	})
+	if raw != nil {
+		cluster.FS().Put(in.File, raw)
+	}
+	in.Blocks = opt.Blocks
+	if in.Blocks <= 0 {
+		in.Blocks = opt.Procs
+	}
+	in.Radices = opt.Radices
+	if in.Radices == nil && opt.FullMerge {
+		in.Radices = merge.Full(in.Blocks).Radices
+	}
+	in.Persistence = float32(opt.Persistence * float64(hi-lo))
+	in.KeepComplexes = true
+	in.Measured = opt.Measured
+	in.MergeTimeout = opt.MergeTimeout
+	in.CheckpointEvery = opt.CheckpointEvery
+	in.CheckpointDir = opt.CheckpointDir
+	in.CheckpointGC = opt.CheckpointGC
+	in.Migrate = opt.Migrate
+	in.AvoidRanks = opt.AvoidRanks
+	res, err := pipeline.Run(cluster, in)
 	if err != nil {
 		return nil, err
 	}
