@@ -33,7 +33,8 @@ chaos-nightly:
 	$(GO) test -race -count=1 -run Chaos ./...
 
 # Brief coverage-guided fuzz of the merge frame decoder, the
-# checkpoint decoder, the complex decoder (round trip to a fixed point)
+# checkpoint decoder, the complex decoder (round trip to a fixed point),
+# the Chrome-trace parser (no panic, and every accepted trace analyzes)
 # and the gradient's cell order (against the cube.Compare oracle) on
 # top of the seeded corpus that `make test` already replays.
 fuzz:
@@ -41,6 +42,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChaosUnframe -fuzztime 30s ./internal/merge/
 	$(GO) test -run '^$$' -fuzz FuzzChaosDecodeCheckpoint -fuzztime 30s ./internal/pario/
 	$(GO) test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/mscomplex/
+	$(GO) test -run '^$$' -fuzz FuzzParseChromeTrace -fuzztime 30s ./internal/obs/analyze/
 
 # Standard vet plus the repo's own invariant multichecker (cmd/msvet,
 # DESIGN §11). Collective order is checked at run time by mpsim's

@@ -75,9 +75,7 @@ func main() {
 			return ob
 		}
 		insight := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			// Blocks and radices are inferred from the trace itself, so
-			// the handler needs no per-sweep-point configuration.
-			analyze.Handler(current.Load(), analyze.Config{}).ServeHTTP(w, req)
+			analyze.Handler(current.Load()).ServeHTTP(w, req)
 		})
 		srv, err := obs.ServeFunc(*listen, current.Load, insight)
 		if err != nil {

@@ -17,7 +17,7 @@
 // out.prom writes a Prometheus-style text dump of the run's counters,
 // gauges and histograms; -events out.jsonl streams structured run
 // events (log/slog JSON, virtual-time stamped); -flows flows.json dumps
-// the per-message causal flow records (sampled with -flow-sample);
+// the per-message causal flow records;
 // -listen :9151 serves live introspection over HTTP (/healthz,
 // /metrics, /trace, /flows, /timeline, /insight, /debug/pprof) for the
 // duration of the run.
@@ -52,7 +52,6 @@ func main() {
 	measured := flag.Bool("measured", false, "report real wall-clock compute times instead of modeled Blue Gene/P times")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run")
 	flowsOut := flag.String("flows", "", "write the per-message causal flow records as JSON")
-	flowSample := flag.Int("flow-sample", 0, "flow sampling stride: 0/1 record every message, n>1 keep every n-th per emitter, <0 count only")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-style text dump of the run's metrics")
 	eventsOut := flag.String("events", "", "write structured run events (slog JSON lines, virtual-time stamped)")
 	listen := flag.String("listen", "", `serve live introspection over HTTP during the run (e.g. ":9151" or ":0")`)
@@ -96,9 +95,6 @@ func main() {
 	var ob *obs.Observer
 	if *traceOut != "" || *flowsOut != "" || *metricsOut != "" || *eventsOut != "" || *listen != "" {
 		ob = obs.New(*procs)
-		if *flowSample != 0 {
-			ob.FlowRecorder().SetSample(*flowSample)
-		}
 	}
 	if *eventsOut != "" {
 		f, err := os.Create(*eventsOut)
@@ -109,7 +105,7 @@ func main() {
 		ob.Log = obs.NewJSONLogger(f)
 	}
 	if *listen != "" {
-		srv, err := obs.Serve(*listen, ob, analyze.Handler(ob, analyze.Config{Blocks: nblocks, Radices: radices}))
+		srv, err := obs.Serve(*listen, ob, analyze.Handler(ob))
 		if err != nil {
 			fatalf("%v", err)
 		}

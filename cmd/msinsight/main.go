@@ -1,8 +1,9 @@
 // Command msinsight analyzes a run's exported observability artifacts:
 // the Chrome-trace JSON written by msc -trace (or scraped from a live
 // run's /trace endpoint) and, optionally, the Prometheus metrics dump
-// from msc -metrics. It reports the critical path through the merge
-// reduction tree, per-stage straggler flags with imbalance scores,
+// from msc -metrics, read for the run's byte count. It reports the
+// message-level critical path, per-stage straggler flags with
+// imbalance scores, the ranks whose messages others waited on,
 // per-round merge attribution (serialize / glue / simplify / wait
 // time, payload growth), fault counts, and a deterministic tuning
 // recommendation (merge radix schedule, block count, ranks to remap
@@ -13,11 +14,10 @@
 //	msinsight -trace trace.json [-metrics metrics.prom] [-json]
 //	msinsight -trace trace.json -flows [-buckets 64]
 //
-// Block count and merge radices are normally inferred from the trace;
-// -blocks and -radices override the inference for traces recorded
-// without merge rounds. Output is a human-readable report by default;
-// -json switches to the machine-readable form, which is byte-identical
-// across runs of the same trace. -flows switches to the message-flow
+// Block count and merge radices are read from the trace. Output is a
+// human-readable report by default; -json switches to the
+// machine-readable form, which is byte-identical across runs of the
+// same trace. -flows switches to the message-flow
 // view instead: the full rank×rank communication matrix rebuilt from
 // the trace's flow events, and the bucketed virtual-time timeline
 // (-buckets sets its resolution).
@@ -27,8 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"parms/internal/obs"
 	"parms/internal/obs/analyze"
@@ -37,9 +35,6 @@ import (
 func main() {
 	traceIn := flag.String("trace", "", "Chrome-trace JSON file of the run (required; from msc -trace or /trace)")
 	metricsIn := flag.String("metrics", "", "Prometheus metrics dump of the run (optional; from msc -metrics or /metrics)")
-	blocks := flag.Int("blocks", 0, "override the decomposition block count (0 = infer from the trace)")
-	radicesFlag := flag.String("radices", "", `override the merge radix schedule, e.g. "4,8" (default: infer from the trace)`)
-	madk := flag.Float64("madk", 0, "straggler threshold multiplier on the MAD (0 = default 4)")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable JSON report instead of the text rendering")
 	flowsMode := flag.Bool("flows", false, "print the message-flow view (comm matrix + virtual-time timeline) instead of the report")
 	buckets := flag.Int("buckets", 0, "timeline bucket count for -flows (0 = default 64)")
@@ -50,11 +45,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	radices, err := parseRadices(*radicesFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
 	f, err := os.Open(*traceIn)
 	if err != nil {
 		fatalf("%v", err)
@@ -74,10 +64,10 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		in.Metrics = metrics
+		in.BytesSent = int64(metrics["mpsim_bytes_sent_total"])
 	}
 
-	rep := analyze.Analyze(in, analyze.Config{Blocks: *blocks, Radices: radices, MADK: *madk})
+	rep := analyze.Analyze(in)
 	if *flowsMode {
 		printFlows(in, rep, *buckets)
 		return
@@ -96,7 +86,7 @@ func main() {
 // and the bucketed timeline, both rebuilt from the trace's flow events.
 func printFlows(in *analyze.Input, rep *analyze.Report, buckets int) {
 	if len(in.Flows) == 0 {
-		fmt.Println("no flow events in trace (recorded without flows, or flow-sampled away)")
+		fmt.Println("no flow events in trace")
 		return
 	}
 	done := 0
@@ -123,21 +113,6 @@ func printFlows(in *analyze.Input, rep *analyze.Report, buckets int) {
 			b.Start, b.End, b.MsgsSent, b.BytesSent, b.MsgsRecv, b.BytesRecv,
 			b.BytesInFlight, b.ActiveSpans, b.WaitSeconds)
 	}
-}
-
-func parseRadices(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var radices []int
-	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || r < 2 {
-			return nil, fmt.Errorf("msinsight: bad -radices %q", s)
-		}
-		radices = append(radices, r)
-	}
-	return radices, nil
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -180,9 +180,11 @@ func Bench(cfg Config) (*BenchResult, error) {
 func benchTracerOverhead(cfg Config) (*TracerOverhead, error) {
 	const procs = 64
 	vol := synth.Sinusoid(33, 4)
-	run := func(sample int) (*pipeline.Result, uint64, error) {
+	run := func(countOnly bool) (*pipeline.Result, uint64, error) {
 		ob := obs.New(procs)
-		ob.FlowRecorder().SetSample(sample)
+		if countOnly {
+			ob.FlowRecorder().CountOnly()
+		}
 		cluster, err := mpsim.New(mpsim.Config{Procs: procs, MaxParallel: cfg.maxParallel(), Obs: ob})
 		if err != nil {
 			return nil, 0, err
@@ -202,11 +204,11 @@ func benchTracerOverhead(cfg Config) (*TracerOverhead, error) {
 		runtime.ReadMemStats(&m1)
 		return res, m1.TotalAlloc - m0.TotalAlloc, err
 	}
-	traced, tracedAlloc, err := run(0)
+	traced, tracedAlloc, err := run(false)
 	if err != nil {
 		return nil, err
 	}
-	counted, countedAlloc, err := run(-1)
+	counted, countedAlloc, err := run(true)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,13 @@
 // Package analyze is the layer that reads the telemetry: it consumes a
 // traced run (a live *obs.Observer or re-parsed trace/metrics exports)
 // and computes the analyses the paper's per-stage max-over-ranks
-// decomposition cannot express — the critical path through the radix
-// reduction tree, per-stage straggler detection with an imbalance
-// score, per-round merge attribution (serialize vs glue vs simplify,
-// payload growth), and a deterministic tuning recommendation derived
-// from the observed payload sizes and span times (DESIGN §12).
+// decomposition cannot express — the critical path through the run's
+// message chain, per-stage straggler detection with an imbalance
+// score, per-round merge attribution (serialize vs glue vs simplify
+// vs receive wait, payload growth), and a deterministic tuning
+// recommendation derived from the observed payload sizes and span
+// times (DESIGN §12). The critical path, the wait stragglers and the
+// per-round wait all come from the flow records (DESIGN §14).
 //
 // Every function here is a pure function of its Input: analyzing the
 // same trace twice — or the traces of two same-seed runs — produces
@@ -18,26 +20,24 @@ import (
 	"strconv"
 	"strings"
 
-	"parms/internal/grid"
-	"parms/internal/merge"
 	"parms/internal/obs"
 )
 
 // Input is the telemetry snapshot an analysis consumes: one span/
-// instant track per rank plus the flattened metrics series. Build one
-// with FromObserver (live or post-run) or ParseChromeTrace +
-// ParsePrometheus (from exported files).
+// instant track per rank, the flow records, and the run's byte count.
+// Build one with FromObserver (live or post-run) or ParseChromeTrace
+// (from an exported trace).
 type Input struct {
 	Procs    int
 	Spans    [][]obs.Span
 	Instants [][]obs.Instant
-	// Metrics maps a Prometheus series name (labels included, e.g.
-	// `merge_round_bytes_sent_total{round="0"}`) to its value. Optional:
-	// analyses that need it degrade gracefully when empty.
-	Metrics map[string]float64
+	// BytesSent is the run's mpsim_bytes_sent_total counter: every
+	// payload byte sent through Rank.Send, collective-tag traffic
+	// included. Optional; zero when unknown.
+	BytesSent int64
 	// Flows holds the per-message causal records, ordered by
-	// (emitter, seq). Optional: flow-level analyses (comm matrix, exact
-	// critical path) are skipped when empty.
+	// (emitter, seq). Without them the report has no critical path, no
+	// comm matrix and no wait attribution.
 	Flows []obs.Flow
 }
 
@@ -45,7 +45,7 @@ type Input struct {
 // ranks are still recording: each track is copied under its lock, so
 // the snapshot is a consistent prefix of the run.
 func FromObserver(o *obs.Observer) *Input {
-	in := &Input{Metrics: map[string]float64{}}
+	in := &Input{}
 	if o == nil {
 		return in
 	}
@@ -58,37 +58,15 @@ func FromObserver(o *obs.Observer) *Input {
 		in.Instants[id] = tr.Instants(id)
 	}
 	in.Flows = tr.Flows().Flows()
-	var buf strings.Builder
-	if err := o.Metrics.WritePrometheus(&buf); err == nil {
-		if m, err := ParsePrometheus(strings.NewReader(buf.String())); err == nil {
-			in.Metrics = m
-		}
-	}
+	in.BytesSent = o.Metrics.CounterValue("mpsim_bytes_sent_total")
 	return in
 }
 
-// Config tunes an analysis. The zero value selects the documented
-// defaults, so Analyze(in, Config{}) is the common call.
-type Config struct {
-	// Blocks overrides the decomposition block count; 0 infers it from
-	// the block ids observed in the trace.
-	Blocks int
-	// Radices overrides the merge schedule; nil infers it from the
-	// round span attributes.
-	Radices []int
-	// MADK is the straggler threshold multiplier on the median absolute
-	// deviation (default 4): a rank is flagged when its stage duration
-	// (or attributed wait) exceeds median + MADK·MAD plus a small
-	// relative floor that suppresses noise when MAD is ~0.
-	MADK float64
-}
-
-func (c Config) madK() float64 {
-	if c.MADK <= 0 {
-		return 4
-	}
-	return c.MADK
-}
+// madK is the straggler threshold multiplier on the median absolute
+// deviation: a rank is flagged when its stage duration (or imposed
+// wait) exceeds median + madK·MAD plus a small floor that suppresses
+// noise when MAD is ~0.
+const madK = 4
 
 // StageSummary condenses one stage's per-rank durations.
 type StageSummary struct {
@@ -105,12 +83,12 @@ type StageSummary struct {
 // Straggler is one flagged rank.
 type Straggler struct {
 	Rank int `json:"rank"`
-	// Stage is the stage the rank straggled in, or "merge-wait" when
-	// the rank was flagged for the wait time it imposed on merge-group
-	// roots (the signature of a slow sender, whose own spans stay
-	// short).
+	// Stage is the stage the rank straggled in, or "comm-wait" when
+	// the rank was flagged for the receive wait its messages imposed
+	// on their receivers (the signature of a slow sender, whose own
+	// spans stay short).
 	Stage string `json:"stage"`
-	// Seconds is the rank's duration (or total attributed wait) and
+	// Seconds is the rank's duration (or total imposed wait) and
 	// MedianSeconds the across-rank median it is compared against.
 	MedianSeconds float64 `json:"median_seconds"`
 	Seconds       float64 `json:"seconds"`
@@ -127,8 +105,10 @@ type RoundReport struct {
 	SerializeSeconds float64 `json:"serialize_seconds"`
 	GlueSeconds      float64 `json:"glue_seconds"`
 	SimplifySeconds  float64 `json:"simplify_seconds"`
-	// WaitSeconds is the idle time roots spent waiting for member
-	// payloads (summed across ranks).
+	// WaitSeconds is the receive wait of the round's point-to-point
+	// messages (flow wait of each p2p receive inside the receiver's
+	// round window) plus the time roots sat out on receive timeouts,
+	// summed across ranks.
 	WaitSeconds float64 `json:"wait_seconds"`
 	// RecoverSeconds sums rebuild and checkpoint-restore spans.
 	RecoverSeconds float64 `json:"recover_seconds"`
@@ -140,9 +120,9 @@ type RoundReport struct {
 
 // PathStep is one link of the critical path, on one rank's timeline.
 type PathStep struct {
-	// Kind is read, compute, serialize, wait, glue, simplify,
-	// checkpoint, recover — or msg for a message hop on the
-	// flow-derived path.
+	// Kind is read, compute, serialize, glue, simplify, checkpoint,
+	// recover, wait (a receiver blocked on the hop's message) or msg
+	// (the hop's transfer).
 	Kind  string `json:"kind"`
 	Rank  int    `json:"rank"`
 	Block int    `json:"block"`
@@ -181,20 +161,12 @@ type Report struct {
 	Stragglers []Straggler    `json:"stragglers,omitempty"`
 	Rounds     []RoundReport  `json:"rounds,omitempty"`
 
-	// CriticalPath chains the spans that bound the merge wall time,
-	// leaf to final survivor; CriticalEndSeconds is when it completes.
-	// With flow records present the path is the exact message-level
-	// chain (CriticalPathSource "flows") and the old span-derived tree
-	// walk survives as a cross-check lower bound; without them the tree
-	// walk is the path (source "spans").
+	// CriticalPath is the message chain that bound the makespan, walked
+	// back from the last unit of work over the receives that stalled
+	// (see criticalPath); CriticalEndSeconds is when it completes. Both
+	// are empty without flow records.
 	CriticalPath       []PathStep `json:"critical_path,omitempty"`
 	CriticalEndSeconds float64    `json:"critical_end_seconds"`
-	CriticalPathSource string     `json:"critical_path_source,omitempty"`
-	// SpanCriticalEndSeconds is the span-derived estimate when flows
-	// provided the path; CriticalPathGapSeconds = flow end − span end,
-	// ≥ 0 by construction (the flow path ends at the makespan).
-	SpanCriticalEndSeconds float64 `json:"span_critical_end_seconds,omitempty"`
-	CriticalPathGapSeconds float64 `json:"critical_path_gap_seconds"`
 
 	// CommMatrix is the rank×rank traffic aggregation from the flow
 	// records, ordered by (src, dst).
@@ -210,32 +182,24 @@ type Report struct {
 // order (the sync spans are collective boundaries, not work).
 var stageNames = []string{"read", "compute", "merge", "write"}
 
-// Analyze computes the full report. It is a pure function of (in, cfg):
-// equal inputs produce equal reports, byte for byte once serialized.
-func Analyze(in *Input, cfg Config) *Report {
-	a := newAnalysis(in, cfg)
+// Analyze computes the full report. It is a pure function of in: equal
+// inputs produce equal reports, byte for byte once serialized.
+func Analyze(in *Input) *Report {
+	a := newAnalysis(in)
 	rep := &Report{
 		Procs:        a.procs,
 		Blocks:       a.nblocks,
-		Radices:      a.radices,
 		TotalSeconds: a.total,
-		BytesSent:    int64(in.Metrics["mpsim_bytes_sent_total"]),
+		BytesSent:    in.BytesSent,
+		Rounds:       a.rounds,
+	}
+	for _, r := range a.rounds {
+		rep.Radices = append(rep.Radices, r.Radix)
 	}
 	rep.Stages = a.stageSummaries()
-	rep.Rounds = a.roundReports()
 	rep.CommMatrix = a.commMatrix()
 	rep.Stragglers = append(a.stragglers(rep.Stages), a.commStragglers()...)
-	spanPath, spanEnd := a.criticalPath()
-	flowPath, flowEnd := a.flowCriticalPath()
-	if flowEnd > 0 {
-		rep.CriticalPath, rep.CriticalEndSeconds = flowPath, flowEnd
-		rep.CriticalPathSource = "flows"
-		rep.SpanCriticalEndSeconds = spanEnd
-		rep.CriticalPathGapSeconds = flowEnd - spanEnd
-	} else {
-		rep.CriticalPath, rep.CriticalEndSeconds = spanPath, spanEnd
-		rep.CriticalPathSource = "spans"
-	}
+	rep.CriticalPath, rep.CriticalEndSeconds = a.criticalPath()
 	rep.Faults = a.faultCounts()
 	rep.Recommendation = recommend(rep)
 	return rep
@@ -245,80 +209,27 @@ func Analyze(in *Input, cfg Config) *Report {
 // analyses query.
 type analysis struct {
 	in      *Input
-	cfg     Config
 	procs   int
 	nblocks int
-	radices []int
-	sched   merge.Schedule
 	total   float64
-	// owners is the run's ownership table rebuilt from the trace: the
-	// initial block-cyclic layout with every fault:migrate instant
-	// replayed in timestamp order.
-	owners *grid.OwnerTable
-
-	// windows[rank][round] is the round:k span interval on that rank.
+	// windows[rank] lists the round:k span intervals on that rank.
 	windows [][]window
-	// roundMeta[round] aggregates round span attributes.
-	roundMeta []roundMeta
-	// ends[rank] holds every span end on the rank, sorted, for
-	// previous-event queries.
-	ends [][]float64
-
-	// Span indexes keyed by (round, block). Values carry the span and
-	// the rank it was recorded on.
-	serialize map[[2]int]located
-	glue      map[[2]int]located
-	simplify  map[[2]int]located
-	ckptWrite map[[2]int]located
-	recover   map[[2]int][]located
-	timeouts  map[[2]int]locInstant
-	compute   map[int]located // block id -> compute "block" span
-	read      map[int]located // block id -> read:block span
-
-	// medFirstIdle[round] is the round's "natural" receive wait: the
-	// median, across the round's groups, of the idle before each
-	// group's first glue (the root just became ready and the first
-	// payload is still in flight — structural, not a straggler). An
-	// idle counts as a genuine wait only when it clears 4× this peer
-	// baseline or 5% of the makespan, whichever is smaller (see
-	// isWait).
-	medFirstIdle []float64
+	// rounds[k] is round k's report; its length is the round count.
+	rounds []RoundReport
+	// timeouts are the run's fault:timeout instants.
+	timeouts []timeout
 }
 
-// isWait classifies a pre-glue idle in the given round: true when the
-// root was genuinely stalled on a late payload rather than paying the
-// round's natural pipeline wait. Peer-relative (4× the round's median
-// positive idle) so symmetric transfer waits never flag, capped at 5%
-// of the makespan so a lone heavily-delayed payload still registers
-// when it has no peers to compare against.
-func (a *analysis) isWait(round int, idle float64) bool {
-	eps := 0.0
-	if round >= 0 && round < len(a.medFirstIdle) {
-		eps = 4 * a.medFirstIdle[round]
-	}
-	if limit := 0.05 * a.total; eps > limit {
-		eps = limit
-	}
-	return idle > eps+1e-9
+type window struct {
+	round      int
+	start, end float64
 }
 
-type window struct{ start, end float64 }
-
-type roundMeta struct {
-	radix       int
-	blocksAfter int
-	sentBytes   int64
-	seconds     float64
-}
-
-type located struct {
-	rank int
-	span obs.Span
-}
-
-type locInstant struct {
-	rank int
-	inst obs.Instant
+// timeout is one receive a merge root gave up on: the round, the rank
+// whose payload never came, and the virtual seconds the root waited.
+type timeout struct {
+	round, src int
+	wait       float64
 }
 
 func attrInt(attrs []obs.Attr, key string) (int64, bool) {
@@ -330,245 +241,151 @@ func attrInt(attrs []obs.Attr, key string) (int64, bool) {
 	return 0, false
 }
 
-func newAnalysis(in *Input, cfg Config) *analysis {
-	a := &analysis{
-		in:        in,
-		cfg:       cfg,
-		procs:     in.Procs,
-		serialize: map[[2]int]located{},
-		glue:      map[[2]int]located{},
-		simplify:  map[[2]int]located{},
-		ckptWrite: map[[2]int]located{},
-		recover:   map[[2]int][]located{},
-		timeouts:  map[[2]int]locInstant{},
-		compute:   map[int]located{},
-		read:      map[int]located{},
+// attrFloat reads a numeric attribute. A float that happens to be
+// integral comes back from a parsed trace as an I attr, so both kinds
+// are read.
+func attrFloat(attrs []obs.Attr, key string) float64 {
+	for _, at := range attrs {
+		if at.Key == key {
+			return at.Float() + float64(at.Int())
+		}
 	}
+	return 0
+}
 
-	// Pass 1: rounds, block ids, per-rank sorted ends, total makespan.
-	maxRound := -1
-	maxBlock := -1
-	a.ends = make([][]float64, a.procs)
-	roundAttrs := map[int]roundMeta{}
+// roundIndex parses a round:k span name.
+func roundIndex(name string) (int, bool) {
+	rest, ok := strings.CutPrefix(name, "round:")
+	if !ok {
+		return 0, false
+	}
+	k, err := strconv.Atoi(rest)
+	return k, err == nil && k >= 0
+}
+
+func newAnalysis(in *Input) *analysis {
+	a := &analysis{in: in, procs: in.Procs, windows: make([][]window, in.Procs)}
+
+	// Pass 1: makespan, block ids, round windows.
+	maxBlock, nwindows := -1, 0
 	for rank := 0; rank < a.procs; rank++ {
 		for _, s := range in.Spans[rank] {
-			a.ends[rank] = append(a.ends[rank], float64(s.End))
-			if float64(s.End) > a.total {
-				a.total = float64(s.End)
+			a.total = math.Max(a.total, float64(s.End))
+			if b := blockOf(s); b > maxBlock {
+				maxBlock = b
 			}
-			switch {
-			case strings.HasPrefix(s.Name, "round:"):
-				k, err := strconv.Atoi(s.Name[len("round:"):])
-				if err != nil {
-					continue
-				}
-				if k > maxRound {
-					maxRound = k
-				}
-				m := roundAttrs[k]
-				if v, ok := attrInt(s.Attrs, "radix"); ok {
-					m.radix = int(v)
-				}
-				if v, ok := attrInt(s.Attrs, "blocks_after"); ok {
-					m.blocksAfter = int(v)
-				}
-				if v, ok := attrInt(s.Attrs, "sent_bytes"); ok {
-					m.sentBytes += v
-				}
-				if d := s.Duration(); d > m.seconds {
-					m.seconds = d
-				}
-				roundAttrs[k] = m
-			case s.Name == "block":
-				if v, ok := attrInt(s.Attrs, "id"); ok {
-					a.compute[int(v)] = located{rank, s}
-					if int(v) > maxBlock {
-						maxBlock = int(v)
-					}
-				}
-			case s.Name == "read:block":
-				if v, ok := attrInt(s.Attrs, "id"); ok {
-					a.read[int(v)] = located{rank, s}
-					if int(v) > maxBlock {
-						maxBlock = int(v)
-					}
-				}
-			case s.Name == "serialize" || s.Name == "glue":
-				if v, ok := attrInt(s.Attrs, "block"); ok && int(v) > maxBlock {
-					maxBlock = int(v)
-				}
+			if k, ok := roundIndex(s.Name); ok {
+				a.windows[rank] = append(a.windows[rank], window{k, float64(s.Start), float64(s.End)})
+				nwindows++
 			}
 		}
-		sort.Float64s(a.ends[rank])
 	}
-
-	a.radices = cfg.Radices
-	if a.radices == nil {
-		for k := 0; k <= maxRound; k++ {
-			a.radices = append(a.radices, roundAttrs[k].radix)
-		}
-	}
-	a.sched = merge.Schedule{Radices: a.radices}
-	a.roundMeta = make([]roundMeta, len(a.radices))
-	for k := range a.roundMeta {
-		a.roundMeta[k] = roundAttrs[k]
-	}
-	a.nblocks = cfg.Blocks
-	if a.nblocks <= 0 {
-		a.nblocks = maxBlock + 1
-	}
+	a.nblocks = maxBlock + 1
 	if a.nblocks <= 0 {
 		a.nblocks = a.procs
 	}
-
-	// Rebuild the ownership table from the trace: each migration is one
-	// fault:migrate instant on the adopting rank's track. Replaying them
-	// in (time, block) order reproduces the table's final state; spans
-	// from before a block migrated are attributed to the final owner,
-	// an approximation that only matters for the (rare) migrated blocks.
-	a.owners = grid.NewOwnerTable(a.nblocks, a.procs)
-	type migEvent struct {
-		at        float64
-		block, to int
-	}
-	var migs []migEvent
-	for rank := 0; rank < a.procs; rank++ {
-		for _, inst := range in.Instants[rank] {
-			if inst.Name != "fault:migrate" {
-				continue
-			}
-			b, okB := attrInt(inst.Attrs, "block")
-			to, okTo := attrInt(inst.Attrs, "to")
-			if okB && okTo {
-				migs = append(migs, migEvent{float64(inst.Ts), int(b), int(to)})
+	// Every round of a real run leaves at least one round:k span, so a
+	// round index at or past the number of round spans is malformed and
+	// is not allowed to size the report.
+	nrounds := 0
+	for _, ws := range a.windows {
+		for _, w := range ws {
+			if w.round < nwindows && w.round >= nrounds {
+				nrounds = w.round + 1
 			}
 		}
 	}
-	sort.Slice(migs, func(i, j int) bool {
-		if migs[i].at != migs[j].at {
-			return migs[i].at < migs[j].at
-		}
-		return migs[i].block < migs[j].block
-	})
-	for _, mg := range migs {
-		if mg.block >= 0 && mg.block < a.nblocks && mg.to >= 0 && mg.to < a.procs {
-			_ = a.owners.Migrate(mg.block, mg.to)
-		}
+	a.rounds = make([]RoundReport, nrounds)
+	npayloads := make([]int64, nrounds)
+	for k := range a.rounds {
+		a.rounds[k].Round = k
 	}
 
-	// Pass 2: round windows per rank, then assign the merge sub-spans
-	// to rounds by containment in the recording rank's window.
-	a.windows = make([][]window, a.procs)
+	// Pass 2: round attributes, then the merge sub-spans, assigned to
+	// rounds by containment in the recording rank's round window.
 	for rank := 0; rank < a.procs; rank++ {
-		a.windows[rank] = make([]window, len(a.radices))
 		for _, s := range in.Spans[rank] {
-			if !strings.HasPrefix(s.Name, "round:") {
+			if k, ok := roundIndex(s.Name); ok {
+				if k < nrounds {
+					r := &a.rounds[k]
+					if v, ok := attrInt(s.Attrs, "radix"); ok {
+						r.Radix = int(v)
+					}
+					if v, ok := attrInt(s.Attrs, "blocks_after"); ok {
+						r.BlocksAfter = int(v)
+					}
+					v, _ := attrInt(s.Attrs, "sent_bytes")
+					r.SentBytes += v
+					r.Seconds = math.Max(r.Seconds, s.Duration())
+				}
 				continue
 			}
-			if k, err := strconv.Atoi(s.Name[len("round:"):]); err == nil && k < len(a.windows[rank]) {
-				a.windows[rank][k] = window{float64(s.Start), float64(s.End)}
-			}
-		}
-	}
-	for rank := 0; rank < a.procs; rank++ {
-		for _, s := range in.Spans[rank] {
-			k := a.roundOf(rank, s)
+			k := a.roundOf(rank, float64(s.Start), float64(s.End))
 			if k < 0 {
 				continue
 			}
+			r := &a.rounds[k]
 			switch s.Name {
 			case "serialize":
-				if v, ok := attrInt(s.Attrs, "block"); ok {
-					a.serialize[[2]int{k, int(v)}] = located{rank, s}
+				r.SerializeSeconds += s.Duration()
+				if v, ok := attrInt(s.Attrs, "bytes"); ok {
+					r.MeanPayloadBytes += v // the sum until divided below
+					r.MaxPayloadBytes = max(r.MaxPayloadBytes, v)
+					npayloads[k]++
 				}
 			case "glue":
-				if v, ok := attrInt(s.Attrs, "block"); ok {
-					a.glue[[2]int{k, int(v)}] = located{rank, s}
-				}
+				r.GlueSeconds += s.Duration()
 			case "simplify":
-				if v, ok := attrInt(s.Attrs, "root"); ok {
-					a.simplify[[2]int{k, int(v)}] = located{rank, s}
-				}
-			case "ckpt:write":
-				if v, ok := attrInt(s.Attrs, "block"); ok {
-					a.ckptWrite[[2]int{k, int(v)}] = located{rank, s}
-				}
+				r.SimplifySeconds += s.Duration()
 			case "rebuild", "ckpt:restore":
-				if v, ok := attrInt(s.Attrs, "block"); ok {
-					key := [2]int{k, int(v)}
-					a.recover[key] = append(a.recover[key], located{rank, s})
-				}
+				r.RecoverSeconds += s.Duration()
 			}
 		}
+	}
+	for k, n := range npayloads {
+		if n > 0 {
+			a.rounds[k].MeanPayloadBytes /= n
+		}
+	}
+
+	// Round waits: each p2p receive's flow wait, in the receiver's round
+	// window, and each timeout's wait in its round.
+	for _, f := range in.Flows {
+		if f.Done && f.Kind == obs.FlowP2P && f.Dst >= 0 && f.Dst < a.procs {
+			if k := a.roundOf(f.Dst, float64(f.RecvStartVT), float64(f.RecvVT)); k >= 0 {
+				a.rounds[k].WaitSeconds += f.WaitSeconds()
+			}
+		}
+	}
+	for rank := 0; rank < a.procs; rank++ {
 		for _, inst := range in.Instants[rank] {
 			if inst.Name != "fault:timeout" {
 				continue
 			}
-			k, okK := attrInt(inst.Attrs, "round")
-			b, okB := attrInt(inst.Attrs, "block")
-			if okK && okB {
-				a.timeouts[[2]int{int(k), int(b)}] = locInstant{rank, inst}
+			k, _ := attrInt(inst.Attrs, "round")
+			src, ok := attrInt(inst.Attrs, "src")
+			t := timeout{round: int(k), src: int(src), wait: attrFloat(inst.Attrs, "wait_s")}
+			if !ok || t.src < 0 || t.src >= a.procs || t.wait <= 0 {
+				continue
+			}
+			a.timeouts = append(a.timeouts, t)
+			if t.round >= 0 && t.round < nrounds {
+				a.rounds[t.round].WaitSeconds += t.wait
 			}
 		}
-	}
-	a.medFirstIdle = make([]float64, len(a.radices))
-	for k := range a.radices {
-		var firsts []float64
-		for _, g := range a.sched.RoundGroups(a.nblocks, k) {
-			bestStart, idle := math.Inf(1), -1.0
-			for _, m := range g.Members {
-				if m == g.Root {
-					continue
-				}
-				if loc, ok := a.glue[[2]int{k, m}]; ok && float64(loc.span.Start) < bestStart {
-					bestStart = float64(loc.span.Start)
-					idle = bestStart - a.prevEnd(loc.rank, bestStart)
-				}
-			}
-			if idle >= 0 {
-				firsts = append(firsts, idle)
-			}
-		}
-		a.medFirstIdle[k] = quantile(firsts, 0.5)
 	}
 	return a
 }
 
-// roundOf returns the merge round whose window on the recording rank
-// contains the span, or -1.
-func (a *analysis) roundOf(rank int, s obs.Span) int {
-	for k, w := range a.windows[rank] {
-		if w.end > w.start && float64(s.Start) >= w.start && float64(s.End) <= w.end {
-			return k
+// roundOf returns the merge round whose window on the rank contains
+// [start, end], or -1.
+func (a *analysis) roundOf(rank int, start, end float64) int {
+	for _, w := range a.windows[rank] {
+		if w.round < len(a.rounds) && w.end > w.start && start >= w.start && end <= w.end {
+			return w.round
 		}
 	}
 	return -1
-}
-
-// prevEnd returns the latest span end on the rank at or before t — the
-// moment the rank last finished doing something, so t - prevEnd is idle
-// (waiting) time. Enclosing spans end after t and never match.
-func (a *analysis) prevEnd(rank int, t float64) float64 {
-	ends := a.ends[rank]
-	i := sort.SearchFloat64s(ends, t)
-	// ends[i-1] <= t < ends[i] modulo exact ties; walk back over ties.
-	for i < len(ends) && ends[i] <= t {
-		i++
-	}
-	if i == 0 {
-		return t
-	}
-	return ends[i-1]
-}
-
-// ownerOf is the block-to-rank assignment of the run per the
-// reconstructed ownership table: block-cyclic, with any observed
-// migrations applied.
-func (a *analysis) ownerOf(block int) int {
-	if block < 0 || block >= a.owners.NumBlocks() {
-		return block % a.procs
-	}
-	return a.owners.Owner(block)
 }
 
 // stageDurations returns each rank's total duration of the named spans.
@@ -644,56 +461,21 @@ func medianMAD(xs []float64) (med, mad float64) {
 	return med, quantile(devs, 0.5)
 }
 
-// stragglers flags outlier ranks two ways: by stage duration, and by
-// the wait time a rank's late merge payloads imposed on group roots
-// (DESIGN §12). The wait attribution is what catches a slow *sender*,
-// whose own spans stay short while everyone downstream stalls.
+// stragglers flags the ranks whose stage duration is an outlier (DESIGN
+// §12). A slow sender's own spans stay short; commStragglers catches
+// it by the wait it imposed.
 func (a *analysis) stragglers(stages []StageSummary) []Straggler {
-	k := a.cfg.madK()
 	var out []Straggler
 	for _, st := range stages {
 		durs := a.stageDurations(st.Name)
 		med, mad := medianMAD(durs)
 		// The relative floor suppresses flags when MAD ~ 0 (the virtual
 		// model makes same-work ranks near-identical).
-		thresh := med + k*mad + 0.05*med + 1e-9
+		thresh := med + madK*mad + 0.05*med + 1e-9
 		for rank, d := range durs {
 			if d > thresh {
 				out = append(out, Straggler{Rank: rank, Stage: st.Name, Seconds: d, MedianSeconds: med})
 			}
-		}
-	}
-
-	// Wait attribution: idle time before a glue span is the root
-	// waiting on that member's payload; charge it to the member's
-	// owner. A timed-out member never glues — charge the idle before
-	// the fault:timeout instant to the source rank instead.
-	waits := make([]float64, a.procs)
-	for _, key := range sortedKeys2(a.glue) {
-		loc := a.glue[key]
-		idle := float64(loc.span.Start) - a.prevEnd(loc.rank, float64(loc.span.Start))
-		if a.isWait(key[0], idle) {
-			waits[a.ownerOf(key[1])] += idle
-		}
-	}
-	for _, key := range sortedKeys2(a.timeouts) {
-		// A timeout is always a genuine wait: the root sat out the full
-		// timeout budget before giving up on the member.
-		li := a.timeouts[key]
-		idle := float64(li.inst.Ts) - a.prevEnd(li.rank, float64(li.inst.Ts))
-		src, ok := attrInt(li.inst.Attrs, "src")
-		if !ok {
-			src = int64(a.ownerOf(key[1]))
-		}
-		if idle > 0 && int(src) < len(waits) {
-			waits[src] += idle
-		}
-	}
-	med, mad := medianMAD(waits)
-	thresh := med + k*mad + 0.02*a.total + 1e-9
-	for rank, w := range waits {
-		if w > thresh {
-			out = append(out, Straggler{Rank: rank, Stage: "merge-wait", Seconds: w, MedianSeconds: med})
 		}
 	}
 	return out
@@ -711,67 +493,6 @@ func sortedKeys2[V any](m map[[2]int]V) [][2]int {
 		return keys[i][1] < keys[j][1]
 	})
 	return keys
-}
-
-func (a *analysis) roundReports() []RoundReport {
-	var out []RoundReport
-	for k := range a.radices {
-		m := a.roundMeta[k]
-		r := RoundReport{
-			Round:       k,
-			Radix:       a.radices[k],
-			BlocksAfter: m.blocksAfter,
-			SentBytes:   m.sentBytes,
-			Seconds:     m.seconds,
-		}
-		var payloads []int64
-		for _, key := range sortedKeys2(a.serialize) {
-			if key[0] != k {
-				continue
-			}
-			loc := a.serialize[key]
-			r.SerializeSeconds += loc.span.Duration()
-			if v, ok := attrInt(loc.span.Attrs, "bytes"); ok {
-				payloads = append(payloads, v)
-			}
-		}
-		for _, key := range sortedKeys2(a.glue) {
-			if key[0] != k {
-				continue
-			}
-			loc := a.glue[key]
-			r.GlueSeconds += loc.span.Duration()
-			if idle := float64(loc.span.Start) - a.prevEnd(loc.rank, float64(loc.span.Start)); a.isWait(k, idle) {
-				r.WaitSeconds += idle
-			}
-		}
-		for _, key := range sortedKeys2(a.simplify) {
-			if key[0] == k {
-				r.SimplifySeconds += a.simplify[key].span.Duration()
-			}
-		}
-		for _, key := range sortedKeys2(a.recover) {
-			if key[0] != k {
-				continue
-			}
-			for _, loc := range a.recover[key] {
-				r.RecoverSeconds += loc.span.Duration()
-			}
-		}
-		if len(payloads) > 0 {
-			var sum, max int64
-			for _, p := range payloads {
-				sum += p
-				if p > max {
-					max = p
-				}
-			}
-			r.MeanPayloadBytes = sum / int64(len(payloads))
-			r.MaxPayloadBytes = max
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 func (a *analysis) faultCounts() map[string]int {

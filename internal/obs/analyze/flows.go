@@ -7,11 +7,11 @@ import (
 	"parms/internal/obs"
 )
 
-// Flow-level analyses (DESIGN §14): the per-message causal records give
-// the analyses an exact view the span tracks can only approximate. The
-// comm matrix aggregates traffic and imposed receive wait per directed
-// rank pair, and flowCriticalPath walks the actual message chain that
-// bound the makespan — no reduction-tree inference needed.
+// Flow-level analyses (DESIGN §14): the per-message causal records
+// give the analyses an exact view of who waited on whom. The comm
+// matrix aggregates traffic and imposed receive wait per directed rank
+// pair, commStragglers charges that wait to the sender, and
+// criticalPath walks the actual message chain that bound the makespan.
 
 // CommLink is one directed rank pair's aggregate traffic: how many
 // messages and bytes flowed src→dst, and how long dst sat blocked
@@ -57,12 +57,12 @@ func (a *analysis) commMatrix() []CommLink {
 }
 
 // commStragglers flags ranks by the total receive wait their messages
-// imposed across all links — the flow-exact version of the span-derived
-// merge-wait attribution, and a direct feed into Recommend's
-// AvoidRanks. Collective-tag flows are excluded: a barrier's tree waits
-// encode the max semantics of the collective, not a slow sender.
+// imposed across all links, plus the wait of every receive that timed
+// out on them — a direct feed into Recommend's AvoidRanks.
+// Collective-tag flows are excluded: a barrier's tree waits encode the
+// max semantics of the collective, not a slow sender.
 func (a *analysis) commStragglers() []Straggler {
-	if len(a.in.Flows) == 0 || a.procs == 0 {
+	if a.procs == 0 {
 		return nil
 	}
 	waits := make([]float64, a.procs)
@@ -72,8 +72,11 @@ func (a *analysis) commStragglers() []Straggler {
 		}
 		waits[f.Src] += f.WaitSeconds()
 	}
+	for _, t := range a.timeouts {
+		waits[t.src] += t.wait
+	}
 	med, mad := medianMAD(waits)
-	thresh := med + a.cfg.madK()*mad + 0.02*a.total + 1e-9
+	thresh := med + madK*mad + 0.02*a.total + 1e-9
 	var out []Straggler
 	for rank, w := range waits {
 		if w > thresh {
@@ -122,20 +125,17 @@ func blockOf(s obs.Span) int {
 	return -1
 }
 
-// flowCriticalPath walks the exact message-level critical path backward
+// criticalPath walks the exact message-level critical path backward
 // from the last unit of real work: at each rank it finds the latest
 // inbound message the rank genuinely waited for (arrival after the
 // receive began), emits the local work between that message and the
 // current frontier, then hops to the sender at its injection time and
 // repeats. Each hop contributes a wait step on the receiver and a msg
-// step for the transfer, so the injected latency a span walk must infer
-// from idle gaps is read off the records directly. Collective-tag flows
-// are skipped: a barrier binds every rank by construction, and walking
-// its tree would bury the data-dependency chain in synchronization
-// ping-pong. The path ends at the latest leaf span end, which is ≥ the
-// span-derived tree estimate by construction — the gap measures how
-// much arrival inference under-attributes.
-func (a *analysis) flowCriticalPath() ([]PathStep, float64) {
+// step for the transfer, read off the records directly. Collective-tag
+// flows are skipped: a barrier binds every rank by construction, and
+// walking its tree would bury the data-dependency chain in
+// synchronization ping-pong. The path ends at the latest leaf span end.
+func (a *analysis) criticalPath() ([]PathStep, float64) {
 	if a.procs == 0 || len(a.in.Flows) == 0 || a.total <= 0 {
 		return nil, 0
 	}
@@ -234,7 +234,7 @@ func (a *analysis) segmentSteps(rank int, lo, hi float64) []PathStep {
 	for _, s := range picked {
 		steps = append(steps, PathStep{
 			Kind: stepKind(s.Name), Rank: rank, Block: blockOf(s),
-			Round:        a.roundOf(rank, s),
+			Round:        a.roundOf(rank, float64(s.Start), float64(s.End)),
 			StartSeconds: float64(s.Start), EndSeconds: float64(s.End),
 		})
 	}

@@ -12,9 +12,9 @@ import (
 // request snapshots the tracer and re-runs Analyze, so mid-run scrapes
 // see a consistent prefix of the run. `?format=text` switches to the
 // human-readable rendering.
-func Handler(o *obs.Observer, cfg Config) http.Handler {
+func Handler(o *obs.Observer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		rep := Analyze(FromObserver(o), cfg)
+		rep := Analyze(FromObserver(o))
 		if req.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			rep.Print(w)

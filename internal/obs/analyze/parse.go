@@ -14,11 +14,14 @@ import (
 )
 
 // ParseChromeTrace reads a trace previously written by
-// obs.Tracer.WriteChromeTrace back into an Input (Metrics left empty —
-// pair with ParsePrometheus). Timestamps come back as virtual seconds
-// with the file's nanosecond fixed-point resolution, and attributes are
-// re-ordered by key so parsing is deterministic regardless of the
-// recording order the map decode discarded.
+// obs.Tracer.WriteChromeTrace back into an Input (BytesSent left zero —
+// take it from ParsePrometheus). Timestamps come back as virtual
+// seconds with the file's nanosecond fixed-point resolution, and
+// attributes are re-ordered by key so parsing is deterministic
+// regardless of the recording order the map decode discarded. A tid
+// outside [0, number of events) is an error: the writer names every
+// rank's track with its own thread_name event, so no well-formed file
+// has more ranks than events.
 func ParseChromeTrace(r io.Reader) (*Input, error) {
 	var doc struct {
 		TraceEvents []struct {
@@ -36,8 +39,11 @@ func ParseChromeTrace(r io.Reader) (*Input, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("analyze: parse trace: %w", err)
 	}
-	in := &Input{Metrics: map[string]float64{}}
+	in := &Input{}
 	for _, ev := range doc.TraceEvents {
+		if ev.Tid < 0 || ev.Tid >= len(doc.TraceEvents) {
+			return nil, fmt.Errorf("analyze: event %q has tid %d outside [0, %d)", ev.Name, ev.Tid, len(doc.TraceEvents))
+		}
 		if ev.Tid+1 > in.Procs {
 			in.Procs = ev.Tid + 1
 		}

@@ -95,10 +95,6 @@ func (r *Report) Print(w io.Writer) {
 
 	if len(r.CriticalPath) > 0 {
 		fmt.Fprintf(w, "\ncritical path (ends %.4fs):\n", r.CriticalEndSeconds)
-		if r.CriticalPathSource == "flows" {
-			fmt.Fprintf(w, "  source: message flows; span-tree estimate %.4fs, gap %.4fs\n",
-				r.SpanCriticalEndSeconds, r.CriticalPathGapSeconds)
-		}
 		for _, st := range r.CriticalPath {
 			round := "-"
 			if st.Round >= 0 {

@@ -71,7 +71,7 @@ func (f Flow) WaitSeconds() float64 {
 
 // FlowID is the opaque handle Begin returns so the receive side can
 // complete the record. The zero FlowID is inert: Complete on it is a
-// no-op, which is how sampled-out and disabled flows cost nothing.
+// no-op, which is how count-only and disabled flows cost nothing.
 type FlowID struct {
 	emitter int32
 	index   int32 // stream position + 1; 0 = none
@@ -112,8 +112,8 @@ func (st *flowStream) add(f Flow) int32 {
 // snapshots no matter how the host scheduled the goroutines. All
 // methods are nil-safe no-ops, like the rest of the package.
 type FlowRecorder struct {
-	streams []flowStream
-	sample  atomic.Int64
+	streams   []flowStream
+	countOnly atomic.Bool
 }
 
 // NewFlowRecorder creates a recorder for procs emitting ranks.
@@ -132,24 +132,13 @@ func (fr *FlowRecorder) Procs() int {
 	return len(fr.streams)
 }
 
-// SetSample sets the per-emitter sampling stride: n <= 1 records every
-// flow (the default), n > 1 keeps one in n sends per emitter (sequence
-// numbers still advance for every send, so counts derived from Started
-// stay exact), and n < 0 records nothing while still counting. Set it
-// before the run starts; synthetic Emit flows are always kept (they are
-// rare and carry recovery semantics) unless n < 0.
-func (fr *FlowRecorder) SetSample(n int) {
+// CountOnly switches the recorder to counting sends without storing
+// any record, Emit included: the baseline that measures what keeping
+// the records costs. Call it before the run starts.
+func (fr *FlowRecorder) CountOnly() {
 	if fr != nil {
-		fr.sample.Store(int64(n))
+		fr.countOnly.Store(true)
 	}
-}
-
-// Sample returns the current sampling stride (0 or 1 = record all).
-func (fr *FlowRecorder) Sample() int {
-	if fr == nil {
-		return 0
-	}
-	return int(fr.sample.Load())
 }
 
 // Begin records the send side of a message flow and returns the handle
@@ -164,8 +153,7 @@ func (fr *FlowRecorder) Begin(emitter, src, dst, tag, bytes int, kind string, se
 	defer st.mu.Unlock()
 	seq := st.seq
 	st.seq++
-	n := fr.sample.Load()
-	if n < 0 || (n > 1 && seq%n != 0) {
+	if fr.countOnly.Load() {
 		return FlowID{}
 	}
 	index := st.add(Flow{
@@ -211,7 +199,7 @@ func (fr *FlowRecorder) Complete(id FlowID, recvStart, recv vtime.Time) {
 // checkpoints). Must be called from the emitting rank's goroutine, like
 // Begin.
 func (fr *FlowRecorder) Emit(emitter, src, dst, tag, bytes int, kind string, send, recv vtime.Time) {
-	if fr == nil || emitter < 0 || emitter >= len(fr.streams) || fr.sample.Load() < 0 {
+	if fr == nil || emitter < 0 || emitter >= len(fr.streams) || fr.countOnly.Load() {
 		return
 	}
 	if recv < send {
@@ -248,7 +236,7 @@ func (fr *FlowRecorder) Flows() []Flow {
 }
 
 // Started returns the total number of sends sequenced across all
-// emitters — exact even under sampling, which skips recording but
+// emitters — exact in count-only mode too, which skips recording but
 // never skips the sequence counter.
 func (fr *FlowRecorder) Started() int64 {
 	if fr == nil {
@@ -271,8 +259,6 @@ func (fr *FlowRecorder) WriteFlowsJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"procs":`)
 	bw.WriteString(strconv.Itoa(fr.Procs()))
-	bw.WriteString(`,"sample":`)
-	bw.WriteString(strconv.Itoa(fr.Sample()))
 	bw.WriteString(`,"started":`)
 	bw.WriteString(strconv.FormatInt(fr.Started(), 10))
 	bw.WriteString(`,"flows":[`)

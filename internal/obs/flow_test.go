@@ -10,7 +10,7 @@ func TestFlowRecorderRoundTrip(t *testing.T) {
 	fr := NewFlowRecorder(4)
 	id := fr.Begin(0, 0, 1, 7, 128, FlowP2P, 1.0, 1.5)
 	if id == (FlowID{}) {
-		t.Fatal("Begin returned the zero id with sampling off")
+		t.Fatal("Begin returned the zero id while recording")
 	}
 	fr.Complete(id, 1.25, 1.75)
 	fr.Complete(id, 9.0, 9.0) // duplicate completion must not overwrite
@@ -51,36 +51,15 @@ func TestFlowRecorderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlowRecorderSampling(t *testing.T) {
+// TestFlowRecorderCountOnly: count-only mode records nothing, Emit
+// included, while Started still counts every send.
+func TestFlowRecorderCountOnly(t *testing.T) {
 	fr := NewFlowRecorder(2)
-	fr.SetSample(3)
-	kept := 0
-	for i := 0; i < 10; i++ {
-		id := fr.Begin(0, 0, 1, 0, 8, FlowP2P, 0, 0)
-		if id != (FlowID{}) {
-			kept++
-			fr.Complete(id, 0, 0)
-		}
-	}
-	// Sequences 0, 3, 6, 9 pass a stride of 3.
-	if kept != 4 || len(fr.Flows()) != 4 {
-		t.Errorf("stride 3 kept %d recorded %d, want 4", kept, len(fr.Flows()))
-	}
-	if fr.Started() != 10 {
-		t.Errorf("Started = %d under sampling, want 10 (counts stay exact)", fr.Started())
-	}
-	// Synthetic flows bypass the stride: they are rare and carry
-	// recovery semantics.
-	fr.Emit(1, 0, 1, 0, 0, FlowMigratedRestore, 1, 2)
-	if len(fr.Flows()) != 5 {
-		t.Errorf("Emit sampled away under stride %d", fr.Sample())
-	}
-
-	// Negative stride: count-only mode records nothing, Emit included.
-	fr = NewFlowRecorder(2)
-	fr.SetSample(-1)
+	fr.CountOnly()
 	for i := 0; i < 5; i++ {
-		fr.Begin(0, 0, 1, 0, 8, FlowP2P, 0, 0)
+		if id := fr.Begin(0, 0, 1, 0, 8, FlowP2P, 0, 0); id != (FlowID{}) {
+			t.Errorf("count-only Begin returned live id %+v", id)
+		}
 	}
 	fr.Emit(1, 0, 1, 0, 0, FlowMigratedRestore, 1, 2)
 	if len(fr.Flows()) != 0 {
@@ -112,7 +91,6 @@ func TestWriteFlowsJSONDeterministic(t *testing.T) {
 	}
 	var doc struct {
 		Procs   int    `json:"procs"`
-		Sample  int    `json:"sample"`
 		Started int64  `json:"started"`
 		Flows   []Flow `json:"flows"`
 	}

@@ -123,7 +123,7 @@ func TestFlowsAttributeMigratedBlocks(t *testing.T) {
 
 	// The comm matrix carries the same attribution: the restore link and
 	// the new owner's payload link both exist.
-	rep := analyze.Analyze(analyze.FromObserver(c.Obs()), analyze.Config{})
+	rep := analyze.Analyze(analyze.FromObserver(c.Obs()))
 	var restoreLink, payloadLink bool
 	for _, l := range rep.CommMatrix {
 		if l.Src == 4 && l.Dst == newOwner && l.Bytes > 0 {
@@ -142,15 +142,17 @@ func TestFlowsAttributeMigratedBlocks(t *testing.T) {
 // TestFlowRecorderNoVirtualTimeOverhead: flow instrumentation reads the
 // virtual clocks but never advances them, so modeled times must be
 // bit-identical whether flows are fully recorded, counted only, or the
-// run is not observed at all — and sampling must keep the send counts
-// exact while dropping the records.
+// run is not observed at all — and count-only mode must keep the send
+// counts exact while dropping the records.
 func TestFlowRecorderNoVirtualTimeOverhead(t *testing.T) {
 	vol := synth.Sinusoid(17, 2)
-	run := func(observe bool, sample int) *Result {
+	run := func(observe, countOnly bool) *Result {
 		cfg := mpsim.Config{Procs: 8}
 		if observe {
 			cfg.Obs = obs.New(8)
-			cfg.Obs.FlowRecorder().SetSample(sample)
+			if countOnly {
+				cfg.Obs.FlowRecorder().CountOnly()
+			}
 		}
 		c, err := mpsim.New(cfg)
 		if err != nil {
@@ -166,9 +168,9 @@ func TestFlowRecorderNoVirtualTimeOverhead(t *testing.T) {
 		}
 		return res
 	}
-	full := run(true, 0)
-	counted := run(true, -1)
-	bare := run(false, 0)
+	full := run(true, false)
+	counted := run(true, true)
+	bare := run(false, false)
 	if full.Times != counted.Times || full.Times != bare.Times {
 		t.Errorf("flow recording changed virtual time:\nfull    %+v\ncounted %+v\nbare    %+v",
 			full.Times, counted.Times, bare.Times)
@@ -177,7 +179,7 @@ func TestFlowRecorderNoVirtualTimeOverhead(t *testing.T) {
 		t.Errorf("count-only mode stored %d records", n)
 	}
 	if full.Trace.Flows().Started() != counted.Trace.Flows().Started() {
-		t.Errorf("Started drifted under sampling: %d vs %d",
+		t.Errorf("Started drifted in count-only mode: %d vs %d",
 			full.Trace.Flows().Started(), counted.Trace.Flows().Started())
 	}
 	if full.Trace.Flows().Started() == 0 {

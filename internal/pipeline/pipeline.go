@@ -118,7 +118,8 @@ type Result struct {
 	// simplification but before any merging — the size the output
 	// would have had without stage two.
 	RawNodes int
-	// BytesSent totals point-to-point payload bytes across ranks.
+	// BytesSent totals the payload bytes sent across ranks, collective
+	// traffic included (collectives send through Rank.Send too).
 	BytesSent int64
 	// ComputeMean is the mean per-rank duration of the compute stage;
 	// Times.Compute is the max. Their ratio measures load imbalance

@@ -201,12 +201,6 @@ type Options struct {
 	// them with WriteChromeTrace / WritePrometheus. When false (the
 	// default) every instrumentation hook is a nil no-op.
 	Trace bool
-	// FlowSample tunes the per-message flow recorder of a traced run:
-	// 0 or 1 records every message (the default), n > 1 keeps every
-	// n-th per emitter, and any negative value counts flows without
-	// storing records (see obs.FlowRecorder.SetSample). Ignored when
-	// Trace is off.
-	FlowSample int
 	// Log, when non-nil, receives structured run events (fault
 	// instants, checkpoint writes, recovery decisions) with a "vt"
 	// attribute tying each line to the virtual timeline; build one
@@ -230,7 +224,8 @@ type Result struct {
 	// blocks; Arcs counts alive arcs.
 	Nodes [4]int
 	Arcs  int
-	// BytesSent totals point-to-point communication payload.
+	// BytesSent totals the payload bytes every rank sent, collective
+	// traffic included (collectives send through Rank.Send too).
 	BytesSent int64
 	// Truncated counts (saddle, saddle) pairs whose arc multiplicity
 	// exceeded the tracer's cap and was clamped, summed over blocks.
@@ -277,9 +272,6 @@ func newObserver(opt Options) *obs.Observer {
 	}
 	ob := obs.New(opt.Procs)
 	ob.Log = opt.Log
-	if opt.FlowSample != 0 {
-		ob.FlowRecorder().SetSample(opt.FlowSample)
-	}
 	return ob
 }
 
