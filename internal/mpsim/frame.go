@@ -23,7 +23,6 @@ func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 // Frame wraps a payload in a length+checksum header.
 func Frame(payload []byte) []byte {
 	out := make([]byte, frameHeader+len(payload))
-	//msvet:allow rawframe: this IS the CRC frame writer the rule funnels everything into
 	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(out[4:8], Checksum(payload))
 	copy(out[frameHeader:], payload)

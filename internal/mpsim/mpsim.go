@@ -480,16 +480,8 @@ const AnySource = -1
 // sending, as a real MPI program must not reuse a buffer before the
 // matching receive completes.
 func (r *Rank) Send(dst, tag int, data []byte) {
-	if err := r.TrySend(dst, tag, data); err != nil {
-		panic(err.Error())
-	}
-}
-
-// TrySend is Send returning an error instead of panicking on an invalid
-// destination, for callers that must degrade gracefully.
-func (r *Rank) TrySend(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= r.Size() {
-		return fmt.Errorf("mpsim: send to invalid rank %d (size %d)", dst, r.Size())
+		panic(fmt.Sprintf("mpsim: send to invalid rank %d (size %d)", dst, r.Size()))
 	}
 	m := r.cluster.machine
 	hops := r.cluster.net.Hops(r.cluster.node(r.id), r.cluster.node(dst))
@@ -520,7 +512,6 @@ func (r *Rank) TrySend(dst, tag int, data []byte) error {
 			src: r.id, tag: tag, data: d.Data, arrival: a, flow: fid,
 		})
 	}
-	return nil
 }
 
 // flowKind classifies a tag for flow records: collective-tag traffic
@@ -570,16 +561,6 @@ func (r *Rank) countRecv(n int) {
 	r.msgsRecv++
 	r.cluster.metrics.bytesRecv.Add(int64(n))
 	r.cluster.metrics.msgsRecv.Add(1)
-}
-
-// TryRecv is Recv returning an error instead of panicking on an invalid
-// source.
-func (r *Rank) TryRecv(src, tag int) ([]byte, int, error) {
-	if src != AnySource && (src < 0 || src >= r.Size()) {
-		return nil, 0, fmt.Errorf("mpsim: recv from invalid rank %d (size %d)", src, r.Size())
-	}
-	data, from := r.Recv(src, tag)
-	return data, from, nil
 }
 
 // RecvTimeout is Recv with a virtual-time deadline of Clock()+timeout.

@@ -13,7 +13,7 @@ var wantRe = regexp.MustCompile("// want `([^`]*)`")
 // CheckFixture is the analysistest-style regression harness: it runs
 // the analyzers over the package in dir — type-checked under pkgPath,
 // which places the fixture anywhere in the package namespace (a
-// deterministic path for wallclock, a non-framing path for rawframe) —
+// deterministic path for wallclock, a kernel package for kernel) —
 // and compares findings against the fixture's `// want "re"` comments
 // line by line. It returns one human-readable mismatch per problem:
 // expected-but-missing, reported-but-unexpected, or pattern mismatch.
@@ -22,17 +22,9 @@ func CheckFixture(l *Loader, dir, pkgPath string, analyzers []*Analyzer, checkAl
 	if err != nil {
 		return nil, err
 	}
-	facts := &Facts{}
-	findings, err := RunPackage(p, analyzers, checkAllows, facts)
+	findings, err := RunPackage(p, analyzers, checkAllows)
 	if err != nil {
 		return nil, err
-	}
-	// Repo-wide verdicts (sendrecv pairing) run over the fixture
-	// package alone, as if it were the whole module.
-	for _, a := range analyzers {
-		if a.Finish != nil {
-			findings = append(findings, a.Finish(facts)...)
-		}
 	}
 
 	type want struct {

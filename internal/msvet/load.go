@@ -59,12 +59,6 @@ func NewLoader(modRoot, modPath string) *Loader {
 	}
 }
 
-// ModPath returns the module path the loader is rooted at.
-func (l *Loader) ModPath() string { return l.modPath }
-
-// ModRoot returns the module root directory.
-func (l *Loader) ModRoot() string { return l.modRoot }
-
 // ModuleRoot walks up from dir to the directory holding go.mod and
 // returns it with the module path parsed from the first module line.
 func ModuleRoot(dir string) (root, modPath string, err error) {

@@ -1,9 +1,8 @@
-// Package msvet is a repo-specific static-analysis suite that enforces
-// the determinism and message-passing invariants the reproduction's
-// guarantees rest on: byte-identical same-seed traces, byte-exact
-// checkpoint restores, and deterministic fault replay (DESIGN §10–§11).
-// Collective order is checked at run time by mpsim's ledger instead
-// (DESIGN §16).
+// Package msvet is a repo-specific static-analysis suite for invariants
+// a runtime test only samples on the paths it happens to run: same-seed
+// determinism (no host clock, no escaping map order on the simulated
+// path) and allocation-free hot kernels (DESIGN §11). Message pairing,
+// collective order and on-disk framing are left to runtime tests.
 //
 // The suite is deliberately built on the standard library alone
 // (go/ast, go/parser, go/types) rather than golang.org/x/tools/go/
@@ -43,17 +42,6 @@ type Analyzer struct {
 	Applies func(pkgPath string) bool
 	// Run inspects one package and reports findings through pass.Report.
 	Run func(pass *Pass) error
-	// Finish, if set, runs once after every package has been analyzed
-	// and returns repo-wide findings over what Run recorded in the
-	// run's Facts — verdicts (like send/recv tag pairing) that no
-	// single package can decide.
-	Finish func(facts *Facts) []Finding
-}
-
-// Facts is what analyzers record across the packages of one run for
-// their Finish hooks.
-type Facts struct {
-	SendTags, RecvTags []TagUse
 }
 
 // A Pass carries one type-checked package through one analyzer.
@@ -64,12 +52,6 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	Report   func(Diagnostic)
-	// Allowed reports whether a justified //msvet:allow annotation of
-	// this analyzer covers pos, and marks that annotation live — for
-	// sites judged repo-wide in Finish rather than reported here.
-	Allowed func(pos token.Pos) bool
-	// Facts is shared by every package of the run.
-	Facts *Facts
 }
 
 // A Diagnostic is one finding at a source position.
@@ -88,15 +70,11 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WallclockAnalyzer,
 		MaporderAnalyzer,
-		DroppederrAnalyzer,
-		RawframeAnalyzer,
-		SpanbalanceAnalyzer,
 		KernelAnalyzer,
-		SendrecvAnalyzer,
 	}
 }
 
-// byName resolves an analyzer name, for -run flags and allow parsing.
+// byName resolves an analyzer name, for allow parsing.
 func byName(name string) *Analyzer {
 	for _, a := range Analyzers() {
 		if a.Name == name {
@@ -117,13 +95,6 @@ var deterministicPkgs = map[string]bool{
 	"parms/internal/gradient":  true,
 	"parms/internal/mpsim":     true,
 	"parms/internal/obs":       true,
-}
-
-// framingPkgs are the only packages allowed to lay down raw on-disk
-// bytes: everything else must go through their CRC framing.
-var framingPkgs = map[string]bool{
-	"parms/internal/pario":  true,
-	"parms/internal/serial": true,
 }
 
 // allowMarker introduces a suppression annotation.
@@ -192,8 +163,8 @@ func (f Finding) String() string {
 // checkAllows is true (the full suite is running), malformed and unused
 // annotations are reported as findings of the pseudo-analyzer
 // "msvet:allow" — drift in the escape hatches fails the build just like
-// a live violation. Run hooks record repo-wide facts into facts.
-func RunPackage(p *Package, analyzers []*Analyzer, checkAllows bool, facts *Facts) ([]Finding, error) {
+// a live violation.
+func RunPackage(p *Package, analyzers []*Analyzer, checkAllows bool) ([]Finding, error) {
 	type allowIndex struct {
 		byLine map[string]map[int]*allowRec
 		all    []*allowRec
@@ -227,8 +198,6 @@ func RunPackage(p *Package, analyzers []*Analyzer, checkAllows bool, facts *Fact
 			Files:    p.Files,
 			Pkg:      p.Pkg,
 			Info:     p.Info,
-			Allowed:  allowed,
-			Facts:    facts,
 			Report: func(d Diagnostic) {
 				if !allowed(d.Pos) {
 					findings = append(findings, Finding{Pos: p.Fset.Position(d.Pos), Analyzer: a.Name, Message: d.Message})

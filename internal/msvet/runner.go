@@ -1,42 +1,28 @@
 package msvet
 
-// runner.go is the analysis driver: one sequential pass over the
-// requested packages in sorted order, then the repo-wide Finish hooks
-// over the facts the pass recorded. This is the one entry point
-// cmd/msvet and the repo-clean test share, so their findings are
-// identical.
+// runner.go is the analysis driver: one sequential pass of the full
+// suite over the requested packages in sorted order. This is the one
+// entry point cmd/msvet and the repo-clean test share, so their
+// findings are identical.
 
 import "sort"
 
-// A Runner executes the analyzer suite over a set of module packages.
-type Runner struct {
-	Loader      *Loader
-	Analyzers   []*Analyzer
-	CheckAllows bool
-}
-
-// Run analyzes the given module packages and returns the merged,
-// position-sorted findings (per-package analyzers plus Finish hooks).
-func (r *Runner) Run(paths []string) ([]Finding, error) {
+// Run analyzes the given module packages with every analyzer, checks
+// allow hygiene, and returns the merged, position-sorted findings.
+func Run(l *Loader, paths []string) ([]Finding, error) {
 	paths = append([]string(nil), paths...)
 	sort.Strings(paths)
-	facts := &Facts{}
 	var findings []Finding
 	for _, path := range paths {
-		p, err := r.Loader.Load(path)
+		p, err := l.Load(path)
 		if err != nil {
 			return nil, err
 		}
-		fs, err := RunPackage(p, r.Analyzers, r.CheckAllows, facts)
+		fs, err := RunPackage(p, Analyzers(), true)
 		if err != nil {
 			return nil, err
 		}
 		findings = append(findings, fs...)
-	}
-	for _, a := range r.Analyzers {
-		if a.Finish != nil {
-			findings = append(findings, a.Finish(facts)...)
-		}
 	}
 	sortFindings(findings)
 	return findings, nil

@@ -52,9 +52,7 @@ func RootedGather(r *mpsim.Rank, payload []byte) int {
 
 // CheckedExchange handles every fault-carrying result.
 func CheckedExchange(r *mpsim.Rank, data []byte) ([]byte, error) {
-	if err := r.TrySend((r.ID()+1)%r.Size(), 9, data); err != nil {
-		return nil, err
-	}
+	r.Send((r.ID()+1)%r.Size(), 9, data)
 	payload, _, ok := r.RecvTimeout(mpsim.AnySource, 9, vtime.Time(10))
 	if !ok {
 		return nil, nil

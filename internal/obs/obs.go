@@ -208,32 +208,6 @@ func (t *RankTracer) Instant(name string, ts vtime.Time, attrs ...Attr) {
 	t.mu.Unlock()
 }
 
-// OpenSpan is a span opened with Begin and awaiting its End. The zero
-// OpenSpan (and any OpenSpan from a nil tracer) ends as a no-op.
-//
-// Every Begin must be matched by exactly one End on every path through
-// the function — a span left open corrupts the timeline-tiling
-// invariant. The msvet spanbalance analyzer enforces this.
-type OpenSpan struct {
-	t     *RankTracer
-	name  string
-	start vtime.Time
-}
-
-// Begin opens a span at start; the returned handle records it when End
-// is called. On a nil tracer the handle is inert.
-func (t *RankTracer) Begin(name string, start vtime.Time) OpenSpan {
-	if t == nil {
-		return OpenSpan{}
-	}
-	return OpenSpan{t: t, name: name, start: start}
-}
-
-// End records the opened span, closing it at end.
-func (s OpenSpan) End(end vtime.Time, attrs ...Attr) {
-	s.t.Span(s.name, s.start, end, attrs...)
-}
-
 // Enabled reports whether this handle records anything, so callers can
 // skip attribute computation entirely on the fast path.
 func (t *RankTracer) Enabled() bool { return t != nil }
