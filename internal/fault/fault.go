@@ -429,12 +429,10 @@ type Report struct {
 	// IORetries counts filesystem operations retried after transient
 	// errors.
 	IORetries int
-	// LostBlocks lists blocks whose in-memory complex was lost to a
-	// crash, drop or corruption (sorted, deduplicated after
-	// aggregation).
-	LostBlocks []int
 	// RecoveredBlocks lists blocks rebuilt by recompute (sorted,
-	// deduplicated after aggregation).
+	// deduplicated after aggregation). Its union with RestoredBlocks is
+	// every block whose in-memory complex was lost to a crash, drop or
+	// corruption.
 	RecoveredBlocks []int
 	// RestoredBlocks lists blocks whose state came back from a
 	// merge-round checkpoint read (sorted, deduplicated after
@@ -460,7 +458,6 @@ type Report struct {
 
 // Normalize sorts and deduplicates the block lists.
 func (r *Report) Normalize() {
-	r.LostBlocks = sortDedup(r.LostBlocks)
 	r.RecoveredBlocks = sortDedup(r.RecoveredBlocks)
 	r.RestoredBlocks = sortDedup(r.RestoredBlocks)
 	r.MigratedBlocks = sortDedup(r.MigratedBlocks)
@@ -471,20 +468,19 @@ func (r *Report) Faulty() bool {
 	return r.RankCrashes != 0 || r.Timeouts != 0 || r.Corruptions != 0 ||
 		r.Recomputes != 0 || r.CheckpointRestores != 0 ||
 		r.CheckpointFallbacks != 0 || r.IORetries != 0 ||
-		len(r.LostBlocks) != 0 || len(r.RecoveredBlocks) != 0 ||
-		len(r.RestoredBlocks) != 0 ||
+		len(r.RecoveredBlocks) != 0 || len(r.RestoredBlocks) != 0 ||
 		r.Migrations != 0 || len(r.MigratedBlocks) != 0
 }
 
 func (r *Report) String() string {
 	return fmt.Sprintf(
-		"crashes=%d timeouts=%d (wait=%.3fs) corruptions=%d recomputes=%d (cells=%d) restores=%d (bytes=%d, fallbacks=%d) ioRetries=%d migrations=%d gc=%d (bytes=%d) lost=%v recovered=%v restored=%v migrated=%v",
+		"crashes=%d timeouts=%d (wait=%.3fs) corruptions=%d recomputes=%d (cells=%d) restores=%d (bytes=%d, fallbacks=%d) ioRetries=%d migrations=%d gc=%d (bytes=%d) recovered=%v restored=%v migrated=%v",
 		r.RankCrashes, r.Timeouts, r.TimeoutWaitSeconds, r.Corruptions,
 		r.Recomputes, r.RecomputeCells,
 		r.CheckpointRestores, r.CheckpointBytesRead, r.CheckpointFallbacks,
 		r.IORetries, r.Migrations,
 		r.CheckpointsGCed, r.CheckpointGCBytes,
-		r.LostBlocks, r.RecoveredBlocks, r.RestoredBlocks, r.MigratedBlocks)
+		r.RecoveredBlocks, r.RestoredBlocks, r.MigratedBlocks)
 }
 
 func sortDedup(xs []int) []int {

@@ -148,12 +148,12 @@ func TestFSRules(t *testing.T) {
 
 func TestReportNormalize(t *testing.T) {
 	a := &Report{RankCrashes: 1, Timeouts: 2, Corruptions: 1, Recomputes: 2, IORetries: 4,
-		LostBlocks: []int{5, 3, 3, 9}, RecoveredBlocks: []int{3, 9, 5}}
+		RestoredBlocks: []int{5, 3, 3, 9}, RecoveredBlocks: []int{3, 9, 5}}
 	a.Normalize()
 	if a.RankCrashes != 1 || a.Timeouts != 2 || a.Corruptions != 1 || a.Recomputes != 2 || a.IORetries != 4 {
 		t.Fatalf("counts: %s", a)
 	}
-	if fmt.Sprint(a.LostBlocks) != "[3 5 9]" || fmt.Sprint(a.RecoveredBlocks) != "[3 5 9]" {
+	if fmt.Sprint(a.RestoredBlocks) != "[3 5 9]" || fmt.Sprint(a.RecoveredBlocks) != "[3 5 9]" {
 		t.Fatalf("blocks: %s", a)
 	}
 	if !a.Faulty() {
@@ -162,7 +162,7 @@ func TestReportNormalize(t *testing.T) {
 	if (&Report{}).Faulty() {
 		t.Fatal("empty report Faulty")
 	}
-	if !strings.Contains(a.String(), "lost=[3 5 9]") {
+	if !strings.Contains(a.String(), "restored=[3 5 9]") {
 		t.Fatalf("String: %s", a)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // read, replaying any later rounds locally — turning late-round
 // recovery from O(subtree recompute) into O(payload read). Writes are
 // independent (no collective synchronization) and non-fatal: a failed
-// or corrupted checkpoint only means recovery falls back to Rebuild.
+// or corrupted checkpoint only means recovery falls back to rebuild.
 type Checkpoint struct {
 	// Dir is the checkpoint directory on the simulated filesystem;
 	// empty selects "ckpt".
@@ -28,8 +28,8 @@ type Checkpoint struct {
 	// GC reclaims superseded checkpoints: once a root's round-r state is
 	// safely on disk, the older checkpoints of every block in its
 	// subtree cover strictly less progress and are deleted. The trade:
-	// if the new file is later found corrupted, Restore can no longer
-	// probe an older round and recovery degrades to Rebuild — still
+	// if the new file is later found corrupted, restore can no longer
+	// probe an older round and recovery degrades to rebuild — still
 	// correct, just slower. GC runs only after a successful write.
 	GC bool
 }
@@ -158,13 +158,13 @@ func (c *Checkpoint) read(r *mpsim.Rank, k, block int) (*mscomplex.Complex, int6
 	return ms, size
 }
 
-// Restore serves the complex block carries entering the given round
+// restore serves the complex block carries entering the given round
 // from the newest valid checkpoint covering it: it probes rounds
 // round-1 down to 0 for a checkpoint of block, and on a hit replays any
 // later rounds locally (members recovered recursively, checkpoint
 // first). ok is false when no checkpoint validates — including when no
-// Checkpoint policy is configured — and the caller should Rebuild.
-func Restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, bool, error) {
+// Checkpoint policy is configured — and the caller should rebuild.
+func restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, bool, error) {
 	c := opts.Checkpoint
 	if c == nil {
 		return nil, false, nil
@@ -213,7 +213,6 @@ func Restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 				end = nblocks
 			}
 			for b := block; b < end; b++ {
-				opts.Report.LostBlocks = append(opts.Report.LostBlocks, b)
 				opts.Report.RestoredBlocks = append(opts.Report.RestoredBlocks, b)
 			}
 		}
@@ -250,12 +249,12 @@ func Restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 // restored from the newest valid checkpoint when one validates, rebuilt
 // deterministically from source data otherwise.
 func Recover(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, error) {
-	ms, ok, err := Restore(r, sched, nblocks, block, round, opts)
+	ms, ok, err := restore(r, sched, nblocks, block, round, opts)
 	if err != nil {
 		return nil, err
 	}
 	if ok {
 		return ms, nil
 	}
-	return Rebuild(r, sched, nblocks, block, round, opts)
+	return rebuild(r, sched, nblocks, block, round, opts)
 }

@@ -39,11 +39,11 @@ type Options struct {
 	// Recompute rebuilds one original block's simplified, compacted
 	// complex from source data, charging the work to r's clock. When
 	// set, Execute degrades gracefully: a member that times out or
-	// arrives corrupted is excluded from its group's glue, recorded,
-	// and deterministically reconstructed — the compute stage is
-	// deterministic, so the rebuilt subtree is identical to the lost
-	// one. When nil, any missing block is a hard error (the
-	// pre-fault-tolerance behavior).
+	// arrives corrupted is recorded, recovered through Recover and glued
+	// in member order — the compute stage and the merge are
+	// deterministic, so the recovered subtree is identical to the lost
+	// one and the output matches the fault-free run byte for byte. When
+	// nil (and Checkpoint is nil), any missing block is a hard error.
 	Recompute func(r *mpsim.Rank, block int) (*mscomplex.Complex, error)
 	// Report, when non-nil, accumulates this rank's observed fault
 	// events.
@@ -65,7 +65,7 @@ type Options struct {
 	// a newly-observed failure every rank applies the same ownership
 	// update, and the new owners recover the migrated blocks from the
 	// dead rank's checkpoints (the files are keyed by (round, block),
-	// not rank, so discovery is a plain Restore probe) or recompute
+	// not rank, so discovery is a plain checkpoint probe) or recompute
 	// them. Off by default: the exchange costs one collective per
 	// round, so fault-free modeled times are unchanged unless asked
 	// for.
@@ -83,13 +83,14 @@ type Options struct {
 // Every payload travels in a length+CRC32C frame (mpsim.Frame); a root
 // never glues bytes that fail the checksum. With Options.Recompute set,
 // Execute survives rank crashes (at "merge:<round>" checkpoints),
-// dropped, delayed and corrupted messages: affected blocks are excluded
-// from the round, recomputed, and glued back in before the next round,
-// so the surviving complex matches the fault-free run. With
+// dropped, delayed and corrupted messages: every lost root or member is
+// recovered through Recover before its glue, in member order, so the
+// surviving complex is byte-identical to the fault-free run. With
 // Options.Migrate, a crashed rank's blocks additionally change owner
 // instead of being recovered in place on the restarted rank.
 func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*mscomplex.Complex, opts Options) ([]RoundStats, error) {
 	procs := r.Size()
+	canRecover := opts.Recompute != nil || opts.Checkpoint != nil
 	tr := r.Tracer()
 	reg := r.Metrics()
 	payloadHist := reg.Histogram("merge_payload_bytes")
@@ -206,8 +207,10 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 				payload := mpsim.Frame(ms.Serialize())
 				w := vtime.Work{BytesCoded: int64(len(payload))}
 				r.Compute(w)
-				tr.Span("serialize", serStart, r.Clock(),
-					obs.I("block", int64(m)), obs.I("bytes", int64(len(payload))))
+				if tr.Enabled() {
+					tr.Span("serialize", serStart, r.Clock(),
+						obs.I("block", int64(m)), obs.I("bytes", int64(len(payload))))
+				}
 				payloadHist.Observe(int64(len(payload)))
 				payloadPeak.SetMax(float64(len(payload)))
 				if restoredFrom >= 0 {
@@ -225,16 +228,16 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 		}
 
 		// Phase 2: every root owned by this rank receives the group
-		// members, glues them in member order, and re-simplifies.
-		// Members that time out or fail the checksum are excluded here
-		// and recovered below, before the next round.
+		// members, glues them in member order, and re-simplifies. A
+		// member that times out or fails the checksum is recovered in
+		// its place in that order.
 		for _, g := range groups {
 			if owners.Owner(g.Root) != r.ID() {
 				continue
 			}
 			root, ok := complexes[g.Root]
 			if !ok {
-				if opts.Recompute == nil && opts.Checkpoint == nil {
+				if !canRecover {
 					return nil, fmt.Errorf("merge: rank %d does not hold root block %d", r.ID(), g.Root)
 				}
 				restoreStart := r.Clock()
@@ -251,7 +254,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 						tagMergeBase+round*16, 0, restoreStart)
 				}
 			}
-			var missing []int
 			for _, m := range g.Members {
 				if m == g.Root {
 					continue
@@ -265,7 +267,7 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					var ok bool
 					payload, _, ok = r.RecvTimeout(srcRank, tag, opts.Timeout)
 					if !ok {
-						if opts.Recompute == nil && opts.Checkpoint == nil {
+						if !canRecover {
 							return nil, fmt.Errorf("merge: timeout waiting for block %d from rank %d", m, srcRank)
 						}
 						// The wait is real virtual time this root lost
@@ -297,7 +299,7 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					var err error
 					other, err = decodeMember(payload)
 					if err != nil {
-						if opts.Recompute == nil && opts.Checkpoint == nil {
+						if !canRecover {
 							return nil, fmt.Errorf("merge: block %d from rank %d: %w", m, srcRank, err)
 						}
 						if opts.Report != nil {
@@ -313,21 +315,15 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					}
 				}
 				if other == nil {
-					// The newest valid checkpoint holds the exact complex
-					// this member would have sent, so gluing it here, in
-					// member order, keeps the merged output byte-identical
-					// to the fault-free run. Only when no checkpoint
-					// validates does the subtree drop to the post-simplify
-					// Rebuild path below.
-					restored, ok, err := Restore(r, sched, nblocks, m, round, opts)
+					// The recovered complex is the one this member would
+					// have sent, so gluing it here, in member order, keeps
+					// the merged output byte-identical to the fault-free
+					// run.
+					recovered, err := Recover(r, sched, nblocks, m, round, opts)
 					if err != nil {
-						return nil, fmt.Errorf("merge: restore block %d: %w", m, err)
+						return nil, fmt.Errorf("merge: recover block %d: %w", m, err)
 					}
-					if !ok {
-						missing = append(missing, m)
-						continue
-					}
-					other = restored
+					other = recovered
 				}
 				glueStart := r.Clock()
 				if len(payload) > 0 {
@@ -336,8 +332,10 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 				workBefore := root.Work
 				root.Glue(other)
 				r.Compute(workDelta(root.Work, workBefore))
-				tr.Span("glue", glueStart, r.Clock(),
-					obs.I("block", int64(m)), obs.I("bytes", int64(len(payload))))
+				if tr.Enabled() {
+					tr.Span("glue", glueStart, r.Clock(),
+						obs.I("block", int64(m)), obs.I("bytes", int64(len(payload))))
+				}
 			}
 			simpStart := r.Clock()
 			workBefore := root.Work
@@ -350,23 +348,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					obs.I("nodes", int64(n[0]+n[1]+n[2]+n[3])), obs.I("arcs", int64(a)))
 			}
 
-			// Recovery: rebuild each excluded member's subtree and glue
-			// it in before the next round. Excluded subtrees stayed
-			// outside compacted.Region, so their shared-boundary nodes
-			// were protected from the simplification above, exactly as
-			// in a fault-free merge order.
-			for _, m := range missing {
-				rebuilt, err := Rebuild(r, sched, nblocks, m, round, opts)
-				if err != nil {
-					return nil, fmt.Errorf("merge: rebuild block %d: %w", m, err)
-				}
-				workBefore := compacted.Work
-				compacted.Glue(rebuilt)
-				compacted.Simplify(mscomplex.SimplifyOptions{Threshold: opts.Threshold})
-				next := compacted.Compact()
-				r.Compute(workDelta(next.Work, workBefore))
-				compacted = next
-			}
 			if opts.Checkpoint.writesAfter(round) {
 				opts.Checkpoint.write(r, sched, nblocks, round, g.Root, compacted, opts.Report)
 			}
@@ -410,7 +391,7 @@ func decodeMember(payload []byte) (*mscomplex.Complex, error) {
 	return mscomplex.Deserialize(inner)
 }
 
-// Rebuild deterministically reconstructs the merged complex that block
+// rebuild deterministically reconstructs the merged complex that block
 // carries entering the given round: the per-block complexes of its
 // subtree (the stride-sized id range the earlier rounds folded into it)
 // recomputed from source data via opts.Recompute, then the earlier
@@ -419,7 +400,7 @@ func decodeMember(payload []byte) (*mscomplex.Complex, error) {
 // compute stage and the merge are deterministic, the result is
 // identical to the complex that was lost. The work performed is charged
 // to r's virtual clock, so recovery cost is visible in the trace.
-func Rebuild(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, error) {
+func rebuild(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, error) {
 	if opts.Recompute == nil {
 		return nil, fmt.Errorf("merge: no recompute callback")
 	}
@@ -439,7 +420,6 @@ func Rebuild(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 		// RecomputeCells is recorded inside the Recompute callback,
 		// where the gradient pass that visits them runs.
 		if opts.Report != nil {
-			opts.Report.LostBlocks = append(opts.Report.LostBlocks, b)
 			opts.Report.RecoveredBlocks = append(opts.Report.RecoveredBlocks, b)
 		}
 	}

@@ -1,19 +1,16 @@
 // A known-clean mini-module for the end-to-end multichecker test: it
 // exercises the legal idiom next to every invariant — seeded
-// randomness, collect-then-sort map iteration, hoisted collectives,
-// handled fault-path errors, and frame-free number packing — and must
-// produce zero findings under the full suite. A broken analyzer that
+// randomness, collect-then-sort map iteration and hoisted collectives —
+// and must produce zero findings under the full suite. A broken analyzer that
 // starts flagging legal code fails this test loudly instead of
 // silently passing the repo.
 package clean
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"sort"
 
 	"parms/internal/mpsim"
-	"parms/internal/vtime"
 )
 
 // SortedTotals drains a map deterministically: keys sorted before any
@@ -48,22 +45,4 @@ func RootedGather(r *mpsim.Rank, payload []byte) int {
 		}
 	}
 	return total
-}
-
-// CheckedExchange handles every fault-carrying result.
-func CheckedExchange(r *mpsim.Rank, data []byte) ([]byte, error) {
-	r.Send((r.ID()+1)%r.Size(), 9, data)
-	payload, _, ok := r.RecvTimeout(mpsim.AnySource, 9, vtime.Time(10))
-	if !ok {
-		return nil, nil
-	}
-	return payload, nil
-}
-
-// PackPair packs two numbers — no length prefix, no framing.
-func PackPair(a, b uint64) []byte {
-	buf := make([]byte, 16)
-	binary.LittleEndian.PutUint64(buf[:8], a)
-	binary.LittleEndian.PutUint64(buf[8:], b)
-	return buf
 }

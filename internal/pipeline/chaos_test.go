@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -45,6 +46,32 @@ func runChaos(t *testing.T, procs int, plan *fault.Plan, grace time.Duration,
 
 func blockList(blocks []int) string { return fmt.Sprint(blocks) }
 
+// lostBlocks lists every block whose complex the run lost: the sorted
+// union of the blocks restored from a checkpoint and those rebuilt.
+func lostBlocks(rep fault.Report) string {
+	lost := slices.Concat(rep.RestoredBlocks, rep.RecoveredBlocks)
+	slices.Sort(lost)
+	return blockList(slices.Compact(lost))
+}
+
+// outputBytes returns the output file a run on c wrote.
+func outputBytes(t *testing.T, c *mpsim.Cluster) []byte {
+	t.Helper()
+	out, err := c.FS().Get("vol.msc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkBytes fails t unless the run on c wrote exactly want.
+func checkBytes(t *testing.T, c *mpsim.Cluster, want []byte) {
+	t.Helper()
+	if got := outputBytes(t, c); !bytes.Equal(got, want) {
+		t.Errorf("output differs from fault-free run (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
 // TestChaosSurvivesCrashDropAndCorruption is the headline fault drill:
 // a 64-rank full-merge run of the sinusoid volume with a rank crash, a
 // dropped merge payload and a corrupted merge payload injected. The run
@@ -57,13 +84,14 @@ func TestChaosSurvivesCrashDropAndCorruption(t *testing.T) {
 		Blocks: 64, Radices: []int{8, 8}, Persistence: 0.1,
 	}
 
-	_, clean, err := runChaos(t, 64, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 64, nil, 0, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep := clean.FaultReport; rep.Faulty() {
 		t.Fatalf("fault-free run reports faults: %v", rep)
 	}
+	cleanBytes := outputBytes(t, c)
 
 	// Rank 5 crashes after the compute stage (its block 5 complex is
 	// lost and never sent); rank 3's first merge payload to rank 0 is
@@ -95,19 +123,18 @@ func TestChaosSurvivesCrashDropAndCorruption(t *testing.T) {
 		t.Errorf("Recomputes = %d, want 3", rep.Recomputes)
 	}
 	want := blockList([]int{3, 5, 6})
-	if blockList(rep.LostBlocks) != want || blockList(rep.RecoveredBlocks) != want {
-		t.Errorf("lost %v recovered %v, want %s both", rep.LostBlocks, rep.RecoveredBlocks, want)
+	if lostBlocks(rep) != want || blockList(rep.RecoveredBlocks) != want {
+		t.Errorf("lost %v recovered %v, want %s both", lostBlocks(rep), rep.RecoveredBlocks, want)
 	}
 	if len(plan.Injected()) != 3 {
 		t.Errorf("injection log: %v", plan.Injected())
 	}
 
-	// Graceful degradation must be invisible in the output: identical
-	// surviving critical-point counts and a loadable, checksummed
-	// output file. (Arc multiplicities may differ: recovery glues the
-	// rebuilt subtree after the on-time members, and cancellation order
-	// affects which geometric arcs merge — the persistent critical
-	// points are order-invariant.)
+	// Graceful degradation must be invisible in the output: every lost
+	// member is rebuilt and glued in its place in member order, so the
+	// output file is byte-identical to the fault-free one and loads
+	// with the same critical-point counts.
+	checkBytes(t, fs, cleanBytes)
 	if res.Nodes != clean.Nodes {
 		t.Errorf("faulty run nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
@@ -246,13 +273,14 @@ func TestChaosSingleDropAlwaysRecovers(t *testing.T) {
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{8}, Persistence: 0.2,
 	}
-	_, clean, err := runChaos(t, 8, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 8, nil, 0, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cleanBytes := outputBytes(t, c)
 	for src := 1; src < 8; src++ {
 		plan := fault.NewPlan(int64(src)).DropMessage(src, 0, 1)
-		_, res, err := runChaos(t, 8, plan, 500*time.Millisecond, params, vol)
+		fs, res, err := runChaos(t, 8, plan, 500*time.Millisecond, params, vol)
 		if err != nil {
 			t.Errorf("drop %d->0: run failed: %v", src, err)
 			continue
@@ -260,8 +288,12 @@ func TestChaosSingleDropAlwaysRecovers(t *testing.T) {
 		if res.Nodes != clean.Nodes {
 			t.Errorf("drop %d->0: nodes %v, want %v", src, res.Nodes, clean.Nodes)
 		}
+		if got := outputBytes(t, fs); !bytes.Equal(got, cleanBytes) {
+			t.Errorf("drop %d->0: output differs from fault-free run (%d vs %d bytes)",
+				src, len(got), len(cleanBytes))
+		}
 		rep := res.FaultReport
-		if rep.Timeouts != 1 || blockList(rep.LostBlocks) != blockList([]int{src}) {
+		if rep.Timeouts != 1 || lostBlocks(rep) != blockList([]int{src}) {
 			t.Errorf("drop %d->0: report %v", src, rep)
 		}
 	}
@@ -276,13 +308,13 @@ func TestChaosCrashAtMergeRound(t *testing.T) {
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{2, 2}, Persistence: 0.2,
 	}
-	_, clean, err := runChaos(t, 4, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 4, nil, 0, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Rank 2 owns block 2, the root of round 0's {2,3} group.
 	plan := fault.NewPlan(7).CrashRank(2, "merge:1")
-	_, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +328,7 @@ func TestChaosCrashAtMergeRound(t *testing.T) {
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
+	checkBytes(t, fs, outputBytes(t, c))
 }
 
 // TestChaosCrashAtWrite: the rank holding the fully merged complex
@@ -307,7 +340,7 @@ func TestChaosCrashAtWrite(t *testing.T) {
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{2, 2}, Persistence: 0.2,
 	}
-	_, clean, err := runChaos(t, 4, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 4, nil, 0, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,6 +367,7 @@ func TestChaosCrashAtWrite(t *testing.T) {
 	if n != clean.Nodes {
 		t.Errorf("output nodes %v, want %v", n, clean.Nodes)
 	}
+	checkBytes(t, fs, outputBytes(t, c))
 }
 
 // TestChaosFlakyStorage: transient filesystem failures are retried and
@@ -344,14 +378,19 @@ func TestChaosFlakyStorage(t *testing.T) {
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{4}, Persistence: 0.2,
 	}
+	c, _, err := runChaos(t, 4, nil, 0, params, vol)
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan := fault.NewPlan(11).FailRead("vol", 2).FailWrite("vol.msc", 2)
-	_, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
 	if err != nil {
 		t.Fatalf("transient storage faults not survived: %v", err)
 	}
 	if res.FaultReport.IORetries < 4 {
 		t.Errorf("IORetries = %d, want >= 4", res.FaultReport.IORetries)
 	}
+	checkBytes(t, fs, outputBytes(t, c))
 
 	perm := fault.NewPlan(12).FailWrite("vol.msc", -1)
 	_, _, err = runChaos(t, 4, perm, 500*time.Millisecond, params, vol)
@@ -369,18 +408,19 @@ func TestChaosDuplicatedPayloadHarmless(t *testing.T) {
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{8}, Persistence: 0.2,
 	}
-	_, clean, err := runChaos(t, 8, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 8, nil, 0, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := fault.NewPlan(13).DuplicateMessage(2, 0, 1)
-	_, res, err := runChaos(t, 8, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 8, plan, 500*time.Millisecond, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
+	checkBytes(t, fs, outputBytes(t, c))
 	if res.FaultReport.Recomputes != 0 {
 		t.Errorf("duplicate forced %d recomputes", res.FaultReport.Recomputes)
 	}
@@ -390,11 +430,11 @@ func TestChaosDuplicatedPayloadHarmless(t *testing.T) {
 // 64-rank radix-4 merge with a rank crash injected at the start of each
 // round, run with checkpointing on and off. With checkpoints every
 // round, any crash after round 0 must be served entirely by a
-// checkpoint read — zero recomputes — and, because the restored complex
-// is the exact payload the crashed member would have sent, the output
-// file must be byte-identical to the fault-free run. A round-0 crash
-// has no checkpoint to restore from and must fall back to recompute;
-// with checkpoints off every crash recomputes.
+// checkpoint read — zero recomputes. A round-0 crash has no checkpoint
+// to restore from and must fall back to recompute; with checkpoints off
+// every crash recomputes. Either way the recovered complex is the exact
+// payload the crashed member would have sent, so every output file must
+// be byte-identical to the fault-free run.
 func TestChaosCheckpointRestoreByRound(t *testing.T) {
 	vol := synth.Sinusoid(33, 4)
 	base := Params{
@@ -402,14 +442,11 @@ func TestChaosCheckpointRestoreByRound(t *testing.T) {
 		Blocks: 64, Radices: []int{4, 4, 4}, Persistence: 0.1,
 		CheckpointEvery: 1,
 	}
-	fs, clean, err := runChaos(t, 64, nil, 0, base, vol)
+	c, clean, err := runChaos(t, 64, nil, 0, base, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanBytes, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanBytes := outputBytes(t, c)
 
 	// stride(r) = 1, 4, 16: the block that is a non-root member of the
 	// round-r group rooted at block 0, owned by the same-numbered rank.
@@ -434,11 +471,13 @@ func TestChaosCheckpointRestoreByRound(t *testing.T) {
 				if res.Nodes != clean.Nodes {
 					t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 				}
+				// Restored or rebuilt, the output is byte-identical to
+				// the fault-free file.
+				checkBytes(t, fs, cleanBytes)
 				switch {
 				case ckpt == 1 && round > 0:
 					// Late-round crash with checkpoints: recovery is a
-					// read, never a recompute, and the output is
-					// byte-identical to the fault-free file.
+					// read, never a recompute.
 					if rep.Recomputes != 0 || rep.RecomputeCells != 0 {
 						t.Errorf("recomputes = %d (cells %d), want 0 with a valid checkpoint",
 							rep.Recomputes, rep.RecomputeCells)
@@ -458,14 +497,6 @@ func TestChaosCheckpointRestoreByRound(t *testing.T) {
 					}
 					if blockList(rep.RestoredBlocks) != blockList(want) {
 						t.Errorf("restored %v, want %v", rep.RestoredBlocks, want)
-					}
-					got, err := fs.FS().Get("vol.msc")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, cleanBytes) {
-						t.Errorf("output differs from fault-free run (%d vs %d bytes)",
-							len(got), len(cleanBytes))
 					}
 				case ckpt == 1 && round == 0:
 					// Nothing checkpointed before round 0: the probe must
@@ -509,7 +540,7 @@ func TestChaosCorruptCheckpointFallsBack(t *testing.T) {
 		Radices: []int{2, 2}, Persistence: 0.2,
 		CheckpointEvery: 1,
 	}
-	_, clean, err := runChaos(t, 4, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 4, nil, 0, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +549,7 @@ func TestChaosCorruptCheckpointFallsBack(t *testing.T) {
 	plan := fault.NewPlan(21).
 		CrashRank(2, "merge:1").
 		CorruptRead(pario.CheckpointName("ckpt", 0, 2), -1)
-	_, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,6 +567,7 @@ func TestChaosCorruptCheckpointFallsBack(t *testing.T) {
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
+	checkBytes(t, fs, outputBytes(t, c))
 }
 
 // TestChaosCrashAtWriteRestoresFromCheckpoint: with checkpointing on,
@@ -549,11 +581,7 @@ func TestChaosCrashAtWriteRestoresFromCheckpoint(t *testing.T) {
 		Radices: []int{2, 2}, Persistence: 0.2,
 		CheckpointEvery: 1,
 	}
-	fs, clean, err := runChaos(t, 4, nil, 0, params, vol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanBytes, err := fs.FS().Get("vol.msc")
+	c, clean, err := runChaos(t, 4, nil, 0, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,13 +597,7 @@ func TestChaosCrashAtWriteRestoresFromCheckpoint(t *testing.T) {
 	if got := blockList(rep.RestoredBlocks); got != blockList([]int{0, 1, 2, 3}) {
 		t.Errorf("restored %v, want [0 1 2 3]", rep.RestoredBlocks)
 	}
-	got, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, cleanBytes) {
-		t.Errorf("output differs from fault-free run (%d vs %d bytes)", len(got), len(cleanBytes))
-	}
+	checkBytes(t, fs, outputBytes(t, c))
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
@@ -599,7 +621,7 @@ func TestChaosLargeRankCheckpointSweep(t *testing.T) {
 		Blocks: procs, Radices: radices, Persistence: 0.2,
 		CheckpointEvery: 1,
 	}
-	_, clean, err := runChaos(t, procs, nil, 0, params, vol)
+	c, clean, err := runChaos(t, procs, nil, 0, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +633,7 @@ func TestChaosLargeRankCheckpointSweep(t *testing.T) {
 	plan := fault.NewPlan(77).
 		DropProbability(0.002).
 		CrashRank(crash, fmt.Sprintf("merge:%d", lastRound))
-	_, res, err := runChaos(t, procs, plan, 2*time.Second, params, vol)
+	fs, res, err := runChaos(t, procs, plan, 2*time.Second, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,5 +646,86 @@ func TestChaosLargeRankCheckpointSweep(t *testing.T) {
 	}
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
+	}
+	checkBytes(t, fs, outputBytes(t, c))
+}
+
+// TestChaosFaultPlanBytes is the fault-plan table: every kind of loss
+// — a crash entering compute, a merge round or the write, a dropped, a
+// corrupted and a late merge payload — on two fields and two merge
+// schedules, with checkpoints off and on. Each plan must fire (the
+// report is Faulty) and the output file must be byte-identical to the
+// same input's fault-free run. The lost member is never the last of its
+// group, so recovery that glued it anywhere but in member order would
+// change the bytes.
+func TestChaosFaultPlanBytes(t *testing.T) {
+	const procs = 8
+	fields := []struct {
+		name        string
+		vol         *grid.Volume
+		persistence float32
+	}{
+		{"sinusoid", synth.Sinusoid(17, 2), 0.2},
+		{"random", synth.Random(grid.Dims{17, 17, 17}, 4), 0.05},
+	}
+	type plan struct {
+		name string
+		make func() *fault.Plan
+	}
+	schedules := []struct {
+		radices []int
+		plans   []plan
+	}{
+		// Rank 2 holds block 2: the root of round 0's {2,3} and the
+		// second of round 1's {0,2,4,6}.
+		{[]int{2, 4}, []plan{
+			{"crash-compute", func() *fault.Plan { return fault.NewPlan(1).CrashRank(2, "compute") }},
+			{"crash-merge0", func() *fault.Plan { return fault.NewPlan(2).CrashRank(2, "merge:0") }},
+			{"crash-merge1", func() *fault.Plan { return fault.NewPlan(3).CrashRank(2, "merge:1") }},
+			{"crash-write", func() *fault.Plan { return fault.NewPlan(4).CrashRank(0, "write") }},
+			{"drop", func() *fault.Plan { return fault.NewPlan(5).DropMessage(2, 0, 1) }},
+			{"corrupt", func() *fault.Plan { return fault.NewPlan(6).CorruptMessage(4, 0, 1) }},
+			{"delay", func() *fault.Plan { return fault.NewPlan(7).DelayMessage(2, 0, 1, 1.0) }},
+		}},
+		// One round: block 3 is the fourth of eight members.
+		{[]int{8}, []plan{
+			{"crash-compute", func() *fault.Plan { return fault.NewPlan(1).CrashRank(3, "compute") }},
+			{"crash-merge0", func() *fault.Plan { return fault.NewPlan(2).CrashRank(3, "merge:0") }},
+			{"crash-write", func() *fault.Plan { return fault.NewPlan(4).CrashRank(0, "write") }},
+			{"drop", func() *fault.Plan { return fault.NewPlan(5).DropMessage(3, 0, 1) }},
+			{"corrupt", func() *fault.Plan { return fault.NewPlan(6).CorruptMessage(3, 0, 1) }},
+			{"delay", func() *fault.Plan { return fault.NewPlan(7).DelayMessage(3, 0, 1, 1.0) }},
+		}},
+	}
+	for _, f := range fields {
+		for _, s := range schedules {
+			base := Params{
+				File: "vol", Dims: f.vol.Dims, DType: grid.F32,
+				Radices: s.radices, Persistence: f.persistence,
+				MergeTimeout: 0.5,
+			}
+			c, _, err := runChaos(t, procs, nil, 0, base, f.vol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cleanBytes := outputBytes(t, c)
+			for _, ckpt := range []int{0, 1} {
+				for _, pl := range s.plans {
+					name := fmt.Sprintf("%s/radices=%v/ckpt=%d/%s", f.name, s.radices, ckpt, pl.name)
+					t.Run(name, func(t *testing.T) {
+						p := base
+						p.CheckpointEvery = ckpt
+						fs, res, err := runChaos(t, procs, pl.make(), 100*time.Millisecond, p, f.vol)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !res.FaultReport.Faulty() {
+							t.Fatalf("plan never fired: %v", &res.FaultReport)
+						}
+						checkBytes(t, fs, cleanBytes)
+					})
+				}
+			}
+		}
 	}
 }

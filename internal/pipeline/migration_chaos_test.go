@@ -39,10 +39,7 @@ func TestChaosMigrationDrill(t *testing.T) {
 	if rep := clean.FaultReport; rep.Faulty() {
 		t.Fatalf("fault-free migrating run reports faults: %v", rep)
 	}
-	cleanBytes, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanBytes := outputBytes(t, fs)
 
 	plan := fault.NewPlan(31).CrashRank(4, "merge:1")
 	fs, res, err := runChaos(t, 64, plan, 500*time.Millisecond, params, vol)
@@ -76,13 +73,7 @@ func TestChaosMigrationDrill(t *testing.T) {
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
-	got, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, cleanBytes) {
-		t.Errorf("output differs from fault-free run (%d vs %d bytes)", len(got), len(cleanBytes))
-	}
+	checkBytes(t, fs, cleanBytes)
 }
 
 // TestChaosMigrationWithoutCheckpoints: the same crash with no
@@ -101,10 +92,7 @@ func TestChaosMigrationWithoutCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanBytes, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanBytes := outputBytes(t, fs)
 
 	plan := fault.NewPlan(32).CrashRank(4, "merge:1")
 	fs, res, err := runChaos(t, 64, plan, 500*time.Millisecond, params, vol)
@@ -128,22 +116,16 @@ func TestChaosMigrationWithoutCheckpoints(t *testing.T) {
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
-	got, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, cleanBytes) {
-		t.Errorf("output differs from fault-free run (%d vs %d bytes)", len(got), len(cleanBytes))
-	}
+	checkBytes(t, fs, cleanBytes)
 }
 
 // TestChaosDelayedPayloadRecovers: a merge payload delayed just past
 // the receive deadline. The root times out once, gives up on the
 // payload and rebuilds the member's subtree from source data; the late
-// payload is never consumed (its flow stays open) and the node counts
-// match the fault-free run. With per-round checkpoints on, the root
-// probes them first: whichever path the report shows must account for
-// block 3, and a restore must reproduce the fault-free bytes.
+// payload is never consumed (its flow stays open) and the output is
+// byte-identical to the fault-free run. With per-round checkpoints on,
+// the root probes them first: whichever path the report shows must
+// account for block 3, and the output bytes must not change.
 func TestChaosDelayedPayloadRecovers(t *testing.T) {
 	vol := synth.Sinusoid(17, 2)
 	base := Params{
@@ -172,12 +154,9 @@ func TestChaosDelayedPayloadRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanBytes, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanBytes := outputBytes(t, fs)
 
-	_, res, ob := delayed(base)
+	c, res, ob := delayed(base)
 	rep := res.FaultReport
 	if rep.Timeouts != 1 || rep.Recomputes != 1 || rep.RecomputeCells <= 0 {
 		t.Errorf("report %v; want 1 timeout and 1 recompute", &rep)
@@ -188,6 +167,7 @@ func TestChaosDelayedPayloadRecovers(t *testing.T) {
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
+	checkBytes(t, c, cleanBytes)
 	late := 0
 	for _, f := range ob.Tracer().Flows().Flows() {
 		if f.Kind == obs.FlowP2P && f.Src == 3 && f.Dst == 0 {
@@ -203,7 +183,7 @@ func TestChaosDelayedPayloadRecovers(t *testing.T) {
 
 	ckpt := base
 	ckpt.CheckpointEvery = 1
-	c, res, _ := delayed(ckpt)
+	c, res, _ = delayed(ckpt)
 	rep = res.FaultReport
 	if rep.Timeouts != 1 || rep.CheckpointRestores+rep.Recomputes != 1 {
 		t.Fatalf("report %v; want 1 timeout and one restore or recompute", &rep)
@@ -219,16 +199,7 @@ func TestChaosDelayedPayloadRecovers(t *testing.T) {
 	if res.Nodes != clean.Nodes {
 		t.Errorf("checkpointed nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
-	if rep.CheckpointRestores == 1 {
-		got, err := c.FS().Get("vol.msc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, cleanBytes) {
-			t.Errorf("restored output differs from fault-free run (%d vs %d bytes)",
-				len(got), len(cleanBytes))
-		}
-	}
+	checkBytes(t, c, cleanBytes)
 }
 
 // TestChaosCheckpointGCReclaims: with per-round checkpoints and GC on,
@@ -268,10 +239,7 @@ func TestChaosCheckpointGCReclaims(t *testing.T) {
 	if len(ckpts) != 1 || ckpts[0] != want {
 		t.Errorf("checkpoint tree after GC: %v, want only %s", ckpts, want)
 	}
-	cleanBytes, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanBytes := outputBytes(t, fs)
 
 	// A crash entering the last round: block 16's round-1 checkpoint is
 	// still on disk (its round-2 successor has not been written yet), so
@@ -292,13 +260,7 @@ func TestChaosCheckpointGCReclaims(t *testing.T) {
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
-	got, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, cleanBytes) {
-		t.Errorf("output differs from fault-free run (%d vs %d bytes)", len(got), len(cleanBytes))
-	}
+	checkBytes(t, fs, cleanBytes)
 }
 
 // TestChaosMigrationRateSweep compares migration against in-place
@@ -326,10 +288,11 @@ func TestChaosMigrationRateSweep(t *testing.T) {
 		Blocks: procs, Radices: radices, Persistence: 0.2,
 		CheckpointEvery: 1,
 	}
-	_, clean, err := runChaos(t, procs, nil, 0, base, vol)
+	c, clean, err := runChaos(t, procs, nil, 0, base, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cleanBytes := outputBytes(t, c)
 
 	// Crash only ranks whose surviving round-1 block is a non-root group
 	// member: a crashed root restores its own block without anyone
@@ -352,12 +315,16 @@ func TestChaosMigrationRateSweep(t *testing.T) {
 			run := func(migrate bool, seed int64) *Result {
 				p := base
 				p.Migrate = migrate
-				_, res, err := runChaos(t, procs, crashPlan(seed), 2*time.Second, p, vol)
+				fs, res, err := runChaos(t, procs, crashPlan(seed), 2*time.Second, p, vol)
 				if err != nil {
 					t.Fatalf("migrate=%v: %v", migrate, err)
 				}
 				if res.Nodes != clean.Nodes {
 					t.Errorf("migrate=%v: nodes %v, fault-free %v", migrate, res.Nodes, clean.Nodes)
+				}
+				if got := outputBytes(t, fs); !bytes.Equal(got, cleanBytes) {
+					t.Errorf("migrate=%v: output differs from fault-free run (%d vs %d bytes)",
+						migrate, len(got), len(cleanBytes))
 				}
 				return res
 			}

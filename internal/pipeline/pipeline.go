@@ -459,7 +459,7 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 		CheckpointGCBytes:   int64(r.AllreduceFloat64(float64(report.CheckpointGCBytes), "sum")),
 	}
 	var listMsg []byte
-	for _, list := range [][]int{report.LostBlocks, report.RecoveredBlocks, report.RestoredBlocks, report.MigratedBlocks} {
+	for _, list := range [][]int{report.RecoveredBlocks, report.RestoredBlocks, report.MigratedBlocks} {
 		listMsg = appendU64(listMsg, uint64(len(list)))
 		for _, b := range list {
 			listMsg = appendU64(listMsg, uint64(b))
@@ -467,7 +467,7 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 	}
 	for _, msg := range r.Gather(0, listMsg) {
 		o := 0
-		for _, dst := range []*[]int{&agg.LostBlocks, &agg.RecoveredBlocks, &agg.RestoredBlocks, &agg.MigratedBlocks} {
+		for _, dst := range []*[]int{&agg.RecoveredBlocks, &agg.RestoredBlocks, &agg.MigratedBlocks} {
 			n := int(u64At(msg, o))
 			o += 8
 			for j := 0; j < n; j++ {

@@ -2,6 +2,7 @@ package parms
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -180,14 +181,24 @@ func TestChaosPublicFaultInjection(t *testing.T) {
 	if rep.RankCrashes != 1 || rep.Corruptions != 1 || rep.IORetries < 1 {
 		t.Errorf("report %v; want 1 crash, 1 corruption, >=1 I/O retry", &rep)
 	}
-	if len(rep.RecoveredBlocks) != len(rep.LostBlocks) || len(rep.LostBlocks) == 0 {
-		t.Errorf("lost %v recovered %v", rep.LostBlocks, rep.RecoveredBlocks)
+	lost := slices.Concat(rep.RestoredBlocks, rep.RecoveredBlocks)
+	slices.Sort(lost)
+	lost = slices.Compact(lost)
+	if len(rep.RecoveredBlocks) != len(lost) || len(lost) == 0 {
+		t.Errorf("lost %v recovered %v", lost, rep.RecoveredBlocks)
 	}
 	if res.Nodes != clean.Nodes {
 		t.Errorf("faulty nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
 	if res.Merged() == nil {
 		t.Fatal("no merged complex after recovery")
+	}
+	// The output file holds the merged complex's serialized payload and
+	// a footer derived from it (size, CRC, region), so equal payloads
+	// and regions mean equal output bytes.
+	got, want := res.Merged(), clean.Merged()
+	if !bytes.Equal(got.Serialize(), want.Serialize()) || !slices.Equal(got.Region, want.Region) {
+		t.Error("recovered output differs from the fault-free run")
 	}
 }
 
