@@ -26,10 +26,6 @@
 //	-parallel N  bound host goroutine concurrency (default NumCPU)
 //	-json FILE   where "bench" writes its JSON snapshot
 //	             (default BENCH_<timestamp>.json)
-//	-listen ADDR serve live introspection over HTTP for the duration
-//	             of the run (/healthz, /metrics, /trace, /insight,
-//	             /debug/pprof); traced experiments ("bench") publish
-//	             the in-flight sweep point's observer
 //	-q           quiet progress output
 package main
 
@@ -37,15 +33,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"parms/internal/experiments"
-	"parms/internal/obs"
-	"parms/internal/obs/analyze"
 )
 
 func main() {
@@ -54,7 +46,6 @@ func main() {
 	maxProcs := flag.Int("maxprocs", 0, "cap on rank counts in scaling sweeps (0 = experiment default)")
 	parallel := flag.Int("parallel", 0, "host goroutine concurrency bound (0 = NumCPU)")
 	jsonOut := flag.String("json", "", `where "bench" writes its JSON snapshot (default BENCH_<timestamp>.json)`)
-	listen := flag.String("listen", "", `serve live introspection over HTTP during the run (e.g. ":9151" or ":0")`)
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
 
@@ -65,31 +56,6 @@ func main() {
 		Verbose:     !*quiet,
 		Progress:    os.Stderr,
 	}
-	if *listen != "" {
-		// Traced experiments publish each run's observer here; the
-		// server reads whichever one the sweep currently holds.
-		var current atomic.Pointer[obs.Observer]
-		cfg.Observe = func(procs int) *obs.Observer {
-			ob := obs.New(procs)
-			current.Store(ob)
-			return ob
-		}
-		insight := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			analyze.Handler(current.Load()).ServeHTTP(w, req)
-		})
-		srv, err := obs.ServeFunc(*listen, current.Load, insight)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("listening  http://%s (/healthz /metrics /trace /insight /debug/pprof)\n", srv.Addr())
-		defer func() {
-			if err := srv.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "msbench: introspection server: %v\n", err)
-			}
-		}()
-	}
-
 	runners := map[string]func() error{
 		"table1": func() error { return show(experiments.TableI(cfg)) },
 		"table2": func() error { return show(experiments.TableII(cfg)) },

@@ -15,12 +15,9 @@
 // run (one track per rank, virtual-time spans for every stage, fault
 // events as instants) and prints a per-stage summary table; -metrics
 // out.prom writes a Prometheus-style text dump of the run's counters,
-// gauges and histograms; -events out.jsonl streams structured run
-// events (log/slog JSON, virtual-time stamped); -flows flows.json dumps
-// the per-message causal flow records;
-// -listen :9151 serves live introspection over HTTP (/healthz,
-// /metrics, /trace, /flows, /timeline, /insight, /debug/pprof) for the
-// duration of the run.
+// gauges and histograms; -flows flows.json dumps the per-message
+// causal flow records. The files are written after the run; msinsight
+// reads them back.
 package main
 
 import (
@@ -35,7 +32,6 @@ import (
 	"parms/internal/merge"
 	"parms/internal/mpsim"
 	"parms/internal/obs"
-	"parms/internal/obs/analyze"
 	"parms/internal/pipeline"
 )
 
@@ -53,14 +49,12 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run")
 	flowsOut := flag.String("flows", "", "write the per-message causal flow records as JSON")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-style text dump of the run's metrics")
-	eventsOut := flag.String("events", "", "write structured run events (slog JSON lines, virtual-time stamped)")
-	listen := flag.String("listen", "", `serve live introspection over HTTP during the run (e.g. ":9151" or ":0")`)
 	ckpt := flag.Int("ckpt", 0, "checkpoint merge state every N rounds (0 = off); recovery restores from the newest valid checkpoint before recomputing")
 	ckptDir := flag.String("ckptdir", "ckpt", "checkpoint directory on the simulated filesystem")
 	ckptGC := flag.Bool("ckpt-gc", false, "reclaim checkpoints superseded by newer rounds as soon as they are safely on disk")
 	migrate := flag.Bool("migrate", false, "migrate a crashed rank's blocks to healthy ranks via the block ownership table")
 	avoidFlag := flag.String("avoid", "", "comma-separated ranks the initial block rotation should skip (e.g. \"3,17\")")
-	autoAvoid := flag.String("auto-avoid", "", "msinsight report JSON (file or /insight dump) whose recommendation.avoid_ranks seeds -avoid")
+	autoAvoid := flag.String("auto-avoid", "", "msinsight report JSON file whose recommendation.avoid_ranks seeds -avoid")
 	flag.Parse()
 
 	if *in == "" || *dimsFlag == "" {
@@ -93,28 +87,8 @@ func main() {
 	}
 
 	var ob *obs.Observer
-	if *traceOut != "" || *flowsOut != "" || *metricsOut != "" || *eventsOut != "" || *listen != "" {
+	if *traceOut != "" || *flowsOut != "" || *metricsOut != "" {
 		ob = obs.New(*procs)
-	}
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		ob.Log = obs.NewJSONLogger(f)
-	}
-	if *listen != "" {
-		srv, err := obs.Serve(*listen, ob, analyze.Handler(ob))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("listening  http://%s (/healthz /metrics /trace /flows /timeline /insight /debug/pprof)\n", srv.Addr())
-		defer func() {
-			if err := srv.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "msc: introspection server: %v\n", err)
-			}
-		}()
 	}
 	cluster, err := mpsim.New(mpsim.Config{Procs: *procs, MaxParallel: *parallel, Obs: ob})
 	if err != nil {
@@ -234,9 +208,9 @@ func parseMerge(s string, nblocks int) ([]int, error) {
 }
 
 // parseAvoid combines the explicit -avoid list with the avoid_ranks of
-// an msinsight report named by -auto-avoid (a file holding the JSON the
-// msinsight CLI or the /insight endpoint emits), closing the advisory
-// loop: yesterday's straggler report seeds today's block rotation.
+// an msinsight report named by -auto-avoid (a file holding the JSON
+// msinsight -json emits), closing the advisory loop: yesterday's
+// straggler report seeds today's block rotation.
 func parseAvoid(avoidList, reportPath string, procs int) ([]int, error) {
 	var avoid []int
 	if avoidList != "" {

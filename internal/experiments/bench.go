@@ -116,7 +116,7 @@ func Bench(cfg Config) (*BenchResult, error) {
 	lo, hi := vol.Range()
 	for _, procs := range pow2Sweep(8, maxP) {
 		cfg.logf("bench: procs=%d\n", procs)
-		ob := cfg.observer(procs)
+		ob := obs.New(procs)
 		cluster, err := mpsim.New(mpsim.Config{Procs: procs, MaxParallel: cfg.maxParallel(), Obs: ob})
 		if err != nil {
 			return nil, err

@@ -24,7 +24,6 @@ import (
 	"parms/internal/merge"
 	"parms/internal/mpsim"
 	"parms/internal/mscomplex"
-	"parms/internal/obs"
 	"parms/internal/pario"
 	"parms/internal/pipeline"
 )
@@ -42,11 +41,6 @@ type Config struct {
 	// Verbose makes drivers print progress to Progress as they go.
 	Verbose  bool
 	Progress io.Writer
-	// Observe, when non-nil, is called instead of obs.New whenever a
-	// traced experiment builds an observer for a run, letting a driver
-	// (msbench -listen) publish the in-flight run's observer to a live
-	// introspection server. Untraced experiments never call it.
-	Observe func(procs int) *obs.Observer
 }
 
 func (c Config) scale() float64 {
@@ -54,15 +48,6 @@ func (c Config) scale() float64 {
 		return 1
 	}
 	return c.Scale
-}
-
-// observer builds the observer for one traced run, routing through
-// Observe when a driver wants to watch runs live.
-func (c Config) observer(procs int) *obs.Observer {
-	if c.Observe != nil {
-		return c.Observe(procs)
-	}
-	return obs.New(procs)
 }
 
 func (c Config) maxParallel() int {

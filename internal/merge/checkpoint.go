@@ -57,11 +57,8 @@ func (c *Checkpoint) write(r *mpsim.Rank, sched Schedule, nblocks, round, block 
 	name := pario.CheckpointName(c.dir(), round, block)
 	if err := r.IndependentWrite(name, 0, data); err != nil {
 		r.Tracer().Instant("fault:ckpt_write_fail", r.Clock(),
-			obs.I("block", int64(block)), obs.I("round", int64(round)))
-		if lg := r.Logger(); lg != nil {
-			lg.Warn("ckpt.write_fail", "rank", r.ID(), "block", block, "round", round,
-				"err", err.Error(), "vt", float64(r.Clock()))
-		}
+			obs.I("block", int64(block)), obs.I("round", int64(round)),
+			obs.S("err", err.Error()))
 		if reg := r.Metrics(); reg != nil {
 			reg.Counter("merge_checkpoint_write_errors_total").Add(1)
 		}
@@ -70,10 +67,6 @@ func (c *Checkpoint) write(r *mpsim.Rank, sched Schedule, nblocks, round, block 
 	r.Tracer().Span("ckpt:write", start, r.Clock(),
 		obs.I("block", int64(block)), obs.I("round", int64(round)),
 		obs.I("bytes", int64(len(data))))
-	if lg := r.Logger(); lg != nil {
-		lg.Info("ckpt.write", "rank", r.ID(), "block", block, "round", round,
-			"bytes", len(data), "vt", float64(r.Clock()))
-	}
 	if reg := r.Metrics(); reg != nil {
 		reg.Counter("merge_checkpoint_writes_total").Add(1)
 		reg.Counter("merge_checkpoint_bytes_written_total").Add(int64(len(data)))
@@ -117,10 +110,6 @@ func (c *Checkpoint) gc(r *mpsim.Rank, sched Schedule, nblocks, round, block int
 	r.Tracer().Instant("ckpt:gc", r.Clock(),
 		obs.I("block", int64(block)), obs.I("round", int64(round)),
 		obs.I("files", int64(files)), obs.I("bytes", bytes))
-	if lg := r.Logger(); lg != nil {
-		lg.Info("ckpt.gc", "rank", r.ID(), "block", block, "round", round,
-			"files", files, "bytes", bytes, "vt", float64(r.Clock()))
-	}
 	if reg := r.Metrics(); reg != nil {
 		reg.Counter("merge_checkpoint_gc_files_total").Add(int64(files))
 		reg.Counter("merge_checkpoint_gc_bytes_total").Add(bytes)
@@ -145,10 +134,6 @@ func (c *Checkpoint) read(r *mpsim.Rank, k, block int) (*mscomplex.Complex, int6
 	if err != nil || id != block {
 		r.Tracer().Instant("fault:ckpt_corrupt", r.Clock(),
 			obs.I("block", int64(block)), obs.I("round", int64(k)))
-		if lg := r.Logger(); lg != nil {
-			lg.Warn("ckpt.corrupt", "rank", r.ID(), "block", block, "round", k,
-				"vt", float64(r.Clock()))
-		}
 		if reg := r.Metrics(); reg != nil {
 			reg.Counter("merge_checkpoint_corrupt_total").Add(1)
 		}
@@ -219,10 +204,6 @@ func restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 		r.Tracer().Span("ckpt:restore", start, r.Clock(),
 			obs.I("block", int64(block)), obs.I("round", int64(round)),
 			obs.I("from_round", int64(k)), obs.I("bytes", n))
-		if lg := r.Logger(); lg != nil {
-			lg.Info("ckpt.restore", "rank", r.ID(), "block", block, "round", round,
-				"from_round", k, "bytes", n, "vt", float64(r.Clock()))
-		}
 		if reg := r.Metrics(); reg != nil {
 			reg.Counter("merge_checkpoint_restores_total").Add(1)
 			reg.Counter("merge_checkpoint_bytes_read_total").Add(n)
@@ -235,10 +216,6 @@ func restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 	}
 	r.Tracer().Instant("fault:ckpt_fallback", r.Clock(),
 		obs.I("block", int64(block)), obs.I("round", int64(round)))
-	if lg := r.Logger(); lg != nil {
-		lg.Info("ckpt.fallback", "rank", r.ID(), "block", block, "round", round,
-			"vt", float64(r.Clock()))
-	}
 	if reg := r.Metrics(); reg != nil {
 		reg.Counter("merge_checkpoint_fallbacks_total").Add(1)
 	}

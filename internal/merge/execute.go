@@ -72,6 +72,11 @@ type Options struct {
 	Migrate bool
 }
 
+// CanRecover reports whether a lost block can be recovered at all:
+// from a checkpoint or by recomputing it from source data. Without
+// either, a missing block is a hard error.
+func (o Options) CanRecover() bool { return o.Recompute != nil || o.Checkpoint != nil }
+
 // Execute runs the merge rounds of the schedule over the per-block
 // complexes owned by this rank, under the block-to-rank assignment of
 // Options.Owners (block-cyclic by default). complexes maps block id →
@@ -90,7 +95,6 @@ type Options struct {
 // instead of being recovered in place on the restarted rank.
 func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*mscomplex.Complex, opts Options) ([]RoundStats, error) {
 	procs := r.Size()
-	canRecover := opts.Recompute != nil || opts.Checkpoint != nil
 	tr := r.Tracer()
 	reg := r.Metrics()
 	payloadHist := reg.Histogram("merge_payload_bytes")
@@ -157,10 +161,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					tr.Instant("fault:migrate", r.Clock(),
 						obs.I("block", int64(mg.Block)), obs.I("from", int64(mg.From)),
 						obs.I("to", int64(mg.To)), obs.I("round", int64(round)))
-					if lg := r.Logger(); lg != nil {
-						lg.Info("fault.migrate", "block", mg.Block, "from", mg.From,
-							"to", mg.To, "round", round, "vt", float64(r.Clock()))
-					}
 					if reg != nil {
 						reg.Counter("merge_migrations_total").Add(1)
 					}
@@ -237,7 +237,7 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 			}
 			root, ok := complexes[g.Root]
 			if !ok {
-				if !canRecover {
+				if !opts.CanRecover() {
 					return nil, fmt.Errorf("merge: rank %d does not hold root block %d", r.ID(), g.Root)
 				}
 				restoreStart := r.Clock()
@@ -267,7 +267,7 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					var ok bool
 					payload, _, ok = r.RecvTimeout(srcRank, tag, opts.Timeout)
 					if !ok {
-						if !canRecover {
+						if !opts.CanRecover() {
 							return nil, fmt.Errorf("merge: timeout waiting for block %d from rank %d", m, srcRank)
 						}
 						// The wait is real virtual time this root lost
@@ -281,11 +281,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 						tr.Instant("fault:timeout", r.Clock(), obs.I("block", int64(m)),
 							obs.I("src", int64(srcRank)), obs.I("round", int64(round)),
 							obs.F("wait_s", waited))
-						if lg := r.Logger(); lg != nil {
-							lg.Warn("fault.timeout", "rank", r.ID(), "block", m,
-								"src", srcRank, "round", round, "wait_s", waited,
-								"vt", float64(r.Clock()))
-						}
 						if reg != nil {
 							reg.Gauge("merge_timeout_wait_seconds_total").Add(waited)
 						}
@@ -299,7 +294,7 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					var err error
 					other, err = decodeMember(payload)
 					if err != nil {
-						if !canRecover {
+						if !opts.CanRecover() {
 							return nil, fmt.Errorf("merge: block %d from rank %d: %w", m, srcRank, err)
 						}
 						if opts.Report != nil {
@@ -307,10 +302,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 						}
 						tr.Instant("fault:corrupt", r.Clock(), obs.I("block", int64(m)),
 							obs.I("src", int64(srcRank)), obs.I("round", int64(round)))
-						if lg := r.Logger(); lg != nil {
-							lg.Warn("fault.corrupt", "rank", r.ID(), "block", m,
-								"src", srcRank, "round", round, "vt", float64(r.Clock()))
-						}
 						other, payload = nil, nil
 					}
 				}
@@ -454,10 +445,6 @@ func rebuild(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 	r.Tracer().Span("rebuild", rebuildStart, r.Clock(),
 		obs.I("block", int64(block)), obs.I("round", int64(round)),
 		obs.I("subtree", int64(span)))
-	if lg := r.Logger(); lg != nil {
-		lg.Info("recover.rebuild", "rank", r.ID(), "block", block, "round", round,
-			"subtree", span, "seconds", float64(r.Clock()-rebuildStart), "vt", float64(r.Clock()))
-	}
 	if reg := r.Metrics(); reg != nil {
 		reg.Counter("merge_recomputes_total").Add(1)
 		reg.Gauge("merge_recompute_seconds_total").Add(float64(r.Clock() - rebuildStart))

@@ -201,11 +201,8 @@ func (r *Rank) retryIO(op func() error) error {
 		}
 		r.ioRetries++
 		r.cluster.metrics.ioRetries.Add(1)
-		r.tr.Instant("fault:io_retry", r.clock.Now(), obs.I("attempt", int64(attempt+1)))
-		if lg := r.Logger(); lg != nil {
-			lg.Warn("io.retry", "rank", r.id, "attempt", attempt+1,
-				"err", err.Error(), "vt", float64(r.clock.Now()))
-		}
+		r.tr.Instant("fault:io_retry", r.clock.Now(),
+			obs.I("attempt", int64(attempt+1)), obs.S("err", err.Error()))
 		r.clock.Advance(vtime.Time(backoff))
 		backoff *= 2
 	}

@@ -15,7 +15,6 @@ package mpsim
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -319,12 +318,6 @@ func (r *Rank) Tracer() *obs.RankTracer { return r.tr }
 // observability is off.
 func (r *Rank) Metrics() *obs.Registry { return r.cluster.cfg.Obs.Registry() }
 
-// Logger returns the cluster's structured event logger, nil when none
-// is attached. Events logged through it carry a "vt" attribute so log
-// lines join against trace spans on the virtual timeline; callers must
-// gate on the nil return, as slog itself has no nil-receiver no-op.
-func (r *Rank) Logger() *slog.Logger { return r.cluster.cfg.Obs.Logger() }
-
 // IORetries returns the number of filesystem operations this rank has
 // retried after transient errors.
 func (r *Rank) IORetries() int64 { return r.ioRetries }
@@ -345,10 +338,6 @@ func (r *Rank) Checkpoint(stage string) bool {
 	// the restart-complete time, tagged with the stage that lost state.
 	r.tr.Instant("fault:crash", r.clock.Now(),
 		obs.S("stage", stage), obs.F("penalty_s", p.Penalty()))
-	if lg := r.Logger(); lg != nil {
-		lg.Warn("fault.crash", "rank", r.id, "stage", stage,
-			"penalty_s", p.Penalty(), "vt", float64(r.clock.Now()))
-	}
 	r.cluster.metrics.crashes.Add(1)
 	return true
 }

@@ -1,5 +1,5 @@
 // Package analyze is the layer that reads the telemetry: it consumes a
-// traced run (a live *obs.Observer or re-parsed trace/metrics exports)
+// traced run (its *obs.Observer or re-parsed trace/metrics exports)
 // and computes the analyses the paper's per-stage max-over-ranks
 // decomposition cannot express — the critical path through the run's
 // message chain, per-stage straggler detection with an imbalance
@@ -25,7 +25,7 @@ import (
 
 // Input is the telemetry snapshot an analysis consumes: one span/
 // instant track per rank, the flow records, and the run's byte count.
-// Build one with FromObserver (live or post-run) or ParseChromeTrace
+// Build one with FromObserver (from a finished run) or ParseChromeTrace
 // (from an exported trace).
 type Input struct {
 	Procs    int
@@ -41,9 +41,9 @@ type Input struct {
 	Flows []obs.Flow
 }
 
-// FromObserver snapshots a live or completed run. Safe to call while
-// ranks are still recording: each track is copied under its lock, so
-// the snapshot is a consistent prefix of the run.
+// FromObserver snapshots a run's tracer. Each track is copied under
+// its lock, so the snapshot is a consistent prefix of the run even
+// while ranks are still recording.
 func FromObserver(o *obs.Observer) *Input {
 	in := &Input{}
 	if o == nil {

@@ -79,11 +79,11 @@ type FlowID struct {
 
 // flowStream is one emitter's flow list. Appends happen only from that
 // rank's goroutine, so stream order is deterministic; the mutex exists
-// for the receive-side completion writes and for mid-run snapshot
-// readers (the live /flows endpoint). The list is stored in fixed-size
-// chunks, so recording allocates about what it keeps: a doubling slice
-// would allocate three times the final size, and the flow recorder's
-// allocation budget is measured against the pipeline's own.
+// for the receive-side completion writes and for snapshot readers. The
+// list is stored in fixed-size chunks, so recording allocates about
+// what it keeps: a doubling slice would allocate three times the final
+// size, and the flow recorder's allocation budget is measured against
+// the pipeline's own.
 type flowStream struct {
 	mu     sync.Mutex
 	seq    int64

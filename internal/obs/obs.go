@@ -21,8 +21,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
-	"log/slog"
 	"math"
 	"math/bits"
 	"sort"
@@ -38,11 +36,6 @@ import (
 type Observer struct {
 	Trace   *Tracer
 	Metrics *Registry
-	// Log, when non-nil, receives structured run events (fault instants,
-	// checkpoint writes, recovery decisions) correlated to virtual time
-	// through a "vt" attribute, so log lines can be joined against
-	// spans. Use NewJSONLogger for a deterministic JSON stream.
-	Log *slog.Logger
 }
 
 // New creates an Observer with both tracing and metrics enabled for a
@@ -85,31 +78,6 @@ func (o *Observer) FlowRecorder() *FlowRecorder {
 		return nil
 	}
 	return o.Trace.Flows()
-}
-
-// Logger returns the structured event logger, nil when o is nil or no
-// logger is attached. Callers must nil-check the result before logging
-// (a nil *slog.Logger is not callable).
-func (o *Observer) Logger() *slog.Logger {
-	if o == nil {
-		return nil
-	}
-	return o.Log
-}
-
-// NewJSONLogger returns a slog logger writing one JSON object per event
-// to w, with the wall-clock time attribute dropped so same-seed runs
-// produce byte-identical event streams. Events carry virtual time as an
-// explicit "vt" attribute instead.
-func NewJSONLogger(w io.Writer) *slog.Logger {
-	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{
-		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
-			if len(groups) == 0 && a.Key == slog.TimeKey {
-				return slog.Attr{}
-			}
-			return a
-		},
-	}))
 }
 
 // Attr is one typed span or instant attribute. Attributes are an
@@ -175,9 +143,8 @@ func findAttr(attrs []Attr, key string) (Attr, bool) {
 
 // RankTracer records the spans and instants of one rank. Only the
 // rank's goroutine records (so record order stays deterministic), but
-// the record path takes a short mutex so concurrent readers — the live
-// introspection server's /trace and /insight endpoints — can snapshot a
-// consistent prefix mid-run.
+// the record path takes a short mutex so a reader can snapshot a
+// consistent prefix even while the rank is still recording.
 type RankTracer struct {
 	id       int
 	mu       sync.Mutex
@@ -214,7 +181,7 @@ func (t *RankTracer) Enabled() bool { return t != nil }
 
 // Tracer holds one track per rank, plus the run's message-flow
 // recorder (DESIGN §14) so every consumer of a Tracer — the Chrome
-// exporter, the live server, the analyzers — sees spans and flows as
+// exporter, the analyzers — sees spans and flows as
 // one coherent snapshot.
 type Tracer struct {
 	ranks []*RankTracer

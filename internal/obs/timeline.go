@@ -1,45 +1,41 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-)
-
-// defaultTimelineBuckets is the bucket count /timeline and the CLIs use
-// when none is requested: fine enough to show phase structure at every
+// defaultTimelineBuckets is the bucket count BuildTimeline uses when
+// none is requested: fine enough to show phase structure at every
 // scale the bench sweep runs, coarse enough that a 512-rank dump stays
 // a few KB.
 const defaultTimelineBuckets = 64
 
-// maxTimelineBuckets bounds client-requested resolution.
+// maxTimelineBuckets bounds the requested resolution (msinsight
+// -buckets).
 const maxTimelineBuckets = 4096
 
 // TimelineBucket is one virtual-time slice of a run: the communication
 // and activity that happened inside [Start, End).
 type TimelineBucket struct {
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
+	Start float64
+	End   float64
 	// Sends binned by injection time, receives by completion time.
-	MsgsSent  int64 `json:"msgs_sent"`
-	BytesSent int64 `json:"bytes_sent"`
-	MsgsRecv  int64 `json:"msgs_recv"`
-	BytesRecv int64 `json:"bytes_recv"`
+	MsgsSent  int64
+	BytesSent int64
+	MsgsRecv  int64
+	BytesRecv int64
 	// BytesInFlight is the payload volume sent but not yet consumed at
 	// the bucket's start (orphaned flows count until end of run).
-	BytesInFlight int64 `json:"bytes_in_flight"`
+	BytesInFlight int64
 	// ActiveSpans counts spans covering the bucket's start across all
 	// rank tracks.
-	ActiveSpans int `json:"active_spans"`
+	ActiveSpans int
 	// WaitSeconds is the total receiver-blocked time overlapping the
 	// bucket, summed over flows (and ranks).
-	WaitSeconds float64 `json:"wait_seconds"`
+	WaitSeconds float64
 }
 
 // BuildTimeline aggregates span tracks and flow records into a bucketed
 // virtual-time timeline. It is a pure function of its inputs — equal
-// snapshots produce equal timelines — so it can run on a live snapshot
-// (the /timeline endpoint) or on re-parsed trace files (msinsight)
-// alike. buckets <= 0 selects the default resolution.
+// snapshots produce equal timelines — so it runs on re-parsed trace
+// files (msinsight) as well as on a tracer's own snapshot. buckets <= 0
+// selects the default resolution.
 func BuildTimeline(spans [][]Span, flows []Flow, buckets int) []TimelineBucket {
 	if buckets <= 0 {
 		buckets = defaultTimelineBuckets
@@ -125,50 +121,4 @@ func BuildTimeline(spans [][]Span, flows []Flow, buckets int) []TimelineBucket {
 		}
 	}
 	return out
-}
-
-// Timeline builds the bucketed timeline from a snapshot of this
-// tracer's spans and flows. Safe mid-run; nil-safe (returns nil).
-func (t *Tracer) Timeline(buckets int) []TimelineBucket {
-	if t == nil {
-		return nil
-	}
-	spans := make([][]Span, t.Procs())
-	for id := range spans {
-		spans[id] = t.Spans(id)
-	}
-	return BuildTimeline(spans, t.Flows().Flows(), buckets)
-}
-
-// WriteTimelineJSON writes the bucketed timeline as one deterministic
-// JSON document, one bucket per line.
-func (t *Tracer) WriteTimelineJSON(w io.Writer, buckets int) error {
-	return WriteTimelineJSON(w, t.Timeline(buckets))
-}
-
-// WriteTimelineJSON renders a timeline (from any source — a live
-// tracer or re-parsed exports) as JSON.
-func WriteTimelineJSON(w io.Writer, tl []TimelineBucket) error {
-	if _, err := io.WriteString(w, `{"buckets":[`); err != nil {
-		return err
-	}
-	for i, b := range tl {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-		enc, err := json.Marshal(b)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(enc); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
 }

@@ -399,6 +399,43 @@ func TestChaosFlakyStorage(t *testing.T) {
 	}
 }
 
+// TestIORetryTraceCarriesError: a transient output write failure is
+// retried, and each retry's fault:io_retry instant carries the error
+// that caused it, so the trace alone says why the write was retried.
+func TestIORetryTraceCarriesError(t *testing.T) {
+	vol := synth.Sinusoid(17, 2)
+	// Two failures stay under the filesystem's retry limit of five, so
+	// the run survives them.
+	plan := fault.NewPlan(11).FailWrite("vol.msc", 2)
+	c, err := mpsim.New(mpsim.Config{Procs: 4, Faults: plan, Obs: obs.New(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pario.WriteVolume(c.FS(), "vol", vol)
+	res, err := Run(c, Params{
+		File: "vol", Dims: vol.Dims, DType: grid.F32,
+		Radices: []int{4}, Persistence: 0.2, OutFile: "vol.msc",
+	})
+	if err != nil {
+		t.Fatalf("transient write faults not survived: %v", err)
+	}
+	retries := 0
+	for id := 0; id < res.Trace.Procs(); id++ {
+		for _, in := range res.Trace.Instants(id) {
+			if in.Name != "fault:io_retry" {
+				continue
+			}
+			retries++
+			if a, ok := in.Attr("err"); !ok || a.Str() == "" {
+				t.Errorf("rank %d fault:io_retry at %v has no err attribute: %v", id, in.Ts, in.Attrs)
+			}
+		}
+	}
+	if retries == 0 {
+		t.Fatal("no fault:io_retry instant in the trace")
+	}
+}
+
 // TestChaosDuplicatedPayloadHarmless: a duplicated merge payload leaves
 // an orphan message in a round-unique tag slot; the result is
 // unaffected.

@@ -588,7 +588,7 @@ func writeOutput(r *mpsim.Rank, c *mpsim.Cluster, name string, nblocks int,
 	for _, bid := range mine {
 		ms, ok := complexes[bid]
 		if !ok {
-			if mopts.Recompute == nil && mopts.Checkpoint == nil {
+			if !mopts.CanRecover() {
 				return 0, nil, fmt.Errorf("pipeline: rank %d missing surviving block %d", r.ID(), bid)
 			}
 			recovered, err := merge.Recover(r, sched, nblocks, bid, len(sched.Radices), mopts)

@@ -25,7 +25,6 @@ package parms
 
 import (
 	"fmt"
-	"log/slog"
 	"sort"
 	"time"
 
@@ -201,11 +200,6 @@ type Options struct {
 	// them with WriteChromeTrace / WritePrometheus. When false (the
 	// default) every instrumentation hook is a nil no-op.
 	Trace bool
-	// Log, when non-nil, receives structured run events (fault
-	// instants, checkpoint writes, recovery decisions) with a "vt"
-	// attribute tying each line to the virtual timeline; build one
-	// with obs.NewJSONLogger. Setting Log implies Trace.
-	Log *slog.Logger
 }
 
 // Result is the outcome of a parallel computation.
@@ -263,16 +257,12 @@ func (r *Result) TotalNodes() int {
 }
 
 // newObserver builds the run's observability sink: a tracer+registry
-// when Options.Trace is set, with the structured event logger attached
-// when Options.Log is set (which implies tracing — log lines carry
-// virtual timestamps that only mean something next to the spans).
+// when Options.Trace is set, nil otherwise.
 func newObserver(opt Options) *obs.Observer {
-	if !opt.Trace && opt.Log == nil {
+	if !opt.Trace {
 		return nil
 	}
-	ob := obs.New(opt.Procs)
-	ob.Log = opt.Log
-	return ob
+	return obs.New(opt.Procs)
 }
 
 // Compute runs the two-stage parallel algorithm on a volume.

@@ -247,35 +247,42 @@ func TestPublicTraceKnob(t *testing.T) {
 	}
 }
 
-func TestPublicEventLog(t *testing.T) {
+// TestPublicFaultTrace: a crash during compute surfaces on the trace
+// as one fault:crash instant on the crashed rank's own track, tagged
+// with the stage that lost state, and its recovery as a rebuild span.
+func TestPublicFaultTrace(t *testing.T) {
 	vol := Sinusoid(17, 2)
-	var buf bytes.Buffer
 	plan := NewFaultPlan(1).CrashRank(2, "compute")
 	res, err := Compute(vol, Options{
 		Procs: 8, FullMerge: true, Persistence: 0.15,
-		Faults: plan, Log: obs.NewJSONLogger(&buf),
+		Faults: plan, Trace: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Setting Log implies tracing, and the crash must surface both as a
-	// trace instant and as a structured log line carrying a virtual
-	// timestamp for joining against the spans.
-	if res.Trace == nil {
-		t.Fatal("Options.Log did not imply tracing")
+	var crashes []obs.Instant
+	for _, in := range res.Trace.Instants(2) {
+		if in.Name == "fault:crash" {
+			crashes = append(crashes, in)
+		}
 	}
-	out := buf.String()
-	if !strings.Contains(out, `"msg":"fault.crash"`) {
-		t.Errorf("log missing fault.crash event:\n%s", out)
+	if len(crashes) != 1 {
+		t.Fatalf("rank 2 has %d fault:crash instants, want 1", len(crashes))
 	}
-	if !strings.Contains(out, `"vt":`) {
-		t.Errorf("log lines carry no virtual timestamps:\n%s", out)
+	if stage, _ := crashes[0].Attr("stage"); stage.Str() != "compute" {
+		t.Errorf("fault:crash stage = %q, want compute", stage.Str())
 	}
-	if !strings.Contains(out, `"msg":"recover.rebuild"`) {
-		t.Errorf("log missing recovery decision:\n%s", out)
+	rebuilt := false
+	for id := 0; id < res.Procs && !rebuilt; id++ {
+		for _, s := range res.Trace.Spans(id) {
+			if s.Name == "rebuild" {
+				rebuilt = true
+				break
+			}
+		}
 	}
-	if strings.Contains(out, `"time":`) {
-		t.Errorf("log lines carry wall-clock timestamps (nondeterministic):\n%s", out)
+	if !rebuilt {
+		t.Error("no rank's track has a rebuild span")
 	}
 }
 
