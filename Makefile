@@ -46,8 +46,8 @@ fuzz:
 
 # The lint umbrella is exactly what the CI lint job enforces:
 # formatting, go vet, and the repo's own invariant multichecker
-# (cmd/msvet, DESIGN §11). msvet exits 1 on any finding or on a
-# malformed/stale //msvet:allow annotation, 2 on loader errors; -stats
+# (cmd/msvet, DESIGN §11). msvet exits 1 on any finding, 2 on loader
+# errors; -stats
 # prints the package count and the elapsed seconds. CI passes
 # MSVETFLAGS=-github to turn the same run's findings into annotations.
 MSVETFLAGS ?=

@@ -4,8 +4,8 @@
 // are not among them: mpsim checks them at run time (DESIGN §16).
 // msvet loads every non-test package of the module from source — no go
 // command, no network — runs the suite in one sequential pass over the
-// packages in sorted order, and exits non-zero when any finding (or a
-// malformed or stale //msvet:allow annotation) survives.
+// packages in sorted order, and exits non-zero on any finding. There is
+// no suppression annotation.
 //
 // Usage:
 //

@@ -33,7 +33,7 @@ type Options struct {
 	Threshold float32
 	// Timeout is the virtual-time budget a group root waits for each
 	// member payload. 0 selects plain blocking receives: any lost
-	// message then blocks forever, so set a timeout whenever faults are
+	// message then fails the run, so set a timeout whenever faults are
 	// possible.
 	Timeout vtime.Time
 	// Recompute rebuilds one original block's simplified, compacted
@@ -111,8 +111,8 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 		startSent, startRecv := r.BytesSent(), r.BytesRecv()
 		if r.Checkpoint(fmt.Sprintf("merge:%d", round)) {
 			// Crash-restart: every complex this rank held is gone. Roots
-			// are rebuilt below; member payloads simply never get sent,
-			// and their group roots recover them after timing out.
+			// are rebuilt below; member payloads are announced lost, and
+			// their group roots recover them after timing out.
 			for id := range complexes {
 				delete(complexes, id)
 			}
@@ -179,6 +179,7 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 				if m == g.Root || owners.Owner(m) != r.ID() {
 					continue
 				}
+				tag := tagMergeBase + round*16 + (m-g.Root)/stride
 				ms, ok := complexes[m]
 				restoredFrom := -1
 				var restoreStart vtime.Time
@@ -198,8 +199,9 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					} else if opts.Recompute == nil {
 						return nil, fmt.Errorf("merge: rank %d does not hold block %d", r.ID(), m)
 					} else {
-						// Lost to a crash: stay silent and let the root's
-						// timeout path recover the subtree.
+						// Lost to a crash: announce the loss, and the
+						// root's timeout path recovers the subtree.
+						r.Lose(rootRank, tag)
 						continue
 					}
 				}
@@ -217,12 +219,11 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					// The restore moved the dead owner's data onto this
 					// rank outside Send/Recv; a synthetic flow attributes
 					// it, sized as the payload the block now carries.
-					r.NoteFlow(obs.FlowMigratedRestore, restoredFrom,
-						tagMergeBase+round*16+(m-g.Root)/stride, len(payload), restoreStart)
+					r.NoteFlow(obs.FlowMigratedRestore, restoredFrom, tag, len(payload), restoreStart)
 				}
 				// A same-rank transfer still goes through the mailbox
 				// (no network hops in the model, only a local copy).
-				r.Send(rootRank, tagMergeBase+round*16+(m-g.Root)/stride, payload)
+				r.Send(rootRank, tag, payload)
 				delete(complexes, m)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"parms/internal/fault"
+	"parms/internal/obs"
 	"parms/internal/vtime"
 )
 
@@ -57,7 +58,7 @@ func TestRunJoinsAllRankErrors(t *testing.T) {
 
 func TestRecvTimeoutDroppedMessage(t *testing.T) {
 	plan := fault.NewPlan(1).DropMessage(1, 0, 1)
-	c, _ := New(Config{Procs: 2, Faults: plan, RecvGrace: 100 * time.Millisecond})
+	c, _ := New(Config{Procs: 2, Faults: plan})
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Run(func(r *Rank) error {
@@ -90,6 +91,111 @@ func TestRecvTimeoutDroppedMessage(t *testing.T) {
 	}
 	if inj := plan.Injected(); len(inj) != 1 || !strings.Contains(inj[0], "drop") {
 		t.Fatalf("injection log: %v", inj)
+	}
+}
+
+// runWithin runs body on c under a 10 s host-time watchdog: a lost
+// message may fail a run, never hang it.
+func runWithin(t *testing.T, c *Cluster, body func(*Rank) error) ([]vtime.Time, error) {
+	t.Helper()
+	type outcome struct {
+		clocks []vtime.Time
+		err    error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		clocks, err := c.Run(body)
+		done <- outcome{clocks, err}
+	}()
+	select {
+	case o := <-done:
+		return o.clocks, o.err
+	case <-time.After(10 * time.Second):
+		t.Fatal("run hung")
+		return nil, nil
+	}
+}
+
+// TestRecvTimeoutWaitsForSlowSender: a healthy sender that is slow in
+// host time is never read as lost. Only virtual stamps decide, so the
+// receive succeeds and the receiver's clock is the same in every run.
+func TestRecvTimeoutWaitsForSlowSender(t *testing.T) {
+	var clocks [2]vtime.Time
+	for run := range clocks {
+		c, _ := New(Config{Procs: 2})
+		_, err := runWithin(t, c, func(r *Rank) error {
+			if r.ID() == 1 {
+				time.Sleep(300 * time.Millisecond)
+				r.Send(0, 5, []byte("slow"))
+				return nil
+			}
+			data, _, ok := r.RecvTimeout(1, 5, 1.0)
+			if !ok || string(data) != "slow" {
+				t.Errorf("run %d: slow sender read as lost: %q ok=%v", run, data, ok)
+			}
+			clocks[run] = r.Clock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if clocks[0] != clocks[1] {
+		t.Fatalf("receiver clock differs between runs: %v vs %v", clocks[0], clocks[1])
+	}
+}
+
+// TestRecvTimeoutLossNotice: an announced loss times out at once, with
+// the clock exactly at the deadline and no flow recorded.
+func TestRecvTimeoutLossNotice(t *testing.T) {
+	ob := obs.New(2)
+	c, _ := New(Config{Procs: 2, Obs: ob})
+	start := time.Now()
+	clocks, err := runWithin(t, c, func(r *Rank) error {
+		if r.ID() == 1 {
+			r.Lose(0, 5)
+			return nil
+		}
+		if _, _, ok := r.RecvTimeout(1, 5, 0.5); ok {
+			t.Error("received a lost message")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Errorf("loss took %v of host time to detect", elapsed)
+	}
+	if clocks[0] != 0.5 {
+		t.Errorf("receiver clock %v, want the deadline 0.5", clocks[0])
+	}
+	if n := ob.FlowRecorder().Started(); n != 0 {
+		t.Errorf("%d flows recorded for a lost message", n)
+	}
+}
+
+// TestRecvFailsOnLoss: a plain Recv cannot survive a loss, so matching
+// a notice fails the run with an error naming source and tag, also
+// when a gate bounds host parallelism.
+func TestRecvFailsOnLoss(t *testing.T) {
+	for _, maxPar := range []int{0, 1} {
+		plan := fault.NewPlan(1).DropMessage(1, 0, 1)
+		c, _ := New(Config{Procs: 3, Faults: plan, MaxParallel: maxPar})
+		_, err := runWithin(t, c, func(r *Rank) error {
+			switch r.ID() {
+			case 0:
+				r.Recv(1, 5)
+			case 1:
+				r.Send(0, 5, []byte("dropped"))
+			case 2:
+				r.Recv(0, 9) // never sent: unwinds through the abort
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "message from rank 1 with tag 5 was lost") {
+			t.Fatalf("MaxParallel %d: plain Recv of a dropped message: %v", maxPar, err)
+		}
 	}
 }
 

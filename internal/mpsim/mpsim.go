@@ -15,9 +15,9 @@ package mpsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"parms/internal/fault"
 	"parms/internal/obs"
@@ -51,12 +51,6 @@ type Config struct {
 	// filesystem errors. Collectives are exempt (modeled as the
 	// hardware-assisted reliable trees of the BG/P).
 	Faults *fault.Plan
-	// RecvGrace bounds the real (host) time RecvTimeout waits for a
-	// message that has not been sent yet before declaring the virtual
-	// deadline expired; 0 selects 2s. Messages already pending are
-	// judged purely by their virtual arrival stamp, so the grace only
-	// matters for messages that genuinely never arrive.
-	RecvGrace time.Duration
 	// Obs attaches an observability sink: a per-rank span tracer keyed
 	// to virtual time plus a metrics registry (package obs). nil — the
 	// default — disables all instrumentation; every hook then costs one
@@ -73,7 +67,6 @@ type Cluster struct {
 	mailboxes []*mailbox
 	fs        *FS
 	placement []int // nil = identity
-	grace     time.Duration
 
 	// metrics holds the substrate's pre-resolved instruments; all nil
 	// (and every update a no-op) when Config.Obs carries no registry.
@@ -155,17 +148,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Placement != nil && len(cfg.Placement) != cfg.Procs {
 		return nil, fmt.Errorf("mpsim: placement has %d entries for %d procs", len(cfg.Placement), cfg.Procs)
 	}
-	grace := cfg.RecvGrace
-	if grace <= 0 {
-		grace = 2 * time.Second
-	}
 	c := &Cluster{
 		cfg:       cfg,
 		machine:   m,
 		net:       net,
 		fs:        NewFS(),
 		placement: cfg.Placement,
-		grace:     grace,
 	}
 	c.fs.faults = cfg.Faults
 	c.metrics = newClusterMetrics(cfg.Obs.Registry())
@@ -359,11 +347,16 @@ func (r *Rank) Elapse(seconds float64) {
 	r.clock.Advance(vtime.Time(seconds))
 }
 
-// message is one in-flight point-to-point payload.
+// message is one in-flight point-to-point payload, or the notice that
+// one is lost.
 type message struct {
 	src, tag int
 	data     []byte
 	arrival  vtime.Time
+	// lost marks a loss notice: the payload for (src, tag) was dropped
+	// by the fault plan or destroyed by its sender's crash, and will
+	// never arrive. A notice carries no data, stamp or flow.
+	lost bool
 	// flow is the send-side record this delivery completes on receive;
 	// the zero FlowID (observability off, sampled out) makes
 	// completion a no-op.
@@ -397,64 +390,29 @@ func (mb *mailbox) put(m message) {
 	mb.cond.Broadcast()
 }
 
-// take blocks until a message matching (src, tag) is available and
-// removes it. AnySource (-1) matches any sender.
-func (mb *mailbox) take(src, tag int) message {
+// take blocks until a message or loss notice matching (src, tag) is
+// pending; AnySource (-1) matches any sender. A message stamped within
+// deadline is removed and returned with ok. A notice is removed and
+// returned without ok; a message stamped after deadline is left pending
+// and reported as message{} without ok. Every send and every loss is
+// announced, so the wait needs no host-clock bound: only a cluster
+// abort ends it without a match, and then take panics.
+func (mb *mailbox) take(src, tag int, deadline vtime.Time) (message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
-		if m, ok := mb.match(src, tag); ok {
-			return m
+		for i, m := range mb.pending {
+			if (src != AnySource && m.src != src) || m.tag != tag {
+				continue
+			}
+			if !m.lost && m.arrival > deadline {
+				return message{}, false
+			}
+			mb.pending = append(mb.pending[:i], mb.pending[i+1:]...)
+			return m, !m.lost
 		}
 		if mb.aborted.Load() {
 			panic(abortMessage)
-		}
-		mb.cond.Wait()
-	}
-}
-
-// match removes and returns the first pending message matching
-// (src, tag). Callers hold mb.mu.
-func (mb *mailbox) match(src, tag int) (message, bool) {
-	for i, m := range mb.pending {
-		if (src == AnySource || m.src == src) && m.tag == tag {
-			mb.pending = append(mb.pending[:i], mb.pending[i+1:]...)
-			return m, true
-		}
-	}
-	return message{}, false
-}
-
-// takeDeadline is take with a bounded wait. A matching message whose
-// virtual arrival stamp is within deadline is delivered; one stamped
-// later is deterministically reported as a timeout (and left pending).
-// When no matching message exists at all, the wait is bounded by the
-// real-time grace, the escape hatch for messages that were dropped or
-// whose sender crashed — a lost message can never block forever.
-func (mb *mailbox) takeDeadline(src, tag int, deadline vtime.Time, grace time.Duration) (message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	expired := false
-	//msvet:allow wallclock: the real-time grace only bounds waits for messages that never arrive; delivered messages are judged purely by virtual arrival stamps (DESIGN §8)
-	timer := time.AfterFunc(grace, func() {
-		mb.mu.Lock()
-		expired = true
-		mb.mu.Unlock()
-		mb.cond.Broadcast()
-	})
-	defer timer.Stop()
-	for {
-		for i, m := range mb.pending {
-			if (src == AnySource || m.src == src) && m.tag == tag {
-				if m.arrival > deadline {
-					return message{}, false
-				}
-				mb.pending = append(mb.pending[:i], mb.pending[i+1:]...)
-				return m, true
-			}
-		}
-		if expired || mb.aborted.Load() {
-			return message{}, false
 		}
 		mb.cond.Wait()
 	}
@@ -490,6 +448,10 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 		// Collective-tag traffic is exempt: the modeled machine's
 		// collective network is treated as reliable.
 		deliveries = p.OnSend(r.id, dst, tag, data)
+		if len(deliveries) == 0 {
+			// Dropped: announce the loss, recording no flow.
+			r.cluster.mailboxes[dst].put(message{src: r.id, tag: tag, lost: true})
+		}
 	}
 	for _, d := range deliveries {
 		a := arrival + vtime.Time(d.ExtraDelay)
@@ -528,20 +490,44 @@ func (r *Rank) checkSrc(src int) {
 	}
 }
 
+// Lose announces that the message this rank owed dst under tag will
+// never be sent: a crash destroyed its payload. It costs no virtual time
+// and records no flow. The matching receive learns of the loss at once,
+// so no receive ever waits on the host clock for a message that cannot
+// come.
+func (r *Rank) Lose(dst, tag int) {
+	if dst < 0 || dst >= r.Size() {
+		panic(fmt.Sprintf("mpsim: loss notice to invalid rank %d (size %d)", dst, r.Size()))
+	}
+	r.cluster.mailboxes[dst].put(message{src: r.id, tag: tag, lost: true})
+}
+
 // Recv blocks until a message with the given source and tag arrives and
 // returns its payload and actual source. src may be AnySource; any other
 // out-of-range source panics (a matching message could never arrive).
+// A matching loss notice panics too: only RecvTimeout survives a loss,
+// so the rank fails and the cluster aborts.
 func (r *Rank) Recv(src, tag int) ([]byte, int) {
 	r.checkSrc(src)
 	recvStart := r.clock.Now()
-	r.release()
-	msg := r.cluster.mailboxes[r.id].take(src, tag)
-	r.acquire()
+	msg, ok := r.take(src, tag, vtime.Time(math.Inf(1)))
+	if !ok {
+		panic(fmt.Sprintf("mpsim: message from rank %d with tag %d was lost; Recv cannot survive a loss", msg.src, tag))
+	}
 	r.clock.AdvanceTo(msg.arrival)
 	r.clock.Advance(vtime.Time(r.cluster.machine.RecvOverhead))
 	r.countRecv(len(msg.data))
 	r.cluster.flows.Complete(msg.flow, recvStart, r.clock.Now())
 	return msg.data, msg.src
+}
+
+// take waits in this rank's mailbox without holding a gate slot, so a
+// blocked receiver cannot starve the sender it waits for. The slot is
+// taken back even when the wait panics, keeping Run's release balanced.
+func (r *Rank) take(src, tag int, deadline vtime.Time) (message, bool) {
+	r.release()
+	defer r.acquire()
+	return r.cluster.mailboxes[r.id].take(src, tag, deadline)
 }
 
 // countRecv tallies one completed point-to-point receive.
@@ -556,15 +542,14 @@ func (r *Rank) countRecv(n int) {
 // It returns ok=false — with the clock advanced to the deadline, as a
 // real timed wait would leave it — when no matching message arrives in
 // time: the message was dropped, delayed past the deadline, or its
-// sender crashed. It is the bounded-blocking primitive every
-// fault-tolerant receive path must use instead of Recv.
+// sender crashed. The outcome follows from virtual stamps and loss
+// notices alone, never from host time. It is the bounded-blocking
+// primitive every fault-tolerant receive path must use instead of Recv.
 func (r *Rank) RecvTimeout(src, tag int, timeout vtime.Time) ([]byte, int, bool) {
 	r.checkSrc(src)
 	recvStart := r.clock.Now()
 	deadline := recvStart + timeout
-	r.release()
-	msg, ok := r.cluster.mailboxes[r.id].takeDeadline(src, tag, deadline, r.cluster.grace)
-	r.acquire()
+	msg, ok := r.take(src, tag, deadline)
 	if !ok {
 		r.clock.AdvanceTo(deadline)
 		r.cluster.metrics.recvTimeouts.Add(1)

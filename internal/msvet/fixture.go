@@ -17,12 +17,12 @@ var wantRe = regexp.MustCompile("// want `([^`]*)`")
 // and compares findings against the fixture's `// want "re"` comments
 // line by line. It returns one human-readable mismatch per problem:
 // expected-but-missing, reported-but-unexpected, or pattern mismatch.
-func CheckFixture(l *Loader, dir, pkgPath string, analyzers []*Analyzer, checkAllows bool) ([]string, error) {
+func CheckFixture(l *Loader, dir, pkgPath string, analyzers []*Analyzer) ([]string, error) {
 	p, err := l.LoadDir(dir, pkgPath)
 	if err != nil {
 		return nil, err
 	}
-	findings, err := RunPackage(p, analyzers, checkAllows)
+	findings, err := RunPackage(p, analyzers)
 	if err != nil {
 		return nil, err
 	}

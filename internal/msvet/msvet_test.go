@@ -19,9 +19,9 @@ func fixtureLoader(t *testing.T) *Loader {
 
 // checkFixture runs one analyzer fixture and fails on any mismatch
 // between findings and the fixture's want markers.
-func checkFixture(t *testing.T, dir, asPath string, analyzers []*Analyzer, checkAllows bool) {
+func checkFixture(t *testing.T, dir, asPath string, analyzers []*Analyzer) {
 	t.Helper()
-	problems, err := CheckFixture(fixtureLoader(t), filepath.Join("testdata", dir), asPath, analyzers, checkAllows)
+	problems, err := CheckFixture(fixtureLoader(t), filepath.Join("testdata", dir), asPath, analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,18 +37,18 @@ func checkFixture(t *testing.T, dir, asPath string, analyzers []*Analyzer, check
 
 func TestWallclockFixture(t *testing.T) {
 	// A deterministic package path so the analyzer applies.
-	checkFixture(t, "wallclock", "parms/internal/merge", []*Analyzer{WallclockAnalyzer}, false)
+	checkFixture(t, "wallclock", "parms/internal/merge", []*Analyzer{WallclockAnalyzer})
 }
 
 func TestWallclockSkipsNondeterministicPackages(t *testing.T) {
 	// The same fixture under a non-deterministic path must be silent:
-	// experiments and synth may seed from anything they like.
+	// experiments may seed from anything it likes.
 	l := fixtureLoader(t)
 	p, err := l.LoadDir(filepath.Join("testdata", "wallclock"), "parms/internal/experiments")
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunPackage(p, []*Analyzer{WallclockAnalyzer}, false)
+	findings, err := RunPackage(p, []*Analyzer{WallclockAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestWallclockSkipsNondeterministicPackages(t *testing.T) {
 }
 
 func TestMaporderFixture(t *testing.T) {
-	checkFixture(t, "maporder", "parms/internal/mscomplex", []*Analyzer{MaporderAnalyzer}, false)
+	checkFixture(t, "maporder", "parms/internal/mscomplex", []*Analyzer{MaporderAnalyzer})
 }
 
 func TestKernelFixture(t *testing.T) {
-	checkFixture(t, "kernel", "parms/internal/gradient", []*Analyzer{KernelAnalyzer}, false)
+	checkFixture(t, "kernel", "parms/internal/gradient", []*Analyzer{KernelAnalyzer})
 }
 
 func TestKernelSkipsColdPackages(t *testing.T) {
@@ -73,19 +73,13 @@ func TestKernelSkipsColdPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunPackage(p, []*Analyzer{KernelAnalyzer}, false)
+	findings, err := RunPackage(p, []*Analyzer{KernelAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(findings) != 0 {
 		t.Fatalf("kernel ran outside the kernel packages: %v", findings)
 	}
-}
-
-// TestAllowGrammar checks the escape-hatch lifecycle: justified
-// annotations suppress, unjustified/unknown/stale ones are findings.
-func TestAllowGrammar(t *testing.T) {
-	checkFixture(t, "allow", "parms/internal/merge", Analyzers(), true)
 }
 
 // TestCleanModule is the end-to-end multichecker test: the full suite
@@ -99,7 +93,7 @@ func TestCleanModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunPackage(p, Analyzers(), true)
+	findings, err := RunPackage(p, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +103,8 @@ func TestCleanModule(t *testing.T) {
 }
 
 // TestRepoIsClean runs the full suite over every package of the module,
-// exactly as `make lint` does: the repo must stay clean, and every
-// annotation must stay justified and live. This is the regression test
-// that catches a new violation (or annotation drift) at `go test` time,
+// exactly as `make lint` does: the repo must stay clean. This is the
+// regression test that catches a new violation at `go test` time,
 // before CI.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
@@ -138,8 +131,8 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestAnalyzerMetadata keeps names and docs wired: names are the allow
-// grammar's vocabulary, so they must be stable and non-empty.
+// TestAnalyzerMetadata keeps names and docs wired: names label every
+// finding, so they must be stable and non-empty.
 func TestAnalyzerMetadata(t *testing.T) {
 	want := []string{"wallclock", "maporder", "kernel"}
 	got := Analyzers()
@@ -153,12 +146,6 @@ func TestAnalyzerMetadata(t *testing.T) {
 		if a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %q missing doc or run", a.Name)
 		}
-		if byName(a.Name) != a {
-			t.Errorf("byName(%q) does not resolve", a.Name)
-		}
-	}
-	if byName("nope") != nil {
-		t.Error("byName resolves an unknown analyzer")
 	}
 }
 

@@ -7,8 +7,8 @@ package msvet
 
 import "sort"
 
-// Run analyzes the given module packages with every analyzer, checks
-// allow hygiene, and returns the merged, position-sorted findings.
+// Run analyzes the given module packages with every analyzer and
+// returns the merged, position-sorted findings.
 func Run(l *Loader, paths []string) ([]Finding, error) {
 	paths = append([]string(nil), paths...)
 	sort.Strings(paths)
@@ -18,7 +18,7 @@ func Run(l *Loader, paths []string) ([]Finding, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs, err := RunPackage(p, Analyzers(), true)
+		fs, err := RunPackage(p, Analyzers())
 		if err != nil {
 			return nil, err
 		}

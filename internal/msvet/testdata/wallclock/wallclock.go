@@ -9,12 +9,12 @@ import (
 )
 
 func badTime() {
-	_ = time.Now()                         // want `wallclock: time\.Now reads the host clock`
-	time.Sleep(time.Second)                // want `wallclock: time\.Sleep reads the host clock`
-	_ = time.Since(time.Time{})            // want `wallclock: time\.Since reads the host clock`
-	_ = time.After(time.Second)            // want `wallclock: time\.After reads the host clock`
-	time.AfterFunc(time.Second, func() {}) // want `wallclock: time\.AfterFunc reads the host clock`
-	_ = time.NewTimer(time.Second)         // want `wallclock: time\.NewTimer reads the host clock`
+	_ = time.Now()                 // want `wallclock: time\.Now reads the host clock`
+	time.Sleep(time.Second)        // want `wallclock: time\.Sleep reads the host clock`
+	_ = time.Since(time.Time{})    // want `wallclock: time\.Since reads the host clock`
+	_ = time.After(time.Second)    // want `wallclock: time\.After reads the host clock`
+	_ = time.Tick(time.Second)     // want `wallclock: time\.Tick reads the host clock`
+	_ = time.NewTimer(time.Second) // want `wallclock: time\.NewTimer reads the host clock`
 }
 
 func badRand() int {
@@ -28,11 +28,8 @@ func goodSeeded(seed int64) float64 {
 }
 
 func goodConstants() time.Duration {
-	// Duration arithmetic never reads the clock.
-	return 2 * time.Second
-}
-
-func allowed() {
-	//msvet:allow wallclock: fixture exercises the annotation path
-	_ = time.Now()
+	// Duration arithmetic and value constructors never read the clock.
+	_ = time.Unix(0, 0)
+	d, _ := time.ParseDuration("2s")
+	return d + 2*time.Second
 }

@@ -4,13 +4,15 @@ import (
 	"go/ast"
 )
 
-// wallclockTimeFuncs are the package time entry points that read or
-// wait on the host clock. Constructors of timers are included: any
-// real-time timer on a simulated path breaks same-seed replay.
-var wallclockTimeFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "AfterFunc": true, "Tick": true,
-	"NewTimer": true, "NewTicker": true,
+// wallclockTimeOK are the package time functions that read no clock:
+// they build or parse values. Every other package-level function of
+// time reads or waits on the host clock (Now, Sleep, the timers and
+// tickers, and any such function a later Go release adds), and any
+// real-time wait on a simulated path breaks same-seed replay.
+var wallclockTimeOK = map[string]bool{
+	"Date": true, "Unix": true, "UnixMilli": true, "UnixMicro": true,
+	"Parse": true, "ParseInLocation": true, "ParseDuration": true,
+	"FixedZone": true, "LoadLocation": true, "LoadLocationFromTZData": true,
 }
 
 // wallclockRandOK are the math/rand (and v2) package-level functions
@@ -23,10 +25,9 @@ var wallclockRandOK = map[string]bool{
 // WallclockAnalyzer flags host-clock reads and unseeded global
 // randomness inside the deterministic packages. Everything on the
 // simulated path must derive from inputs, seeds, and virtual time
-// (vtime), or same-seed runs stop being byte-identical. The one
-// legitimate exception — the real-time grace bounding RecvTimeout's
-// wait for messages that will never arrive — carries a justified
-// //msvet:allow wallclock annotation.
+// (vtime), or same-seed runs stop being byte-identical. There is no
+// exception: mpsim announces every lost message, so even a timed
+// receive never needs the host clock.
 var WallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
 	Doc: "flags time.Now/Sleep/timers and unseeded math/rand in deterministic packages; " +
@@ -45,9 +46,9 @@ func runWallclock(pass *Pass) error {
 			pkg, name := pkgFunc(pass.Info, call)
 			switch pkg {
 			case "time":
-				if wallclockTimeFuncs[name] {
+				if !wallclockTimeOK[name] {
 					pass.Reportf(call.Pos(),
-						"time.%s reads the host clock in deterministic package %s; use virtual time (vtime) or annotate the real-time escape hatch",
+						"time.%s reads the host clock in deterministic package %s; use virtual time (vtime)",
 						name, pass.Pkg.Path())
 				}
 			case "math/rand", "math/rand/v2":

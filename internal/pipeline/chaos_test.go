@@ -18,10 +18,10 @@ import (
 // runChaos executes the pipeline under a fault plan with a hard
 // real-time hang guard: no injected fault is ever allowed to hang the
 // run, only to fail it or be survived.
-func runChaos(t *testing.T, procs int, plan *fault.Plan, grace time.Duration,
-	p Params, vol *grid.Volume) (*mpsim.Cluster, *Result, error) {
+func runChaos(t *testing.T, procs int, plan *fault.Plan, p Params,
+	vol *grid.Volume) (*mpsim.Cluster, *Result, error) {
 	t.Helper()
-	c, err := mpsim.New(mpsim.Config{Procs: procs, Faults: plan, RecvGrace: grace})
+	c, err := mpsim.New(mpsim.Config{Procs: procs, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestChaosSurvivesCrashDropAndCorruption(t *testing.T) {
 		Blocks: 64, Radices: []int{8, 8}, Persistence: 0.1,
 	}
 
-	c, clean, err := runChaos(t, 64, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 64, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestChaosSurvivesCrashDropAndCorruption(t *testing.T) {
 		CrashRank(5, "compute").
 		DropMessage(3, 0, 1).
 		CorruptMessage(6, 0, 1)
-	fs, res, err := runChaos(t, 64, plan, 0, params, vol)
+	fs, res, err := runChaos(t, 64, plan, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +273,14 @@ func TestChaosSingleDropAlwaysRecovers(t *testing.T) {
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{8}, Persistence: 0.2,
 	}
-	c, clean, err := runChaos(t, 8, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 8, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cleanBytes := outputBytes(t, c)
 	for src := 1; src < 8; src++ {
 		plan := fault.NewPlan(int64(src)).DropMessage(src, 0, 1)
-		fs, res, err := runChaos(t, 8, plan, 500*time.Millisecond, params, vol)
+		fs, res, err := runChaos(t, 8, plan, params, vol)
 		if err != nil {
 			t.Errorf("drop %d->0: run failed: %v", src, err)
 			continue
@@ -308,13 +308,13 @@ func TestChaosCrashAtMergeRound(t *testing.T) {
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{2, 2}, Persistence: 0.2,
 	}
-	c, clean, err := runChaos(t, 4, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 4, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Rank 2 owns block 2, the root of round 0's {2,3} group.
 	plan := fault.NewPlan(7).CrashRank(2, "merge:1")
-	fs, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 4, plan, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +340,12 @@ func TestChaosCrashAtWrite(t *testing.T) {
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{2, 2}, Persistence: 0.2,
 	}
-	c, clean, err := runChaos(t, 4, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 4, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := fault.NewPlan(9).CrashRank(0, "write")
-	fs, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 4, plan, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,12 +378,12 @@ func TestChaosFlakyStorage(t *testing.T) {
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{4}, Persistence: 0.2,
 	}
-	c, _, err := runChaos(t, 4, nil, 0, params, vol)
+	c, _, err := runChaos(t, 4, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := fault.NewPlan(11).FailRead("vol", 2).FailWrite("vol.msc", 2)
-	fs, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 4, plan, params, vol)
 	if err != nil {
 		t.Fatalf("transient storage faults not survived: %v", err)
 	}
@@ -393,7 +393,7 @@ func TestChaosFlakyStorage(t *testing.T) {
 	checkBytes(t, fs, outputBytes(t, c))
 
 	perm := fault.NewPlan(12).FailWrite("vol.msc", -1)
-	_, _, err = runChaos(t, 4, perm, 500*time.Millisecond, params, vol)
+	_, _, err = runChaos(t, 4, perm, params, vol)
 	if err == nil {
 		t.Fatal("permanent write failure did not surface")
 	}
@@ -445,12 +445,12 @@ func TestChaosDuplicatedPayloadHarmless(t *testing.T) {
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{8}, Persistence: 0.2,
 	}
-	c, clean, err := runChaos(t, 8, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 8, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := fault.NewPlan(13).DuplicateMessage(2, 0, 1)
-	fs, res, err := runChaos(t, 8, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 8, plan, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestChaosCheckpointRestoreByRound(t *testing.T) {
 		Blocks: 64, Radices: []int{4, 4, 4}, Persistence: 0.1,
 		CheckpointEvery: 1,
 	}
-	c, clean, err := runChaos(t, 64, nil, 0, base, vol)
+	c, clean, err := runChaos(t, 64, nil, base, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestChaosCheckpointRestoreByRound(t *testing.T) {
 				crash := stride[round]
 				plan := fault.NewPlan(int64(100+round)).
 					CrashRank(crash, fmt.Sprintf("merge:%d", round))
-				fs, res, err := runChaos(t, 64, plan, 500*time.Millisecond, p, vol)
+				fs, res, err := runChaos(t, 64, plan, p, vol)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -577,7 +577,7 @@ func TestChaosCorruptCheckpointFallsBack(t *testing.T) {
 		Radices: []int{2, 2}, Persistence: 0.2,
 		CheckpointEvery: 1,
 	}
-	c, clean, err := runChaos(t, 4, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 4, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +586,7 @@ func TestChaosCorruptCheckpointFallsBack(t *testing.T) {
 	plan := fault.NewPlan(21).
 		CrashRank(2, "merge:1").
 		CorruptRead(pario.CheckpointName("ckpt", 0, 2), -1)
-	fs, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 4, plan, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,12 +618,12 @@ func TestChaosCrashAtWriteRestoresFromCheckpoint(t *testing.T) {
 		Radices: []int{2, 2}, Persistence: 0.2,
 		CheckpointEvery: 1,
 	}
-	c, clean, err := runChaos(t, 4, nil, 0, params, vol)
+	c, clean, err := runChaos(t, 4, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := fault.NewPlan(9).CrashRank(0, "write")
-	fs, res, err := runChaos(t, 4, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 4, plan, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +658,7 @@ func TestChaosLargeRankCheckpointSweep(t *testing.T) {
 		Blocks: procs, Radices: radices, Persistence: 0.2,
 		CheckpointEvery: 1,
 	}
-	c, clean, err := runChaos(t, procs, nil, 0, params, vol)
+	c, clean, err := runChaos(t, procs, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,7 +670,7 @@ func TestChaosLargeRankCheckpointSweep(t *testing.T) {
 	plan := fault.NewPlan(77).
 		DropProbability(0.002).
 		CrashRank(crash, fmt.Sprintf("merge:%d", lastRound))
-	fs, res, err := runChaos(t, procs, plan, 2*time.Second, params, vol)
+	fs, res, err := runChaos(t, procs, plan, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -741,7 +741,7 @@ func TestChaosFaultPlanBytes(t *testing.T) {
 				Radices: s.radices, Persistence: f.persistence,
 				MergeTimeout: 0.5,
 			}
-			c, _, err := runChaos(t, procs, nil, 0, base, f.vol)
+			c, _, err := runChaos(t, procs, nil, base, f.vol)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -752,7 +752,7 @@ func TestChaosFaultPlanBytes(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						p := base
 						p.CheckpointEvery = ckpt
-						fs, res, err := runChaos(t, procs, pl.make(), 100*time.Millisecond, p, f.vol)
+						fs, res, err := runChaos(t, procs, pl.make(), p, f.vol)
 						if err != nil {
 							t.Fatal(err)
 						}

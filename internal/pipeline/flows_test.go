@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"parms/internal/fault"
 	"parms/internal/grid"
@@ -62,7 +61,7 @@ func TestFlowsAttributeMigratedBlocks(t *testing.T) {
 	vol := synth.Sinusoid(33, 4)
 	plan := fault.NewPlan(31).CrashRank(4, "merge:1")
 	c, err := mpsim.New(mpsim.Config{
-		Procs: 64, Faults: plan, RecvGrace: 500 * time.Millisecond, Obs: obs.New(64),
+		Procs: 64, Faults: plan, Obs: obs.New(64),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"parms/internal/fault"
 	"parms/internal/grid"
@@ -32,7 +31,7 @@ func TestChaosMigrationDrill(t *testing.T) {
 		Blocks: 64, Radices: []int{4, 4, 4}, Persistence: 0.1,
 		CheckpointEvery: 1, Migrate: true,
 	}
-	fs, clean, err := runChaos(t, 64, nil, 0, params, vol)
+	fs, clean, err := runChaos(t, 64, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func TestChaosMigrationDrill(t *testing.T) {
 	cleanBytes := outputBytes(t, fs)
 
 	plan := fault.NewPlan(31).CrashRank(4, "merge:1")
-	fs, res, err := runChaos(t, 64, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 64, plan, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +87,14 @@ func TestChaosMigrationWithoutCheckpoints(t *testing.T) {
 		Blocks: 64, Radices: []int{4, 4, 4}, Persistence: 0.1,
 		Migrate: true,
 	}
-	fs, clean, err := runChaos(t, 64, nil, 0, params, vol)
+	fs, clean, err := runChaos(t, 64, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cleanBytes := outputBytes(t, fs)
 
 	plan := fault.NewPlan(32).CrashRank(4, "merge:1")
-	fs, res, err := runChaos(t, 64, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 64, plan, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestChaosDelayedPayloadRecovers(t *testing.T) {
 		ob := obs.New(8)
 		c, err := mpsim.New(mpsim.Config{
 			Procs: 8, Faults: fault.NewPlan(41).DelayMessage(3, 0, 1, 0.002),
-			RecvGrace: 2 * time.Second, Obs: ob,
+			Obs: ob,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -150,7 +149,7 @@ func TestChaosDelayedPayloadRecovers(t *testing.T) {
 		return c, res, ob
 	}
 
-	fs, clean, err := runChaos(t, 8, nil, 0, base, vol)
+	fs, clean, err := runChaos(t, 8, nil, base, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +216,7 @@ func TestChaosCheckpointGCReclaims(t *testing.T) {
 		Blocks: 64, Radices: []int{4, 4, 4}, Persistence: 0.1,
 		CheckpointEvery: 1, CheckpointGC: true,
 	}
-	fs, clean, err := runChaos(t, 64, nil, 0, params, vol)
+	fs, clean, err := runChaos(t, 64, nil, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +244,7 @@ func TestChaosCheckpointGCReclaims(t *testing.T) {
 	// still on disk (its round-2 successor has not been written yet), so
 	// recovery is a restore, and the output stays byte-identical.
 	plan := fault.NewPlan(51).CrashRank(16, "merge:2")
-	fs, res, err := runChaos(t, 64, plan, 500*time.Millisecond, params, vol)
+	fs, res, err := runChaos(t, 64, plan, params, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +287,7 @@ func TestChaosMigrationRateSweep(t *testing.T) {
 		Blocks: procs, Radices: radices, Persistence: 0.2,
 		CheckpointEvery: 1,
 	}
-	c, clean, err := runChaos(t, procs, nil, 0, base, vol)
+	c, clean, err := runChaos(t, procs, nil, base, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +314,7 @@ func TestChaosMigrationRateSweep(t *testing.T) {
 			run := func(migrate bool, seed int64) *Result {
 				p := base
 				p.Migrate = migrate
-				fs, res, err := runChaos(t, procs, crashPlan(seed), 2*time.Second, p, vol)
+				fs, res, err := runChaos(t, procs, crashPlan(seed), p, vol)
 				if err != nil {
 					t.Fatalf("migrate=%v: %v", migrate, err)
 				}

@@ -26,7 +26,6 @@ package parms
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"parms/internal/analysis"
 	"parms/internal/fault"
@@ -165,9 +164,6 @@ type Options struct {
 	// virtual seconds (default 1s when Faults is set). Setting it
 	// without Faults also enables the fault-tolerant merge path.
 	MergeTimeout float64
-	// RecvGrace bounds the real (wall-clock) time a timed-out receive
-	// may wait for a message that never arrives (default 2s).
-	RecvGrace time.Duration
 	// CheckpointEvery, when >= 1, persists each merge-group root's
 	// post-round complex to the simulated filesystem every
 	// CheckpointEvery rounds (checksummed PCSFM2 frames), and fault
@@ -305,7 +301,6 @@ func run(opt Options, in pipeline.Params, lo, hi float32, raw []byte) (*Result, 
 		Machine:     opt.Machine,
 		MaxParallel: opt.MaxParallel,
 		Faults:      opt.Faults,
-		RecvGrace:   opt.RecvGrace,
 		Obs:         newObserver(opt),
 	})
 	if err != nil {

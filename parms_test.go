@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"parms/internal/cube"
 	"parms/internal/gradient"
@@ -169,7 +168,7 @@ func TestChaosPublicFaultInjection(t *testing.T) {
 		FailWrite("volume.raw.msc", 1)
 	res, err := Compute(vol, Options{
 		Procs: 8, FullMerge: true, Persistence: 0.15,
-		Faults: plan, RecvGrace: 500 * time.Millisecond,
+		Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
