@@ -61,14 +61,13 @@ lint:
 	$(GO) run ./cmd/msvet -stats $(MSVETFLAGS) ./...
 
 # One small traced pipeline run: generate a sinusoid volume, run msc
-# with tracing and metrics on 16 ranks, then validate the trace JSON
-# (well-formed, monotonic timestamps per track, every flow start paired
-# with exactly one finish). Artifacts: trace.json, metrics.prom,
-# flows.json.
+# with tracing on 16 ranks, then validate the trace JSON (well-formed,
+# monotonic timestamps per track, every flow start paired with exactly
+# one finish). Artifacts: trace.json, flows.json.
 trace:
 	$(GO) run ./cmd/mkdata -kind sinusoid -n 33 -features 4 -o /tmp/parms-trace.raw
 	$(GO) run ./cmd/msc -in /tmp/parms-trace.raw -dims 33x33x33 -procs 16 -merge full \
-		-trace trace.json -metrics metrics.prom -flows flows.json -out /tmp/parms-trace.msc
+		-trace trace.json -flows flows.json -out /tmp/parms-trace.msc
 	$(GO) run ./cmd/tracecheck -flows trace.json
 
 # Trace analytics over the canned traced run: critical path, straggler
@@ -76,8 +75,8 @@ trace:
 # printed as the human table and written as the machine-readable
 # insight.json artifact (byte-identical across same-trace runs).
 insight: trace
-	$(GO) run ./cmd/msinsight -trace trace.json -metrics metrics.prom
-	$(GO) run ./cmd/msinsight -trace trace.json -metrics metrics.prom -json > insight.json
+	$(GO) run ./cmd/msinsight -trace trace.json
+	$(GO) run ./cmd/msinsight -trace trace.json -json > insight.json
 
 # The message-flow view of the canned traced run: the rank×rank
 # communication matrix and the bucketed virtual-time timeline, rebuilt

@@ -13,11 +13,9 @@
 //
 // Observability: -trace out.json writes a Chrome/Perfetto trace of the
 // run (one track per rank, virtual-time spans for every stage, fault
-// events as instants) and prints a per-stage summary table; -metrics
-// out.prom writes a Prometheus-style text dump of the run's counters,
-// gauges and histograms; -flows flows.json dumps the per-message
-// causal flow records. The files are written after the run; msinsight
-// reads them back.
+// events as instants) and prints a per-stage summary table; -flows
+// flows.json dumps the per-message causal flow records. The files are
+// written after the run; msinsight reads the trace back.
 package main
 
 import (
@@ -48,7 +46,6 @@ func main() {
 	measured := flag.Bool("measured", false, "report real wall-clock compute times instead of modeled Blue Gene/P times")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run")
 	flowsOut := flag.String("flows", "", "write the per-message causal flow records as JSON")
-	metricsOut := flag.String("metrics", "", "write a Prometheus-style text dump of the run's metrics")
 	ckpt := flag.Int("ckpt", 0, "checkpoint merge state every N rounds (0 = off); recovery restores from the newest valid checkpoint before recomputing")
 	ckptDir := flag.String("ckptdir", "ckpt", "checkpoint directory on the simulated filesystem")
 	ckptGC := flag.Bool("ckpt-gc", false, "reclaim checkpoints superseded by newer rounds as soon as they are safely on disk")
@@ -86,11 +83,11 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	var ob *obs.Observer
-	if *traceOut != "" || *flowsOut != "" || *metricsOut != "" {
-		ob = obs.New(*procs)
+	var tracer *obs.Tracer
+	if *traceOut != "" || *flowsOut != "" {
+		tracer = obs.NewTracer(*procs)
 	}
-	cluster, err := mpsim.New(mpsim.Config{Procs: *procs, MaxParallel: *parallel, Obs: ob})
+	cluster, err := mpsim.New(mpsim.Config{Procs: *procs, MaxParallel: *parallel, Trace: tracer})
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -165,10 +162,6 @@ func main() {
 	if *flowsOut != "" {
 		writeFile(*flowsOut, func(f *os.File) error { return res.Trace.Flows().WriteFlowsJSON(f) })
 		fmt.Printf("flows      %s (%d message(s) started)\n", *flowsOut, res.Trace.Flows().Started())
-	}
-	if *metricsOut != "" {
-		writeFile(*metricsOut, func(f *os.File) error { return res.Metrics.WritePrometheus(f) })
-		fmt.Printf("metrics    %s\n", *metricsOut)
 	}
 }
 

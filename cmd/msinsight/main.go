@@ -1,7 +1,5 @@
-// Command msinsight analyzes a run's exported observability artifacts:
-// the Chrome-trace JSON written by msc -trace (or scraped from a live
-// run's /trace endpoint) and, optionally, the Prometheus metrics dump
-// from msc -metrics, read for the run's byte count. It reports the
+// Command msinsight analyzes a run's exported Chrome-trace JSON, as
+// written by msc -trace. It reports the run's traffic, the
 // message-level critical path, per-stage straggler flags with
 // imbalance scores, the ranks whose messages others waited on,
 // per-round merge attribution (serialize / glue / simplify / wait
@@ -11,16 +9,16 @@
 //
 // Usage:
 //
-//	msinsight -trace trace.json [-metrics metrics.prom] [-json]
+//	msinsight -trace trace.json [-json]
 //	msinsight -trace trace.json -flows [-buckets 64]
 //
-// Block count and merge radices are read from the trace. Output is a
-// human-readable report by default; -json switches to the
+// Block count, merge radices and byte counts are read from the trace.
+// Output is a human-readable report by default; -json switches to the
 // machine-readable form, which is byte-identical across runs of the
-// same trace. -flows switches to the message-flow
-// view instead: the full rank×rank communication matrix rebuilt from
-// the trace's flow events, and the bucketed virtual-time timeline
-// (-buckets sets its resolution).
+// same trace. -flows switches to the message-flow view instead: the
+// full rank×rank communication matrix rebuilt from the trace's flow
+// events, and the bucketed virtual-time timeline (-buckets sets its
+// resolution).
 package main
 
 import (
@@ -33,8 +31,7 @@ import (
 )
 
 func main() {
-	traceIn := flag.String("trace", "", "Chrome-trace JSON file of the run (required; from msc -trace or /trace)")
-	metricsIn := flag.String("metrics", "", "Prometheus metrics dump of the run (optional; from msc -metrics or /metrics)")
+	traceIn := flag.String("trace", "", "Chrome-trace JSON file of the run (required; from msc -trace)")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable JSON report instead of the text rendering")
 	flowsMode := flag.Bool("flows", false, "print the message-flow view (comm matrix + virtual-time timeline) instead of the report")
 	buckets := flag.Int("buckets", 0, "timeline bucket count for -flows (0 = default 64)")
@@ -53,18 +50,6 @@ func main() {
 	f.Close()
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *metricsIn != "" {
-		mf, err := os.Open(*metricsIn)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		metrics, err := analyze.ParsePrometheus(mf)
-		mf.Close()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		in.BytesSent = int64(metrics["mpsim_bytes_sent_total"])
 	}
 
 	rep := analyze.Analyze(in)

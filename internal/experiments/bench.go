@@ -17,8 +17,8 @@ import (
 
 // BenchRun is one traced pipeline execution of the benchmark sweep:
 // modeled stage times, per-stage load imbalance (max/mean across
-// ranks, from the span trace), and the communication volume observed
-// by the metrics registry.
+// ranks, from the span trace), and the communication volume read off
+// the trace's flow records and serialize spans.
 type BenchRun struct {
 	Procs  int    `json:"procs"`
 	Blocks int    `json:"blocks"`
@@ -116,8 +116,7 @@ func Bench(cfg Config) (*BenchResult, error) {
 	lo, hi := vol.Range()
 	for _, procs := range pow2Sweep(8, maxP) {
 		cfg.logf("bench: procs=%d\n", procs)
-		ob := obs.New(procs)
-		cluster, err := mpsim.New(mpsim.Config{Procs: procs, MaxParallel: cfg.maxParallel(), Obs: ob})
+		cluster, err := mpsim.New(mpsim.Config{Procs: procs, MaxParallel: cfg.maxParallel(), Trace: obs.NewTracer(procs)})
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +137,7 @@ func Bench(cfg Config) (*BenchResult, error) {
 		for _, st := range res.Trace.StageStats("read", "compute", "merge", "write") {
 			imb[st.Name] = st.Imbalance
 		}
-		reg := res.Metrics
+		sent, recv := obs.FlowBytes(res.Trace.Flows().Flows())
 		out.Runs = append(out.Runs, BenchRun{
 			Procs:            procs,
 			Blocks:           res.Blocks,
@@ -149,9 +148,9 @@ func Bench(cfg Config) (*BenchResult, error) {
 			WriteSeconds:     res.Times.Write,
 			TotalSeconds:     res.Times.Total,
 			Imbalance:        imb,
-			PeakPayloadBytes: int64(reg.GaugeValue("merge_payload_peak_bytes")),
-			BytesSent:        reg.CounterValue("mpsim_bytes_sent_total"),
-			BytesRecv:        reg.CounterValue("mpsim_bytes_recv_total"),
+			PeakPayloadBytes: peakPayload(res.Trace),
+			BytesSent:        sent,
+			BytesRecv:        recv,
 			Nodes:            res.Nodes,
 			Arcs:             res.Arcs,
 		})
@@ -171,6 +170,23 @@ func Bench(cfg Config) (*BenchResult, error) {
 	return out, nil
 }
 
+// peakPayload returns the largest merge payload of a traced run: the
+// biggest "bytes" attribute on any serialize span.
+func peakPayload(tr *obs.Tracer) int64 {
+	var peak int64
+	for id := 0; id < tr.Procs(); id++ {
+		for _, s := range tr.Spans(id) {
+			if s.Name != "serialize" {
+				continue
+			}
+			if a, ok := s.Attr("bytes"); ok && a.Int() > peak {
+				peak = a.Int()
+			}
+		}
+	}
+	return peak
+}
+
 // benchTracerOverhead runs the flow-recorder cost probe: one 64-rank
 // full-merge run with every message flow recorded, and the identical
 // run with the recorder in count-only mode (sequence counters advance,
@@ -181,11 +197,11 @@ func benchTracerOverhead(cfg Config) (*TracerOverhead, error) {
 	const procs = 64
 	vol := synth.Sinusoid(33, 4)
 	run := func(countOnly bool) (*pipeline.Result, uint64, error) {
-		ob := obs.New(procs)
+		tracer := obs.NewTracer(procs)
 		if countOnly {
-			ob.FlowRecorder().CountOnly()
+			tracer.Flows().CountOnly()
 		}
-		cluster, err := mpsim.New(mpsim.Config{Procs: procs, MaxParallel: cfg.maxParallel(), Obs: ob})
+		cluster, err := mpsim.New(mpsim.Config{Procs: procs, MaxParallel: cfg.maxParallel(), Trace: tracer})
 		if err != nil {
 			return nil, 0, err
 		}

@@ -59,18 +59,11 @@ func (c *Checkpoint) write(r *mpsim.Rank, sched Schedule, nblocks, round, block 
 		r.Tracer().Instant("fault:ckpt_write_fail", r.Clock(),
 			obs.I("block", int64(block)), obs.I("round", int64(round)),
 			obs.S("err", err.Error()))
-		if reg := r.Metrics(); reg != nil {
-			reg.Counter("merge_checkpoint_write_errors_total").Add(1)
-		}
 		return
 	}
 	r.Tracer().Span("ckpt:write", start, r.Clock(),
 		obs.I("block", int64(block)), obs.I("round", int64(round)),
 		obs.I("bytes", int64(len(data))))
-	if reg := r.Metrics(); reg != nil {
-		reg.Counter("merge_checkpoint_writes_total").Add(1)
-		reg.Counter("merge_checkpoint_bytes_written_total").Add(int64(len(data)))
-	}
 	c.gc(r, sched, nblocks, round, block, rep)
 }
 
@@ -110,10 +103,6 @@ func (c *Checkpoint) gc(r *mpsim.Rank, sched Schedule, nblocks, round, block int
 	r.Tracer().Instant("ckpt:gc", r.Clock(),
 		obs.I("block", int64(block)), obs.I("round", int64(round)),
 		obs.I("files", int64(files)), obs.I("bytes", bytes))
-	if reg := r.Metrics(); reg != nil {
-		reg.Counter("merge_checkpoint_gc_files_total").Add(int64(files))
-		reg.Counter("merge_checkpoint_gc_bytes_total").Add(bytes)
-	}
 }
 
 // read loads and validates the checkpoint of block at round k. A
@@ -134,9 +123,6 @@ func (c *Checkpoint) read(r *mpsim.Rank, k, block int) (*mscomplex.Complex, int6
 	if err != nil || id != block {
 		r.Tracer().Instant("fault:ckpt_corrupt", r.Clock(),
 			obs.I("block", int64(block)), obs.I("round", int64(k)))
-		if reg := r.Metrics(); reg != nil {
-			reg.Counter("merge_checkpoint_corrupt_total").Add(1)
-		}
 		return nil, 0
 	}
 	r.Compute(vtime.Work{BytesCoded: size})
@@ -204,11 +190,6 @@ func restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 		r.Tracer().Span("ckpt:restore", start, r.Clock(),
 			obs.I("block", int64(block)), obs.I("round", int64(round)),
 			obs.I("from_round", int64(k)), obs.I("bytes", n))
-		if reg := r.Metrics(); reg != nil {
-			reg.Counter("merge_checkpoint_restores_total").Add(1)
-			reg.Counter("merge_checkpoint_bytes_read_total").Add(n)
-			reg.Gauge("merge_checkpoint_restore_seconds_total").Add(float64(r.Clock() - start))
-		}
 		return ms, true, nil
 	}
 	if opts.Report != nil {
@@ -216,9 +197,6 @@ func restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 	}
 	r.Tracer().Instant("fault:ckpt_fallback", r.Clock(),
 		obs.I("block", int64(block)), obs.I("round", int64(round)))
-	if reg := r.Metrics(); reg != nil {
-		reg.Counter("merge_checkpoint_fallbacks_total").Add(1)
-	}
 	return nil, false, nil
 }
 

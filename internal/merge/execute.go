@@ -96,9 +96,6 @@ func (o Options) CanRecover() bool { return o.Recompute != nil || o.Checkpoint !
 func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*mscomplex.Complex, opts Options) ([]RoundStats, error) {
 	procs := r.Size()
 	tr := r.Tracer()
-	reg := r.Metrics()
-	payloadHist := reg.Histogram("merge_payload_bytes")
-	payloadPeak := reg.Gauge("merge_payload_peak_bytes")
 	owners := opts.Owners
 	if owners == nil {
 		owners = grid.NewOwnerTable(nblocks, procs)
@@ -161,9 +158,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					tr.Instant("fault:migrate", r.Clock(),
 						obs.I("block", int64(mg.Block)), obs.I("from", int64(mg.From)),
 						obs.I("to", int64(mg.To)), obs.I("round", int64(round)))
-					if reg != nil {
-						reg.Counter("merge_migrations_total").Add(1)
-					}
 				}
 			}
 		}
@@ -213,8 +207,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					tr.Span("serialize", serStart, r.Clock(),
 						obs.I("block", int64(m)), obs.I("bytes", int64(len(payload))))
 				}
-				payloadHist.Observe(int64(len(payload)))
-				payloadPeak.SetMax(float64(len(payload)))
 				if restoredFrom >= 0 {
 					// The restore moved the dead owner's data onto this
 					// rank outside Send/Recv; a synthetic flow attributes
@@ -282,9 +274,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 						tr.Instant("fault:timeout", r.Clock(), obs.I("block", int64(m)),
 							obs.I("src", int64(srcRank)), obs.I("round", int64(round)),
 							obs.F("wait_s", waited))
-						if reg != nil {
-							reg.Gauge("merge_timeout_wait_seconds_total").Add(waited)
-						}
 						lost = true
 					}
 				} else {
@@ -357,11 +346,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 				obs.I("blocks_after", int64(blocksLeft)),
 				obs.I("sent_bytes", sentDelta),
 				obs.I("recv_bytes", recvDelta))
-		}
-		if reg != nil {
-			k := fmt.Sprint(round)
-			reg.Counter(obs.Label("merge_round_bytes_sent_total", "round", k)).Add(sentDelta)
-			reg.Counter(obs.Label("merge_round_bytes_recv_total", "round", k)).Add(recvDelta)
 		}
 		stats = append(stats, RoundStats{
 			Radix:     sched.Radices[round],
@@ -441,15 +425,11 @@ func rebuild(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 		}
 	}
 	// Recovery cost is first-class in the trace: one span on the
-	// rebuilding rank, plus the recompute budget counters the
+	// rebuilding rank, whose duration is the recompute budget the
 	// fault-aware-scheduling work (ROADMAP) will optimize against.
 	r.Tracer().Span("rebuild", rebuildStart, r.Clock(),
 		obs.I("block", int64(block)), obs.I("round", int64(round)),
 		obs.I("subtree", int64(span)))
-	if reg := r.Metrics(); reg != nil {
-		reg.Counter("merge_recomputes_total").Add(1)
-		reg.Gauge("merge_recompute_seconds_total").Add(float64(r.Clock() - rebuildStart))
-	}
 	return local[block], nil
 }
 

@@ -148,8 +148,8 @@ func TestRecvTimeoutWaitsForSlowSender(t *testing.T) {
 // TestRecvTimeoutLossNotice: an announced loss times out at once, with
 // the clock exactly at the deadline and no flow recorded.
 func TestRecvTimeoutLossNotice(t *testing.T) {
-	ob := obs.New(2)
-	c, _ := New(Config{Procs: 2, Obs: ob})
+	tr := obs.NewTracer(2)
+	c, _ := New(Config{Procs: 2, Trace: tr})
 	start := time.Now()
 	clocks, err := runWithin(t, c, func(r *Rank) error {
 		if r.ID() == 1 {
@@ -170,7 +170,7 @@ func TestRecvTimeoutLossNotice(t *testing.T) {
 	if clocks[0] != 0.5 {
 		t.Errorf("receiver clock %v, want the deadline 0.5", clocks[0])
 	}
-	if n := ob.FlowRecorder().Started(); n != 0 {
+	if n := tr.Flows().Started(); n != 0 {
 		t.Errorf("%d flows recorded for a lost message", n)
 	}
 }

@@ -200,7 +200,6 @@ func (r *Rank) retryIO(op func() error) error {
 			return err
 		}
 		r.ioRetries++
-		r.cluster.metrics.ioRetries.Add(1)
 		r.tr.Instant("fault:io_retry", r.clock.Now(),
 			obs.I("attempt", int64(attempt+1)), obs.S("err", err.Error()))
 		r.clock.Advance(vtime.Time(backoff))

@@ -51,11 +51,11 @@ type Config struct {
 	// filesystem errors. Collectives are exempt (modeled as the
 	// hardware-assisted reliable trees of the BG/P).
 	Faults *fault.Plan
-	// Obs attaches an observability sink: a per-rank span tracer keyed
-	// to virtual time plus a metrics registry (package obs). nil — the
-	// default — disables all instrumentation; every hook then costs one
-	// nil check, so the fault-free fast path is unaffected.
-	Obs *obs.Observer
+	// Trace attaches a per-rank span tracer keyed to virtual time, with
+	// its message-flow recorder (package obs). nil — the default —
+	// disables all instrumentation; every hook then costs one nil check,
+	// so the fault-free fast path is unaffected.
+	Trace *obs.Tracer
 }
 
 // Cluster is a virtual distributed-memory machine.
@@ -68,11 +68,8 @@ type Cluster struct {
 	fs        *FS
 	placement []int // nil = identity
 
-	// metrics holds the substrate's pre-resolved instruments; all nil
-	// (and every update a no-op) when Config.Obs carries no registry.
-	metrics clusterMetrics
 	// flows records one causal record per message (DESIGN §14); nil —
-	// every hook a no-op — when Config.Obs is nil.
+	// every hook a no-op — when Config.Trace is nil.
 	flows *obs.FlowRecorder
 
 	// aborted is set when any rank's body fails, so that ranks blocked
@@ -89,36 +86,6 @@ type Cluster struct {
 // abortMessage is the panic value blocked receives raise when the
 // cluster aborts; safeBody converts it into a per-rank error.
 const abortMessage = "cluster aborted: a peer rank failed"
-
-// clusterMetrics pre-resolves the substrate's registry instruments once
-// per cluster, so the per-message path never takes the registry lock.
-// The zero value (all nil) is the disabled state.
-type clusterMetrics struct {
-	bytesSent    *obs.Counter
-	msgsSent     *obs.Counter
-	bytesRecv    *obs.Counter
-	msgsRecv     *obs.Counter
-	msgBytes     *obs.Histogram
-	ioRetries    *obs.Counter
-	recvTimeouts *obs.Counter
-	crashes      *obs.Counter
-}
-
-func newClusterMetrics(reg *obs.Registry) clusterMetrics {
-	if reg == nil {
-		return clusterMetrics{}
-	}
-	return clusterMetrics{
-		bytesSent:    reg.Counter("mpsim_bytes_sent_total"),
-		msgsSent:     reg.Counter("mpsim_messages_sent_total"),
-		bytesRecv:    reg.Counter("mpsim_bytes_recv_total"),
-		msgsRecv:     reg.Counter("mpsim_messages_recv_total"),
-		msgBytes:     reg.Histogram("mpsim_message_bytes"),
-		ioRetries:    reg.Counter("mpsim_io_retries_total"),
-		recvTimeouts: reg.Counter("mpsim_recv_timeouts_total"),
-		crashes:      reg.Counter("mpsim_rank_crashes_total"),
-	}
-}
 
 // abort wakes every rank blocked in a receive. Locking each mailbox
 // before broadcasting guarantees no waiter can miss the wakeup between
@@ -156,8 +123,7 @@ func New(cfg Config) (*Cluster, error) {
 		placement: cfg.Placement,
 	}
 	c.fs.faults = cfg.Faults
-	c.metrics = newClusterMetrics(cfg.Obs.Registry())
-	c.flows = cfg.Obs.FlowRecorder()
+	c.flows = cfg.Trace.Flows()
 	c.mailboxes = make([]*mailbox, cfg.Procs)
 	for i := range c.mailboxes {
 		c.mailboxes[i] = newMailbox(&c.aborted)
@@ -191,8 +157,8 @@ func (c *Cluster) node(rank int) int {
 // Faults returns the fault plan the cluster injects, or nil.
 func (c *Cluster) Faults() *fault.Plan { return c.cfg.Faults }
 
-// Obs returns the observability sink attached to the cluster, or nil.
-func (c *Cluster) Obs() *obs.Observer { return c.cfg.Obs }
+// Tracer returns the tracer attached to the cluster, or nil.
+func (c *Cluster) Tracer() *obs.Tracer { return c.cfg.Trace }
 
 // Run executes body once per rank, concurrently, and blocks until every
 // rank returns. It returns the per-rank final clocks and all rank errors
@@ -214,7 +180,7 @@ func (c *Cluster) Run(body func(r *Rank) error) ([]vtime.Time, error) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			r := &Rank{id: id, cluster: c, tr: c.cfg.Obs.Rank(id)}
+			r := &Rank{id: id, cluster: c, tr: c.cfg.Trace.Rank(id)}
 			// The gate bounds *host* parallelism. A rank must release
 			// it while blocked in Recv, otherwise held gate slots could
 			// starve the sender it is waiting for; acquire/release is
@@ -302,10 +268,6 @@ func (r *Rank) MessagesRecv() int64 { return r.msgsRecv }
 // Tracer().Enabled()).
 func (r *Rank) Tracer() *obs.RankTracer { return r.tr }
 
-// Metrics returns the cluster's metrics registry, nil when
-// observability is off.
-func (r *Rank) Metrics() *obs.Registry { return r.cluster.cfg.Obs.Registry() }
-
 // IORetries returns the number of filesystem operations this rank has
 // retried after transient errors.
 func (r *Rank) IORetries() int64 { return r.ioRetries }
@@ -326,7 +288,6 @@ func (r *Rank) Checkpoint(stage string) bool {
 	// the restart-complete time, tagged with the stage that lost state.
 	r.tr.Instant("fault:crash", r.clock.Now(),
 		obs.S("stage", stage), obs.F("penalty_s", p.Penalty()))
-	r.cluster.metrics.crashes.Add(1)
 	return true
 }
 
@@ -440,9 +401,6 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 	arrival := r.clock.Now() + transfer
 	r.bytesSent += int64(len(data))
 	r.msgsSent++
-	r.cluster.metrics.bytesSent.Add(int64(len(data)))
-	r.cluster.metrics.msgsSent.Add(1)
-	r.cluster.metrics.msgBytes.Observe(int64(len(data)))
 	deliveries := []fault.Delivery{{Data: data}}
 	if p := r.cluster.cfg.Faults; p != nil && tag < tagBarrierUp {
 		// Collective-tag traffic is exempt: the modeled machine's
@@ -534,8 +492,6 @@ func (r *Rank) take(src, tag int, deadline vtime.Time) (message, bool) {
 func (r *Rank) countRecv(n int) {
 	r.bytesRecv += int64(n)
 	r.msgsRecv++
-	r.cluster.metrics.bytesRecv.Add(int64(n))
-	r.cluster.metrics.msgsRecv.Add(1)
 }
 
 // RecvTimeout is Recv with a virtual-time deadline of Clock()+timeout.
@@ -552,7 +508,6 @@ func (r *Rank) RecvTimeout(src, tag int, timeout vtime.Time) ([]byte, int, bool)
 	msg, ok := r.take(src, tag, deadline)
 	if !ok {
 		r.clock.AdvanceTo(deadline)
-		r.cluster.metrics.recvTimeouts.Add(1)
 		return nil, 0, false
 	}
 	r.clock.AdvanceTo(msg.arrival)

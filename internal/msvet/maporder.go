@@ -17,7 +17,7 @@ import (
 var MaporderAnalyzer = &Analyzer{
 	Name: "maporder",
 	Doc: "flags map iteration whose order escapes into slices, encoders, hashes, or channels; " +
-		"sort the keys first (cf. obs.sortedKeys, FS.Names)",
+		"sort the keys first (cf. analyze.sortedStringKeys, FS.Names)",
 	Run: runMaporder,
 }
 

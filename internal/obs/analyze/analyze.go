@@ -1,5 +1,5 @@
 // Package analyze is the layer that reads the telemetry: it consumes a
-// traced run (its *obs.Observer or re-parsed trace/metrics exports)
+// traced run (its *obs.Tracer or a re-parsed Chrome-trace export)
 // and computes the analyses the paper's per-stage max-over-ranks
 // decomposition cannot express — the critical path through the run's
 // message chain, per-stage straggler detection with an imbalance
@@ -24,32 +24,27 @@ import (
 )
 
 // Input is the telemetry snapshot an analysis consumes: one span/
-// instant track per rank, the flow records, and the run's byte count.
-// Build one with FromObserver (from a finished run) or ParseChromeTrace
-// (from an exported trace).
+// instant track per rank and the flow records. Build one with
+// FromTracer (from a finished run) or ParseChromeTrace (from an
+// exported trace).
 type Input struct {
 	Procs    int
 	Spans    [][]obs.Span
 	Instants [][]obs.Instant
-	// BytesSent is the run's mpsim_bytes_sent_total counter: every
-	// payload byte sent through Rank.Send, collective-tag traffic
-	// included. Optional; zero when unknown.
-	BytesSent int64
 	// Flows holds the per-message causal records, ordered by
 	// (emitter, seq). Without them the report has no critical path, no
 	// comm matrix and no wait attribution.
 	Flows []obs.Flow
 }
 
-// FromObserver snapshots a run's tracer. Each track is copied under
+// FromTracer snapshots a run's tracer. Each track is copied under
 // its lock, so the snapshot is a consistent prefix of the run even
 // while ranks are still recording.
-func FromObserver(o *obs.Observer) *Input {
+func FromTracer(tr *obs.Tracer) *Input {
 	in := &Input{}
-	if o == nil {
+	if tr == nil {
 		return in
 	}
-	tr := o.Trace
 	in.Procs = tr.Procs()
 	in.Spans = make([][]obs.Span, in.Procs)
 	in.Instants = make([][]obs.Instant, in.Procs)
@@ -58,7 +53,6 @@ func FromObserver(o *obs.Observer) *Input {
 		in.Instants[id] = tr.Instants(id)
 	}
 	in.Flows = tr.Flows().Flows()
-	in.BytesSent = o.Metrics.CounterValue("mpsim_bytes_sent_total")
 	return in
 }
 
@@ -155,7 +149,12 @@ type Report struct {
 	Blocks       int     `json:"blocks"`
 	Radices      []int   `json:"radices,omitempty"`
 	TotalSeconds float64 `json:"total_seconds"`
-	BytesSent    int64   `json:"bytes_sent,omitempty"`
+	// BytesSent sums the payload bytes of the run's message flows,
+	// collective-tag traffic included (obs.FlowBytes). It counts
+	// deliveries: a dropped message is not counted, and a duplicated
+	// one counts twice. An exported trace keeps only the consumed
+	// flows, so there a duplicate counts once.
+	BytesSent int64 `json:"bytes_sent,omitempty"`
 
 	Stages     []StageSummary `json:"stages,omitempty"`
 	Stragglers []Straggler    `json:"stragglers,omitempty"`
@@ -190,9 +189,9 @@ func Analyze(in *Input) *Report {
 		Procs:        a.procs,
 		Blocks:       a.nblocks,
 		TotalSeconds: a.total,
-		BytesSent:    in.BytesSent,
 		Rounds:       a.rounds,
 	}
+	rep.BytesSent, _ = obs.FlowBytes(in.Flows)
 	for _, r := range a.rounds {
 		rep.Radices = append(rep.Radices, r.Radix)
 	}

@@ -18,11 +18,11 @@ import (
 
 // runTraced executes a 64-rank, 64-block, radix-[8 8] full-merge run of
 // the sinusoid volume under an optional fault plan and returns its
-// observer.
-func runTraced(t *testing.T, plan *fault.Plan) *obs.Observer {
+// tracer.
+func runTraced(t *testing.T, plan *fault.Plan) *obs.Tracer {
 	t.Helper()
 	vol := synth.Sinusoid(33, 4)
-	c, err := mpsim.New(mpsim.Config{Procs: 64, Faults: plan, Obs: obs.New(64)})
+	c, err := mpsim.New(mpsim.Config{Procs: 64, Faults: plan, Trace: obs.NewTracer(64)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func runTraced(t *testing.T, plan *fault.Plan) *obs.Observer {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return c.Obs()
+	return c.Tracer()
 }
 
 // slowNIC delays every message from rank 9 to rank 8 by 0.4 virtual
@@ -58,8 +58,8 @@ func flaggedRanks(rep *analyze.Report) map[int]bool {
 // its recommendation versus the fault-free run; and two same-seed runs
 // must produce byte-identical JSON reports.
 func TestStragglerDetectionNamesDelayedRank(t *testing.T) {
-	clean := analyze.Analyze(analyze.FromObserver(runTraced(t, nil)))
-	faulty := analyze.Analyze(analyze.FromObserver(runTraced(t, slowNIC())))
+	clean := analyze.Analyze(analyze.FromTracer(runTraced(t, nil)))
+	faulty := analyze.Analyze(analyze.FromTracer(runTraced(t, slowNIC())))
 
 	if len(clean.Stragglers) != 0 {
 		t.Errorf("fault-free run flags stragglers: %+v", clean.Stragglers)
@@ -144,7 +144,7 @@ func TestStragglerDetectionNamesDelayedRank(t *testing.T) {
 	}
 
 	// Byte-identical reports across same-seed runs.
-	rerun := analyze.Analyze(analyze.FromObserver(runTraced(t, slowNIC())))
+	rerun := analyze.Analyze(analyze.FromTracer(runTraced(t, slowNIC())))
 	var a, b bytes.Buffer
 	if err := faulty.WriteJSON(&a); err != nil {
 		t.Fatal(err)
@@ -157,19 +157,16 @@ func TestStragglerDetectionNamesDelayedRank(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFromExportedFiles round-trips the observer through the
-// Chrome-trace and Prometheus exporters and checks the file-based
-// analysis agrees with the live one on everything but sub-microsecond
-// timestamp precision — and is itself deterministic.
+// TestAnalyzeFromExportedFiles round-trips the tracer through the
+// Chrome-trace exporter and checks the analysis of the file alone
+// agrees with the live one on everything but sub-microsecond timestamp
+// precision — the byte count included — and is itself deterministic.
 func TestAnalyzeFromExportedFiles(t *testing.T) {
-	o := runTraced(t, slowNIC())
-	live := analyze.Analyze(analyze.FromObserver(o))
+	tr := runTraced(t, slowNIC())
+	live := analyze.Analyze(analyze.FromTracer(tr))
 
-	var trace, prom bytes.Buffer
-	if err := o.Tracer().WriteChromeTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Registry().WritePrometheus(&prom); err != nil {
+	var trace bytes.Buffer
+	if err := tr.WriteChromeTrace(&trace); err != nil {
 		t.Fatal(err)
 	}
 	parse := func() *analyze.Report {
@@ -177,11 +174,6 @@ func TestAnalyzeFromExportedFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := analyze.ParsePrometheus(bytes.NewReader(prom.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in.BytesSent = int64(m["mpsim_bytes_sent_total"])
 		return analyze.Analyze(in)
 	}
 
@@ -300,29 +292,5 @@ func TestTimeoutFlagsSender(t *testing.T) {
 	}
 	if rep.Faults["fault:timeout"] != 1 {
 		t.Errorf("faults = %v", rep.Faults)
-	}
-}
-
-// TestParsePrometheus covers the line parser against the exporter's
-// actual output grammar.
-func TestParsePrometheus(t *testing.T) {
-	text := "# TYPE a counter\na 3\nb{round=\"0\"} 12\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 10\nh_count 2\n"
-	m, err := analyze.ParsePrometheus(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		"a": 3, `b{round="0"}`: 12, `h_bucket{le="+Inf"}`: 2, "h_sum": 10, "h_count": 2,
-	}
-	if len(m) != len(want) {
-		t.Fatalf("parsed %v, want %v", m, want)
-	}
-	for k, v := range want {
-		if m[k] != v {
-			t.Errorf("m[%q] = %v, want %v", k, m[k], v)
-		}
-	}
-	if _, err := analyze.ParsePrometheus(strings.NewReader("garbage\n")); err == nil {
-		t.Error("malformed line did not error")
 	}
 }

@@ -15,8 +15,8 @@ import (
 // flows are exported (orphans have no finish event to pair), so the
 // comparison is against the recorder's Done subset.
 func TestParseChromeTraceFlowRoundTrip(t *testing.T) {
-	o := runTraced(t, nil)
-	direct := analyze.FromObserver(o)
+	tr := runTraced(t, nil)
+	direct := analyze.FromTracer(tr)
 	var want []obs.Flow
 	for _, f := range direct.Flows {
 		if f.Done {
@@ -28,7 +28,7 @@ func TestParseChromeTraceFlowRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := o.Trace.WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := analyze.ParseChromeTrace(bytes.NewReader(buf.Bytes()))

@@ -1,7 +1,6 @@
 package analyze
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,10 +13,9 @@ import (
 )
 
 // ParseChromeTrace reads a trace previously written by
-// obs.Tracer.WriteChromeTrace back into an Input (BytesSent left zero —
-// take it from ParsePrometheus). Timestamps come back as virtual
-// seconds with the file's nanosecond fixed-point resolution, and
-// attributes are re-ordered by key so parsing is deterministic
+// obs.Tracer.WriteChromeTrace back into an Input. Timestamps come back
+// as virtual seconds with the file's nanosecond fixed-point resolution,
+// and attributes are re-ordered by key so parsing is deterministic
 // regardless of the recording order the map decode discarded. A tid
 // outside [0, number of events) is an error: the writer names every
 // rank's track with its own thread_name event, so no well-formed file
@@ -207,33 +205,4 @@ func parseArgs(args map[string]json.RawMessage) []obs.Attr {
 		}
 	}
 	return attrs
-}
-
-// ParsePrometheus reads a metrics dump previously written by
-// obs.Registry.WritePrometheus into a flat series-name → value map
-// (label suffixes kept verbatim, e.g.
-// `merge_round_bytes_sent_total{round="0"}`).
-func ParsePrometheus(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			return nil, fmt.Errorf("analyze: bad metrics line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			return nil, fmt.Errorf("analyze: bad metrics value in %q", line)
-		}
-		out[line[:i]] = v
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("analyze: read metrics: %w", err)
-	}
-	return out, nil
 }

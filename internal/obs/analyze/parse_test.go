@@ -20,19 +20,19 @@ const (
 // smallTrace is a two-rank WriteChromeTrace output: a compute span per
 // rank, one merge round, a timeout instant and one consumed flow.
 func smallTrace(t testing.TB) []byte {
-	o := obs.New(2)
+	tr := obs.NewTracer(2)
 	for id := 0; id < 2; id++ {
-		r := o.Rank(id)
+		r := tr.Rank(id)
 		r.Span("block", 0, 1, obs.I("id", int64(id)))
 		r.Span("round:0", 1, 3, obs.I("radix", 2), obs.I("blocks_after", 1))
 	}
-	o.Rank(1).Span("serialize", 1, 1.5, obs.I("block", 1), obs.I("bytes", 64))
-	o.Rank(0).Span("glue", 2, 2.5, obs.I("block", 1))
-	o.Rank(0).Instant("fault:timeout", 2, obs.I("src", 1), obs.I("round", 0), obs.F("wait_s", 0.5))
-	fr := o.FlowRecorder()
+	tr.Rank(1).Span("serialize", 1, 1.5, obs.I("block", 1), obs.I("bytes", 64))
+	tr.Rank(0).Span("glue", 2, 2.5, obs.I("block", 1))
+	tr.Rank(0).Instant("fault:timeout", 2, obs.I("src", 1), obs.I("round", 0), obs.F("wait_s", 0.5))
+	fr := tr.Flows()
 	fr.Complete(fr.Begin(1, 1, 0, 7, 64, obs.FlowP2P, 1.5, 2), 1, 2)
 	var buf bytes.Buffer
-	if err := o.Tracer().WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -163,59 +163,6 @@ func mergeTrack(spans []Span, instants []Instant) []trackEvent {
 	return evs
 }
 
-// WritePrometheus dumps the registry in the Prometheus text exposition
-// format, metrics sorted by name so equal registry states produce equal
-// bytes. Counter and gauge names may carry {label} suffixes built with
-// Label; histograms expand into _bucket/_sum/_count series with
-// power-of-two le boundaries.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if r == nil {
-		return bw.Flush()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	typed := make(map[string]bool)
-	header := func(name, kind string) {
-		base := name
-		if i := strings.IndexByte(base, '{'); i >= 0 {
-			base = base[:i]
-		}
-		if !typed[base] {
-			typed[base] = true
-			fmt.Fprintf(bw, "# TYPE %s %s\n", base, kind)
-		}
-	}
-	for _, name := range sortedKeys(r.counters) {
-		header(name, "counter")
-		fmt.Fprintf(bw, "%s %d\n", name, r.counters[name].Value())
-	}
-	for _, name := range sortedKeys(r.gauges) {
-		header(name, "gauge")
-		fmt.Fprintf(bw, "%s %s\n", name, strconv.FormatFloat(r.gauges[name].Value(), 'g', -1, 64))
-	}
-	for _, name := range sortedKeys(r.hists) {
-		h := r.hists[name]
-		header(name, "histogram")
-		cum := int64(0)
-		for i := 0; i <= histBuckets; i++ {
-			n := h.buckets[i].Load()
-			cum += n
-			if n == 0 && i < histBuckets {
-				continue
-			}
-			le := "+Inf"
-			if i < histBuckets {
-				le = strconv.FormatInt(int64(1)<<i, 10)
-			}
-			fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", name, le, cum)
-		}
-		fmt.Fprintf(bw, "%s_sum %d\n", name, h.Sum())
-		fmt.Fprintf(bw, "%s_count %d\n", name, h.Count())
-	}
-	return bw.Flush()
-}
-
 // StageStat summarizes the per-rank durations of one span name: the
 // paper's stage decomposition plus the distribution a single max hides.
 // Imbalance is max/mean, the efficiency metric of section IV-A (1.0 =

@@ -69,6 +69,24 @@ func (f Flow) WaitSeconds() float64 {
 	return w
 }
 
+// FlowBytes sums the payload bytes of the flows that crossed the
+// network: every kind but FlowMigratedRestore, whose data was rebuilt
+// from checkpoints rather than sent. sent counts every delivery, so a
+// dropped message adds nothing and a duplicated one adds twice; recv
+// counts only the consumed deliveries.
+func FlowBytes(flows []Flow) (sent, recv int64) {
+	for _, f := range flows {
+		if f.Kind == FlowMigratedRestore {
+			continue
+		}
+		sent += int64(f.Bytes)
+		if f.Done {
+			recv += int64(f.Bytes)
+		}
+	}
+	return sent, recv
+}
+
 // FlowID is the opaque handle Begin returns so the receive side can
 // complete the record. The zero FlowID is inert: Complete on it is a
 // no-op, which is how count-only and disabled flows cost nothing.

@@ -51,6 +51,21 @@ func TestFlowRecorderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlowBytes: sent sums every delivery, recv only the consumed
+// ones, and a migrated restore — rebuilt from checkpoints, not sent —
+// counts in neither.
+func TestFlowBytes(t *testing.T) {
+	fr := NewFlowRecorder(2)
+	fr.Complete(fr.Begin(0, 0, 1, 0, 100, FlowP2P, 0, 1), 0, 1)
+	fr.Complete(fr.Begin(1, 1, 0, 0, 30, FlowCollective, 0, 1), 0, 1)
+	fr.Begin(0, 0, 1, 0, 7, FlowP2P, 0, 1) // an orphaned duplicate
+	fr.Emit(1, 0, 1, 0, 500, FlowMigratedRestore, 0, 1)
+	sent, recv := FlowBytes(fr.Flows())
+	if sent != 137 || recv != 130 {
+		t.Errorf("FlowBytes = (%d, %d), want (137, 130)", sent, recv)
+	}
+}
+
 // TestFlowRecorderCountOnly: count-only mode records nothing, Emit
 // included, while Started still counts every send.
 func TestFlowRecorderCountOnly(t *testing.T) {

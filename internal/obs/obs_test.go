@@ -4,59 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 
 	"parms/internal/vtime"
 )
-
-func TestCounterGaugeHistogram(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("msgs_total")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 8000 {
-		t.Fatalf("counter = %d, want 8000", got)
-	}
-	g := reg.Gauge("peak_bytes")
-	g.SetMax(10)
-	g.SetMax(4)
-	g.SetMax(17)
-	if g.Value() != 17 {
-		t.Fatalf("gauge max = %v, want 17", g.Value())
-	}
-	g2 := reg.Gauge("seconds_total")
-	g2.Add(1.5)
-	g2.Add(2.5)
-	if g2.Value() != 4 {
-		t.Fatalf("gauge add = %v, want 4", g2.Value())
-	}
-	h := reg.Histogram("payload_bytes")
-	for _, v := range []int64{0, 1, 2, 3, 4, 1024, -5} {
-		h.Observe(v)
-	}
-	if h.Count() != 7 || h.Sum() != 1034 {
-		t.Fatalf("hist count=%d sum=%d", h.Count(), h.Sum())
-	}
-}
-
-func TestLabel(t *testing.T) {
-	if got := Label("merge_bytes_total", "round", "2"); got != `merge_bytes_total{round="2"}` {
-		t.Fatalf("Label = %s", got)
-	}
-	if got := Label("plain"); got != "plain" {
-		t.Fatalf("Label = %s", got)
-	}
-}
 
 // fill records a small deterministic two-rank trace.
 func fill(tr *Tracer) {
@@ -107,39 +58,6 @@ func TestChromeTraceWellFormedAndDeterministic(t *testing.T) {
 		if ph == "X" && ev["dur"].(float64) < 0 {
 			t.Fatal("negative span duration")
 		}
-	}
-}
-
-func TestPrometheusDump(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("msgs_total").Add(3)
-	reg.Counter(Label("round_bytes_total", "round", "0")).Add(100)
-	reg.Gauge("peak").SetMax(2.5)
-	reg.Histogram("sizes").Observe(3)
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE msgs_total counter",
-		"msgs_total 3",
-		`round_bytes_total{round="0"} 100`,
-		"peak 2.5",
-		"# TYPE sizes histogram",
-		`sizes_bucket{le="4"} 1`,
-		`sizes_bucket{le="+Inf"} 1`,
-		"sizes_sum 3",
-		"sizes_count 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dump missing %q:\n%s", want, out)
-		}
-	}
-	var again bytes.Buffer
-	reg.WritePrometheus(&again)
-	if out != again.String() {
-		t.Fatal("two dumps of the same registry differ")
 	}
 }
 

@@ -15,6 +15,12 @@ import (
 	"parms/internal/synth"
 )
 
+// chaosWatchdog bounds one pipeline run of the chaos tests. Under the
+// race detector the slowest run takes about 0.7 s in -short mode and
+// 1.7 s at 512 ranks, so the bound leaves a wide margin for slower
+// machines while a hang still fails in seconds.
+const chaosWatchdog = 10 * time.Second
+
 // runChaos executes the pipeline under a fault plan with a hard
 // real-time hang guard: no injected fault is ever allowed to hang the
 // run, only to fail it or be survived.
@@ -26,6 +32,14 @@ func runChaos(t *testing.T, procs int, plan *fault.Plan, p Params,
 		t.Fatal(err)
 	}
 	pario.WriteVolume(c.FS(), p.File, vol)
+	res, err := runGuarded(t, c, p)
+	return c, res, err
+}
+
+// runGuarded runs the pipeline on c and fails t if no result comes
+// within chaosWatchdog.
+func runGuarded(t *testing.T, c *mpsim.Cluster, p Params) (*Result, error) {
+	t.Helper()
 	type outcome struct {
 		res *Result
 		err error
@@ -37,10 +51,10 @@ func runChaos(t *testing.T, procs int, plan *fault.Plan, p Params,
 	}()
 	select {
 	case o := <-done:
-		return c, o.res, o.err
-	case <-time.After(120 * time.Second):
-		t.Fatal("chaos run hung")
-		return nil, nil, nil
+		return o.res, o.err
+	case <-time.After(chaosWatchdog):
+		t.Fatalf("chaos run hung: no result after %v", chaosWatchdog)
+		return nil, nil
 	}
 }
 
@@ -168,12 +182,12 @@ func TestChaosFaultEventsAppearInTrace(t *testing.T) {
 		CrashRank(5, "compute").
 		DropMessage(3, 0, 1).
 		CorruptMessage(6, 0, 1)
-	c, err := mpsim.New(mpsim.Config{Procs: 64, Faults: plan, Obs: obs.New(64)})
+	c, err := mpsim.New(mpsim.Config{Procs: 64, Faults: plan, Trace: obs.NewTracer(64)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pario.WriteVolume(c.FS(), "vol", vol)
-	res, err := Run(c, params)
+	res, err := runGuarded(t, c, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,12 +268,19 @@ func TestChaosFaultEventsAppearInTrace(t *testing.T) {
 		}
 	}
 
-	// The registry agrees with the fault report.
-	if got := res.Metrics.CounterValue("mpsim_rank_crashes_total"); got != 1 {
-		t.Errorf("mpsim_rank_crashes_total = %d, want 1", got)
+	// The trace agrees with the fault report.
+	count := map[string]int{}
+	for id := 0; id < 64; id++ {
+		for _, in := range tr.Instants(id) {
+			count[in.Name]++
+		}
 	}
-	if got := res.Metrics.CounterValue("mpsim_recv_timeouts_total"); got != int64(res.FaultReport.Timeouts) {
-		t.Errorf("mpsim_recv_timeouts_total = %d, report says %d", got, res.FaultReport.Timeouts)
+	rep := res.FaultReport
+	if count["fault:crash"] != rep.RankCrashes || rep.RankCrashes != 1 {
+		t.Errorf("%d fault:crash instants, report says %d crashes, want 1", count["fault:crash"], rep.RankCrashes)
+	}
+	if count["fault:timeout"] != rep.Timeouts {
+		t.Errorf("%d fault:timeout instants, report says %d timeouts", count["fault:timeout"], rep.Timeouts)
 	}
 }
 
@@ -407,12 +428,12 @@ func TestIORetryTraceCarriesError(t *testing.T) {
 	// Two failures stay under the filesystem's retry limit of five, so
 	// the run survives them.
 	plan := fault.NewPlan(11).FailWrite("vol.msc", 2)
-	c, err := mpsim.New(mpsim.Config{Procs: 4, Faults: plan, Obs: obs.New(4)})
+	c, err := mpsim.New(mpsim.Config{Procs: 4, Faults: plan, Trace: obs.NewTracer(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pario.WriteVolume(c.FS(), "vol", vol)
-	res, err := Run(c, Params{
+	res, err := runGuarded(t, c, Params{
 		File: "vol", Dims: vol.Dims, DType: grid.F32,
 		Radices: []int{4}, Persistence: 0.2, OutFile: "vol.msc",
 	})

@@ -61,7 +61,7 @@ func TestFlowsAttributeMigratedBlocks(t *testing.T) {
 	vol := synth.Sinusoid(33, 4)
 	plan := fault.NewPlan(31).CrashRank(4, "merge:1")
 	c, err := mpsim.New(mpsim.Config{
-		Procs: 64, Faults: plan, Obs: obs.New(64),
+		Procs: 64, Faults: plan, Trace: obs.NewTracer(64),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestFlowsAttributeMigratedBlocks(t *testing.T) {
 
 	// The comm matrix carries the same attribution: the restore link and
 	// the new owner's payload link both exist.
-	rep := analyze.Analyze(analyze.FromObserver(c.Obs()))
+	rep := analyze.Analyze(analyze.FromTracer(c.Tracer()))
 	var restoreLink, payloadLink bool
 	for _, l := range rep.CommMatrix {
 		if l.Src == 4 && l.Dst == newOwner && l.Bytes > 0 {
@@ -148,9 +148,9 @@ func TestFlowRecorderNoVirtualTimeOverhead(t *testing.T) {
 	run := func(observe, countOnly bool) *Result {
 		cfg := mpsim.Config{Procs: 8}
 		if observe {
-			cfg.Obs = obs.New(8)
+			cfg.Trace = obs.NewTracer(8)
 			if countOnly {
-				cfg.Obs.FlowRecorder().CountOnly()
+				cfg.Trace.Flows().CountOnly()
 			}
 		}
 		c, err := mpsim.New(cfg)

@@ -132,21 +132,21 @@ func TestChaosDelayedPayloadRecovers(t *testing.T) {
 		Radices: []int{8}, Persistence: 0.2,
 		MergeTimeout: 0.001,
 	}
-	delayed := func(p Params) (*mpsim.Cluster, *Result, *obs.Observer) {
-		ob := obs.New(8)
+	delayed := func(p Params) (*mpsim.Cluster, *Result, *obs.Tracer) {
+		tr := obs.NewTracer(8)
 		c, err := mpsim.New(mpsim.Config{
 			Procs: 8, Faults: fault.NewPlan(41).DelayMessage(3, 0, 1, 0.002),
-			Obs: ob,
+			Trace: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pario.WriteVolume(c.FS(), p.File, vol)
-		res, err := Run(c, p)
+		res, err := runGuarded(t, c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c, res, ob
+		return c, res, tr
 	}
 
 	fs, clean, err := runChaos(t, 8, nil, base, vol)
@@ -155,7 +155,7 @@ func TestChaosDelayedPayloadRecovers(t *testing.T) {
 	}
 	cleanBytes := outputBytes(t, fs)
 
-	c, res, ob := delayed(base)
+	c, res, tr := delayed(base)
 	rep := res.FaultReport
 	if rep.Timeouts != 1 || rep.Recomputes != 1 || rep.RecomputeCells <= 0 {
 		t.Errorf("report %v; want 1 timeout and 1 recompute", &rep)
@@ -168,7 +168,7 @@ func TestChaosDelayedPayloadRecovers(t *testing.T) {
 	}
 	checkBytes(t, c, cleanBytes)
 	late := 0
-	for _, f := range ob.Tracer().Flows().Flows() {
+	for _, f := range tr.Flows().Flows() {
 		if f.Kind == obs.FlowP2P && f.Src == 3 && f.Dst == 0 {
 			late++
 			if f.Done {

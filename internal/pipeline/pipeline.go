@@ -138,11 +138,10 @@ type Result struct {
 	// recomputed, with bytes read vs cells recomputed), and I/O
 	// retries. It is zero-valued in a fault-free run.
 	FaultReport fault.Report
-	// Trace is the per-rank span trace of the run and Metrics the
-	// metrics registry, echoed from the cluster's obs.Observer. Both
-	// are nil when the cluster carries no observer.
-	Trace   *obs.Tracer
-	Metrics *obs.Registry
+	// Trace is the per-rank span trace of the run, with its message
+	// flows, echoed from the cluster's tracer. It is nil when the
+	// cluster carries no tracer.
+	Trace *obs.Tracer
 }
 
 // StageSpanNames are the span names that tile each rank's virtual
@@ -197,10 +196,7 @@ func Run(c *mpsim.Cluster, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o := c.Obs(); o != nil {
-		res.Trace = o.Trace
-		res.Metrics = o.Metrics
-	}
+	res.Trace = c.Tracer()
 	return res, nil
 }
 
@@ -311,8 +307,6 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 	// (sections IV-C to IV-E) ---
 	complexes := make(map[int]*mscomplex.Complex, len(myBlocks))
 	truncated := 0
-	var workTotal vtime.Work
-	var sweepsTotal int64
 	computeStart := float64(r.Clock())
 	for _, bid := range myBlocks {
 		vol, ok := vols[bid]
@@ -328,7 +322,6 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 		field := gradient.Compute(cc, dec)
 		traced := mscomplex.FromField(field, dec, p.Trace)
 		truncated += traced.Truncated
-		sweepsTotal += int64(traced.Kernel.Sweeps)
 		ms := traced.Complex
 		ms.Simplify(mscomplex.SimplifyOptions{Threshold: p.Persistence})
 		compacted := ms.Compact() // carries ms.Work plus its own ops
@@ -336,7 +329,6 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 		delete(vols, bid)
 		w := field.Work
 		w.Add(compacted.Work)
-		workTotal.Add(w)
 		if p.Measured {
 			r.Elapse(time.Since(start).Seconds())
 		} else {
@@ -359,16 +351,9 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 				obs.I("id", int64(bid)),
 				obs.I("nodes", int64(n[0]+n[1]+n[2]+n[3])), obs.I("arcs", int64(a)),
 				obs.I("path_steps", w.PathSteps), obs.I("cells", w.CellsVisited),
-				obs.I("sweeps", int64(traced.Kernel.Sweeps)))
+				obs.I("sweeps", int64(traced.Kernel.Sweeps)),
+				obs.I("cancellations", w.Cancellations))
 		}
-	}
-	if reg := r.Metrics(); reg != nil {
-		reg.Counter("compute_cells_total").Add(workTotal.CellsVisited)
-		reg.Counter("compute_path_steps_total").Add(workTotal.PathSteps)
-		reg.Counter("compute_cancellations_total").Add(workTotal.Cancellations)
-		reg.Counter("compute_sweeps_total").Add(sweepsTotal)
-		reg.Counter("compute_sweep_writes_total").Add(workTotal.SweepWrites)
-		reg.Histogram("compute_block_path_steps").Observe(workTotal.PathSteps)
 	}
 	if r.Checkpoint("compute") {
 		// Crash-restart during the compute stage: the per-block

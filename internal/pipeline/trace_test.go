@@ -17,7 +17,7 @@ import (
 // runTraced executes a fault-free full-merge pipeline with tracing on.
 func runTraced(t *testing.T, procs int, vol *grid.Volume) *Result {
 	t.Helper()
-	c, err := mpsim.New(mpsim.Config{Procs: procs, Obs: obs.New(procs)})
+	c, err := mpsim.New(mpsim.Config{Procs: procs, Trace: obs.NewTracer(procs)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func runTraced(t *testing.T, procs int, vol *grid.Volume) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.Metrics == nil {
-		t.Fatal("traced run returned nil Trace or Metrics")
+	if res.Trace == nil {
+		t.Fatal("traced run returned a nil Trace")
 	}
 	return res
 }
@@ -136,27 +136,20 @@ func TestTraceSpansTileTimeline(t *testing.T) {
 }
 
 // TestTraceDeterminism: two identically configured fault-free runs must
-// serialize to byte-identical trace JSON and metrics dumps.
+// serialize to byte-identical trace JSON.
 func TestTraceDeterminism(t *testing.T) {
 	vol := synth.Sinusoid(17, 2)
-	var traces, proms [2][]byte
+	var traces [2][]byte
 	for i := range traces {
 		res := runTraced(t, 8, vol)
-		var tb, pb bytes.Buffer
+		var tb bytes.Buffer
 		if err := res.Trace.WriteChromeTrace(&tb); err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Metrics.WritePrometheus(&pb); err != nil {
-			t.Fatal(err)
-		}
 		traces[i] = tb.Bytes()
-		proms[i] = pb.Bytes()
 	}
 	if !bytes.Equal(traces[0], traces[1]) {
 		t.Error("trace JSON differs between identical runs")
-	}
-	if !bytes.Equal(proms[0], proms[1]) {
-		t.Error("metrics dump differs between identical runs")
 	}
 }
 

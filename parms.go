@@ -77,9 +77,6 @@ type (
 	// run; export it with WriteChromeTrace (Perfetto) or summarize it
 	// with StageStats.
 	Tracer = obs.Tracer
-	// Metrics is the metrics registry of an observed run; export it
-	// with WritePrometheus.
-	Metrics = obs.Registry
 	// StageStat summarizes one span name's per-rank durations
 	// (p50/p95/max and the max/mean imbalance ratio).
 	StageStat = obs.StageStat
@@ -149,7 +146,7 @@ type Options struct {
 	Persistence float64
 	// Machine overrides the cost profile (default BlueGeneP).
 	Machine *Machine
-	// MaxParallel bounds how many rank goroutines execute othe host
+	// MaxParallel bounds how many rank goroutines execute on the host
 	// concurrently (0 = unbounded). Virtual times are unaffected.
 	MaxParallel int
 	// Measured switches compute timing from the cost model to real
@@ -191,10 +188,10 @@ type Options struct {
 	// Recommendation.AvoidRanks from msinsight), so known stragglers
 	// start the run owning no blocks.
 	AvoidRanks []int
-	// Trace enables per-rank span tracing and the metrics registry.
-	// The run then populates Result.Trace and Result.Metrics; export
-	// them with WriteChromeTrace / WritePrometheus. When false (the
-	// default) every instrumentation hook is a nil no-op.
+	// Trace enables per-rank span tracing with message flows. The run
+	// then populates Result.Trace; export it with WriteChromeTrace.
+	// When false (the default) every instrumentation hook is a nil
+	// no-op.
 	Trace bool
 }
 
@@ -225,10 +222,9 @@ type Result struct {
 	// FaultReport tallies the fault events observed across ranks
 	// (zero-valued in a fault-free run).
 	FaultReport FaultReport
-	// Trace holds the per-rank span trace and Metrics the metrics
-	// registry of the run; both are nil unless Options.Trace was set.
-	Trace   *Tracer
-	Metrics *Metrics
+	// Trace holds the per-rank span trace of the run, with its message
+	// flows; nil unless Options.Trace was set.
+	Trace *Tracer
 }
 
 // Merged returns the single output complex of a fully merged run, or
@@ -250,15 +246,6 @@ func (r *Result) Merged() *Complex {
 // blocks.
 func (r *Result) TotalNodes() int {
 	return r.Nodes[0] + r.Nodes[1] + r.Nodes[2] + r.Nodes[3]
-}
-
-// newObserver builds the run's observability sink: a tracer+registry
-// when Options.Trace is set, nil otherwise.
-func newObserver(opt Options) *obs.Observer {
-	if !opt.Trace {
-		return nil
-	}
-	return obs.New(opt.Procs)
 }
 
 // Compute runs the two-stage parallel algorithm on a volume.
@@ -296,12 +283,16 @@ func run(opt Options, in pipeline.Params, lo, hi float32, raw []byte) (*Result, 
 	if opt.Procs <= 0 {
 		opt.Procs = 1
 	}
+	var tracer *obs.Tracer
+	if opt.Trace {
+		tracer = obs.NewTracer(opt.Procs)
+	}
 	cluster, err := mpsim.New(mpsim.Config{
 		Procs:       opt.Procs,
 		Machine:     opt.Machine,
 		MaxParallel: opt.MaxParallel,
 		Faults:      opt.Faults,
-		Obs:         newObserver(opt),
+		Trace:       tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -344,7 +335,6 @@ func run(opt Options, in pipeline.Params, lo, hi float32, raw []byte) (*Result, 
 		Complexes:    res.Complexes,
 		FaultReport:  res.FaultReport,
 		Trace:        res.Trace,
-		Metrics:      res.Metrics,
 	}, nil
 }
 
