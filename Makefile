@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-short chaos chaos-nightly fuzz lint trace insight flows bench benchgate benchgate-compute kernels microbench clean
+.PHONY: all build test race race-short chaos chaos-nightly fuzz lint trace insight flows bench benchgate benchgate-compute kernels storagebench microbench clean
 
 all: lint build test
 
@@ -119,6 +119,12 @@ kernels:
 	$(GO) test -run '^$$' -bench 'Pooled' -benchtime 3x ./internal/gradient/ ./internal/mscomplex/
 	$(GO) test -run '^$$' -bench 'GradientSmoothBlock' -benchtime 3x ./internal/gradient/
 	$(GO) test -run '^$$' -bench 'PipelineNoiseMerge' -benchtime 3x -benchmem .
+
+# The complex-storage microbenchmarks with their allocation counts:
+# encode and decode of one 33³ block's complex, an eight-block glue and
+# the one-block trace (the EXPERIMENTS storage tables in one command).
+storagebench:
+	$(GO) test -run '^$$' -bench 'Serialize32|Deserialize32|Glue8Blocks|Trace32$$' -benchmem ./internal/mscomplex/
 
 # The paper-evaluation drivers as Go microbenchmarks.
 microbench:

@@ -6,6 +6,14 @@
 // the paper adopts from Gyulassy et al. (2010) because it makes
 // persistence cancellation cheap.
 //
+// Variable-length data lives in three arenas that each complex owns:
+// the cells of leaf geometries, the part lists of composite geometries
+// and the nodes' owner lists. A Geom or a node's owner list is an
+// (offset, length) range of one of them, so the records hold no
+// pointers. No two complexes ever share an arena: Compact, Deserialize
+// and Glue copy what they keep, and a traced complex adopts its
+// tracer's arena only when no other complex can reach it.
+//
 // A Complex also knows the Region of the domain it covers (the set of
 // decomposition block ids), which determines which of its nodes lie on a
 // boundary shared with blocks outside the region — those nodes are the
@@ -14,6 +22,7 @@ package mscomplex
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"parms/internal/grid"
@@ -40,14 +49,11 @@ type Node struct {
 	// MaxVert is the global id of the cell's maximal vertex, the
 	// deterministic tie-breaker.
 	MaxVert int64
-	// Owners lists the decomposition blocks whose closed boxes contain
-	// the cell, sorted ascending. A node is on a shared boundary of a
-	// region exactly when some owner lies outside the region.
-	Owners []int32
 	// Alive is false once the node has been cancelled.
 	Alive bool
 
-	arcs []ArcID
+	owners span // range of Complex.owners; see Complex.Owners
+	arcs   []ArcID
 }
 
 // Arc is a V-path between critical cells whose indices differ by one.
@@ -71,10 +77,38 @@ type GeomPart struct {
 // Geom is an arc's geometric embedding: either a leaf list of cell
 // addresses along the traced V-path, or a composite referencing the
 // geometries merged by a cancellation (the paper's scheme for
-// inheriting geometry through simplification).
+// inheriting geometry through simplification). It is a range of the
+// complex's cell arena (leaf) or of its part arena (composite).
 type Geom struct {
-	Cells []grid.Addr
-	Parts []GeomPart
+	span
+	composite bool
+}
+
+// span is the range [off, off+n) of one of a complex's arenas.
+// Offsets are int32 to keep Node and Geom small; see newSpan.
+type span struct{ off, n int32 }
+
+// newSpan returns the span of n elements appended to an arena of length
+// off. 2^31 entries is past 8 GiB for the smallest arena element, so
+// reaching the limit means the host is already exhausted.
+func newSpan(off, n int) span {
+	if off+n > math.MaxInt32 {
+		panic(fmt.Sprintf("mscomplex: arena of %d entries exceeds int32 offsets", off+n))
+	}
+	return span{int32(off), int32(n)}
+}
+
+// grow returns s with room for n more elements. When it has to
+// reallocate it at least doubles the capacity, so an arena filled by
+// many small appends copies each element O(1) times; append alone grows
+// a large slice by only 1.25x.
+func grow[E any](s []E, n int) []E {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	g := make([]E, len(s), max(2*cap(s), len(s)+n))
+	copy(g, s)
+	return g
 }
 
 // Cancellation records one applied persistence cancellation, in order;
@@ -107,6 +141,12 @@ type Complex struct {
 	// Work tallies construction and simplification operations for the
 	// cost model.
 	Work vtime.Work
+
+	// The arenas (package doc): leaf geometry cells, composite
+	// geometry parts and node owner lists.
+	cells  []grid.Addr
+	parts  []GeomPart
+	owners []int32
 
 	byCell  map[grid.Addr]NodeID
 	geomLen []int64 // memoized GeomLen by geometry id; 0 = unknown
@@ -153,9 +193,18 @@ func carveArcLists(nodes []Node, deg []int32) {
 	}
 }
 
-// AddNode inserts a node and returns its id. Inserting a second node at
-// an existing cell address panics: node identity is the cell address.
-func (c *Complex) AddNode(n Node) NodeID {
+// AddNode inserts a node whose cell lies in the closed boxes of the
+// given decomposition blocks, sorted ascending, and returns its id. The
+// owners are copied into the complex. Inserting a second node at an
+// existing cell address panics: node identity is the cell address.
+func (c *Complex) AddNode(n Node, owners []int32) NodeID {
+	n.owners = newSpan(len(c.owners), len(owners))
+	c.owners = append(grow(c.owners, len(owners)), owners...)
+	return c.insertNode(n)
+}
+
+// insertNode inserts a node whose owner list is already in the arena.
+func (c *Complex) insertNode(n Node) NodeID {
 	if _, dup := c.byCell[n.Cell]; dup {
 		panic(fmt.Sprintf("mscomplex: duplicate node at cell %d", n.Cell))
 	}
@@ -164,6 +213,15 @@ func (c *Complex) AddNode(n Node) NodeID {
 	c.Nodes = append(c.Nodes, n)
 	c.byCell[n.Cell] = id
 	return id
+}
+
+// Owners returns the decomposition blocks whose closed boxes contain
+// node n's cell, sorted ascending. A node is on a shared boundary of a
+// region exactly when some owner lies outside the region. The slice is
+// the complex's own storage: read it, do not modify it.
+func (c *Complex) Owners(n NodeID) []int32 {
+	s := c.Nodes[n].owners
+	return c.owners[s.off : s.off+s.n : s.off+s.n]
 }
 
 // NodeAt returns the node id at a cell address.
@@ -187,10 +245,12 @@ func (c *Complex) AddArc(upper, lower NodeID, geom GeomID) ArcID {
 	return id
 }
 
-// AddLeafGeom stores a leaf geometry and returns its id.
+// AddLeafGeom copies a leaf geometry into the complex and returns its
+// id.
 func (c *Complex) AddLeafGeom(cells []grid.Addr) GeomID {
 	id := GeomID(len(c.Geoms))
-	c.Geoms = append(c.Geoms, Geom{Cells: cells})
+	c.Geoms = append(c.Geoms, Geom{span: newSpan(len(c.cells), len(cells))})
+	c.cells = append(grow(c.cells, len(cells)), cells...)
 	return id
 }
 
@@ -199,12 +259,19 @@ func (c *Complex) AddLeafGeom(cells []grid.Addr) GeomID {
 // exactly as the paper does: "a new geometry object is created that
 // references the geometry objects that were merged in the cancellation".
 // Shared sub-geometries are stored once; lengths and flattening resolve
-// the references on demand.
+// the references on demand. The part list is copied into the complex.
 func (c *Complex) AddCompositeGeom(parts []GeomPart) GeomID {
 	id := GeomID(len(c.Geoms))
-	c.Geoms = append(c.Geoms, Geom{Parts: parts})
+	c.Geoms = append(c.Geoms, Geom{span: newSpan(len(c.parts), len(parts)), composite: true})
+	c.parts = append(grow(c.parts, len(parts)), parts...)
 	return id
 }
+
+// leafCells returns the cells of leaf geometry g.
+func (c *Complex) leafCells(g Geom) []grid.Addr { return c.cells[g.off : g.off+g.n] }
+
+// compositeParts returns the part list of composite geometry g.
+func (c *Complex) compositeParts(g Geom) []GeomPart { return c.parts[g.off : g.off+g.n] }
 
 // ArcsOf appends the ids of the alive arcs incident to n to buf and
 // returns it, pruning dead references from the node's list as it goes.
@@ -288,7 +355,7 @@ func (c *Complex) InRegion(block int32) bool {
 // shared with a block outside the complex's region. Such nodes anchor
 // future gluing and must not be cancelled.
 func (c *Complex) IsBoundaryNode(n NodeID) bool {
-	for _, o := range c.Nodes[n].Owners {
+	for _, o := range c.Owners(n) {
 		if !c.InRegion(o) {
 			return true
 		}
@@ -309,12 +376,12 @@ func (c *Complex) GeomLen(g GeomID) int {
 	if c.geomLen[g] > 0 {
 		return int(c.geomLen[g])
 	}
-	geom := &c.Geoms[g]
+	geom := c.Geoms[g]
 	total := 0
-	if geom.Parts == nil {
-		total = len(geom.Cells)
+	if !geom.composite {
+		total = int(geom.n)
 	} else {
-		for _, p := range geom.Parts {
+		for _, p := range c.compositeParts(geom) {
 			total += c.GeomLen(p.ID)
 		}
 	}
@@ -329,17 +396,18 @@ func (c *Complex) FlattenGeom(g GeomID) []grid.Addr {
 }
 
 func (c *Complex) appendGeom(out []grid.Addr, g GeomID, reversed bool) []grid.Addr {
-	geom := &c.Geoms[g]
-	if geom.Parts == nil {
+	geom := c.Geoms[g]
+	if !geom.composite {
+		cells := c.leafCells(geom)
 		if !reversed {
-			return append(out, geom.Cells...)
+			return append(out, cells...)
 		}
-		for i := len(geom.Cells) - 1; i >= 0; i-- {
-			out = append(out, geom.Cells[i])
+		for i := len(cells) - 1; i >= 0; i-- {
+			out = append(out, cells[i])
 		}
 		return out
 	}
-	parts := geom.Parts
+	parts := c.compositeParts(geom)
 	if reversed {
 		for i := len(parts) - 1; i >= 0; i-- {
 			out = c.appendGeom(out, parts[i].ID, !parts[i].Reversed)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"parms/internal/grid"
 )
 
 func f32bits(v float32) uint32     { return math.Float32bits(v) }
@@ -22,10 +24,18 @@ func f32frombits(b uint32) float32 { return math.Float32frombits(b) }
 //   - the receiver's region becomes the union of the two regions, which
 //     reclassifies boundary status: nodes interior to the union become
 //     candidates for cancellation in the next simplification.
+//
+// Every array the receiver extends grows at least geometrically, so a
+// root that glues many members in turn copies its own arrays O(1) times
+// per element, not once per member. The member's geometry and owner
+// lists are copied into the receiver's arenas.
 func (c *Complex) Glue(other *Complex) {
-	c.Nodes = slices.Grow(c.Nodes, len(other.Nodes))
-	c.Arcs = slices.Grow(c.Arcs, len(other.Arcs))
-	c.Geoms = slices.Grow(c.Geoms, len(other.Geoms))
+	c.Nodes = grow(c.Nodes, len(other.Nodes))
+	c.Arcs = grow(c.Arcs, len(other.Arcs))
+	c.Geoms = grow(c.Geoms, len(other.Geoms))
+	c.cells = grow(c.cells, len(other.cells))
+	c.parts = grow(c.parts, len(other.parts))
+	c.owners = grow(c.owners, len(other.owners))
 
 	// A node of other is "shared" when its cell is also contained in a
 	// block of the receiver's region. An arc between two shared nodes
@@ -33,7 +43,7 @@ func (c *Complex) Glue(other *Complex) {
 	// deg counts the arcs each node of other gains.
 	shared := make([]bool, len(other.Nodes))
 	for i := range other.Nodes {
-		for _, o := range other.Nodes[i].Owners {
+		for _, o := range other.Owners(NodeID(i)) {
 			if c.InRegion(o) {
 				shared[i] = true
 				break
@@ -63,8 +73,7 @@ func (c *Complex) Glue(other *Complex) {
 				Index:   n.Index,
 				Value:   n.Value,
 				MaxVert: n.MaxVert,
-				Owners:  append([]int32(nil), n.Owners...),
-			})
+			}, other.Owners(NodeID(i)))
 		}
 		c.Work.NodesGlued++
 	}
@@ -120,19 +129,30 @@ func (c *Complex) importGeom(other *Complex, g GeomID, memo []GeomID) GeomID {
 	if id := memo[g]; id >= 0 {
 		return id
 	}
-	geom := &other.Geoms[g]
+	geom := other.Geoms[g]
 	var id GeomID
-	if geom.Parts == nil {
-		id = c.AddLeafGeom(geom.Cells)
+	if !geom.composite {
+		id = c.AddLeafGeom(other.leafCells(geom))
 	} else {
-		parts := make([]GeomPart, len(geom.Parts))
-		for i, p := range geom.Parts {
-			parts[i] = GeomPart{ID: c.importGeom(other, p.ID, memo), Reversed: p.Reversed}
+		parts := other.compositeParts(geom)
+		for _, p := range parts {
+			c.importGeom(other, p.ID, memo)
 		}
-		id = c.AddCompositeGeom(parts)
+		id = c.addRemappedComposite(parts, memo)
 	}
 	memo[g] = id
 	return id
+}
+
+// addRemappedComposite adds a composite whose parts are parts with
+// every child id mapped through slot.
+func (c *Complex) addRemappedComposite(parts []GeomPart, slot []GeomID) GeomID {
+	var buf [3]GeomPart // every composite Simplify builds has three parts
+	own := buf[:0]
+	for _, p := range parts {
+		own = append(own, GeomPart{ID: slot[p.ID], Reversed: p.Reversed})
+	}
+	return c.AddCompositeGeom(own)
 }
 
 // unseenGeoms returns a geometry memo of n entries, all -1.
@@ -149,15 +169,16 @@ func unseenGeoms(n int) []GeomID {
 // memory of cancelled elements — the paper's cleanup step that drops all
 // but the coarsest level of the hierarchy before communication. The
 // hierarchy record is preserved. The result is built at its final size:
-// one walk counts and numbers what survives, then every array is
-// allocated once and filled, composite part lists and node incidence
-// lists each carved from one backing array. Leaf geometries and node
-// owner lists are shared with the receiver, not copied.
+// one walk counts and numbers what survives, then every array and arena
+// is allocated once, exactly, and filled with copies of the reachable
+// cells, parts and owner lists; node incidence lists are carved from
+// one backing array.
 func (c *Complex) Compact() *Complex {
 	l := c.layout()
 	out := newSized(c.Region, l.nodes)
 	out.Hierarchy = c.Hierarchy
 	out.Work = c.Work
+	out.owners = make([]int32, 0, l.owners)
 	for i := range c.Nodes {
 		n := &c.Nodes[i]
 		if !n.Alive {
@@ -168,24 +189,17 @@ func (c *Complex) Compact() *Complex {
 			Index:   n.Index,
 			Value:   n.Value,
 			MaxVert: n.MaxVert,
-			Owners:  n.Owners,
-		})
+		}, c.Owners(NodeID(i)))
 	}
 	out.Geoms = make([]Geom, 0, len(l.geomOrder))
-	parts := make([]GeomPart, l.parts)
+	out.cells = make([]grid.Addr, 0, l.cells)
+	out.parts = make([]GeomPart, 0, l.parts)
 	for _, g := range l.geomOrder {
-		geom := &c.Geoms[g]
-		if geom.Parts == nil {
-			out.AddLeafGeom(geom.Cells)
-			continue
+		if geom := c.Geoms[g]; geom.composite {
+			out.addRemappedComposite(c.compositeParts(geom), l.geomSlot)
+		} else {
+			out.AddLeafGeom(c.leafCells(geom))
 		}
-		n := len(geom.Parts)
-		own := parts[:n:n]
-		parts = parts[n:]
-		for i, p := range geom.Parts {
-			own[i] = GeomPart{ID: l.geomSlot[p.ID], Reversed: p.Reversed}
-		}
-		out.AddCompositeGeom(own)
 	}
 	deg := make([]int32, l.nodes)
 	for i := range c.Arcs {

@@ -2,6 +2,7 @@ package mscomplex
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"parms/internal/grid"
@@ -138,6 +139,21 @@ func TestDeserializeFuzz(t *testing.T) {
 				}
 			}
 		}()
+	}
+
+	// A count beyond the payload is an error before anything of its
+	// size is allocated.
+	for _, h := range hostileCounts(t, payload) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Deserialize(h.payload)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s beyond the payload: accepted", h.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*uint64(len(payload))+1<<16 {
+			t.Fatalf("%s beyond the payload: allocated %d bytes for a %d-byte payload", h.name, alloc, len(payload))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package mscomplex
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"parms/internal/grid"
 )
@@ -45,6 +46,8 @@ type layout struct {
 	geomOrder []GeomID // reachable geometries by new id
 	nodes     int
 	arcs      int
+	owners    int // owners of the alive nodes
+	cells     int // cells of the reachable leaves
 	parts     int // parts of the reachable composites
 	// size is the exact number of bytes Serialize emits.
 	size int64
@@ -70,7 +73,8 @@ func (c *Complex) layout() *layout {
 		}
 		l.nodeSlot[i] = NodeID(l.nodes)
 		l.nodes++
-		l.size += 8 + 1 + 4 + 8 + 2 + 4*int64(len(n.Owners))
+		l.owners += int(n.owners.n)
+		l.size += 8 + 1 + 4 + 8 + 2 + 4*int64(n.owners.n)
 	}
 	for i := range l.geomSlot {
 		l.geomSlot[i] = -1
@@ -92,15 +96,16 @@ func (l *layout) visit(c *Complex, g GeomID) {
 	if l.geomSlot[g] >= 0 {
 		return
 	}
-	geom := &c.Geoms[g]
-	if geom.Parts == nil {
-		l.size += 1 + 4 + 8*int64(len(geom.Cells))
+	geom := c.Geoms[g]
+	if !geom.composite {
+		l.cells += int(geom.n)
+		l.size += 1 + 4 + 8*int64(geom.n)
 	} else {
-		for _, p := range geom.Parts {
+		for _, p := range c.compositeParts(geom) {
 			l.visit(c, p.ID)
 		}
-		l.parts += len(geom.Parts)
-		l.size += 1 + 2 + 5*int64(len(geom.Parts))
+		l.parts += int(geom.n)
+		l.size += 1 + 2 + 5*int64(geom.n)
 	}
 	l.geomSlot[g] = GeomID(len(l.geomOrder))
 	l.geomOrder = append(l.geomOrder, g)
@@ -126,25 +131,28 @@ func (c *Complex) Serialize() []byte {
 		w.u8(n.Index)
 		w.f32(n.Value)
 		w.u64(uint64(n.MaxVert))
-		w.u16(uint16(len(n.Owners)))
-		for _, o := range n.Owners {
+		owners := c.Owners(NodeID(i))
+		w.u16(uint16(len(owners)))
+		for _, o := range owners {
 			w.u32(uint32(o))
 		}
 	}
 
 	w.u32(uint32(len(l.geomOrder)))
 	for _, g := range l.geomOrder {
-		geom := &c.Geoms[g]
-		if geom.Parts == nil {
+		geom := c.Geoms[g]
+		if !geom.composite {
+			cells := c.leafCells(geom)
 			w.u8(0)
-			w.u32(uint32(len(geom.Cells)))
-			for _, cell := range geom.Cells {
+			w.u32(uint32(len(cells)))
+			for _, cell := range cells {
 				w.u64(uint64(cell))
 			}
 		} else {
+			parts := c.compositeParts(geom)
 			w.u8(1)
-			w.u16(uint16(len(geom.Parts)))
-			for _, p := range geom.Parts {
+			w.u16(uint16(len(parts)))
+			for _, p := range parts {
 				w.u32(uint32(l.geomSlot[p.ID]))
 				if p.Reversed {
 					w.u8(1)
@@ -186,7 +194,8 @@ func (c *Complex) Serialize() []byte {
 // Deserialize decodes a serialized complex. Every count is validated
 // against the remaining payload before anything is allocated, so a
 // corrupted or truncated payload returns an error instead of attempting
-// an enormous allocation.
+// an enormous allocation. A skim of the node and geometry sections sizes
+// the owner, cell and part arenas exactly before they are filled.
 func Deserialize(data []byte) (*Complex, error) {
 	r := reader{buf: data}
 	if r.u32() != serialMagic {
@@ -204,25 +213,70 @@ func Deserialize(data []byte) (*Complex, error) {
 	if !r.fits(nNodes, 8+1+4+8+2) {
 		return nil, fmt.Errorf("mscomplex: node count %d exceeds payload", nNodes)
 	}
+	// Skim the node and geometry sections, checking every count against
+	// the remaining payload, to size the owner, cell and part arenas
+	// exactly before anything is allocated.
+	nodeSection := r.off
+	nOwners := 0
+	for i := 0; i < nNodes && r.err == nil; i++ {
+		r.skip(8 + 1 + 4 + 8)
+		k := int(r.u16())
+		if !r.fits(k, 4) {
+			return nil, fmt.Errorf("mscomplex: owner count %d exceeds payload", k)
+		}
+		r.skip(4 * k)
+		nOwners += k
+	}
+	nGeoms := int(r.u32())
+	if !r.fits(nGeoms, 1) {
+		return nil, fmt.Errorf("mscomplex: geometry count %d exceeds payload", nGeoms)
+	}
+	nCells, nParts := 0, 0
+	for i := 0; i < nGeoms && r.err == nil; i++ {
+		switch kind := r.u8(); kind {
+		case 0:
+			k := int(r.u32())
+			if !r.fits(k, 8) {
+				return nil, fmt.Errorf("mscomplex: geometry cell count %d exceeds payload", k)
+			}
+			r.skip(8 * k)
+			nCells += k
+		case 1:
+			k := int(r.u16())
+			if !r.fits(k, 5) {
+				return nil, fmt.Errorf("mscomplex: geometry part count %d exceeds payload", k)
+			}
+			r.skip(5 * k)
+			nParts += k
+		default:
+			return nil, fmt.Errorf("mscomplex: unknown geometry kind %d", kind)
+		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if n := max(nOwners, nCells, nParts); n > math.MaxInt32 {
+		return nil, fmt.Errorf("mscomplex: arena of %d entries exceeds int32 offsets", n)
+	}
+	r.off = nodeSection
+
 	// Nodes, geometries and arcs are added in slot order to an empty
 	// complex, so a slot is also the element's id.
 	c := newSized(region, nNodes)
+	c.owners = make([]int32, 0, nOwners)
+	c.Geoms = make([]Geom, 0, nGeoms)
+	c.cells = make([]grid.Addr, 0, nCells)
+	c.parts = make([]GeomPart, 0, nParts)
 	for i := 0; i < nNodes; i++ {
 		var n Node
 		n.Cell = grid.Addr(r.u64())
 		n.Index = r.u8()
 		n.Value = r.f32()
 		n.MaxVert = int64(r.u64())
-		nOwners := int(r.u16())
-		if !r.fits(nOwners, 4) {
-			return nil, fmt.Errorf("mscomplex: owner count %d exceeds payload", nOwners)
-		}
-		n.Owners = make([]int32, nOwners)
-		for j := range n.Owners {
-			n.Owners[j] = int32(r.u32())
-		}
-		if r.err != nil {
-			return nil, r.err
+		k := int(r.u16())
+		n.owners = newSpan(len(c.owners), k)
+		for j := 0; j < k; j++ {
+			c.owners = append(c.owners, int32(r.u32()))
 		}
 		if n.Index > 3 {
 			return nil, fmt.Errorf("mscomplex: node %d has index %d", i, n.Index)
@@ -230,43 +284,27 @@ func Deserialize(data []byte) (*Complex, error) {
 		if _, dup := c.NodeAt(n.Cell); dup {
 			return nil, fmt.Errorf("mscomplex: duplicate node at cell %d", n.Cell)
 		}
-		c.AddNode(n)
+		c.insertNode(n)
 	}
-
-	nGeoms := int(r.u32())
-	if !r.fits(nGeoms, 1) {
-		return nil, fmt.Errorf("mscomplex: geometry count %d exceeds payload", nGeoms)
-	}
-	c.Geoms = make([]Geom, 0, nGeoms)
+	r.u32() // the geometry count, read by the skim
 	for i := 0; i < nGeoms; i++ {
-		switch kind := r.u8(); kind {
-		case 0:
-			nCells := int(r.u32())
-			if !r.fits(nCells, 8) {
-				return nil, fmt.Errorf("mscomplex: geometry cell count %d exceeds payload", nCells)
+		if r.u8() == 0 {
+			k := int(r.u32())
+			c.Geoms = append(c.Geoms, Geom{span: newSpan(len(c.cells), k)})
+			for j := 0; j < k; j++ {
+				c.cells = append(c.cells, grid.Addr(r.u64()))
 			}
-			cells := make([]grid.Addr, nCells)
-			for j := range cells {
-				cells[j] = grid.Addr(r.u64())
+			continue
+		}
+		k := int(r.u16())
+		c.Geoms = append(c.Geoms, Geom{span: newSpan(len(c.parts), k), composite: true})
+		for j := 0; j < k; j++ {
+			slot := int(r.u32())
+			rev := r.u8() == 1
+			if slot >= i {
+				return nil, fmt.Errorf("mscomplex: geometry %d references later object %d", i, slot)
 			}
-			c.AddLeafGeom(cells)
-		case 1:
-			nParts := int(r.u16())
-			if !r.fits(nParts, 5) {
-				return nil, fmt.Errorf("mscomplex: geometry part count %d exceeds payload", nParts)
-			}
-			parts := make([]GeomPart, nParts)
-			for j := range parts {
-				slot := int(r.u32())
-				rev := r.u8() == 1
-				if slot >= i {
-					return nil, fmt.Errorf("mscomplex: geometry %d references later object %d", i, slot)
-				}
-				parts[j] = GeomPart{ID: GeomID(slot), Reversed: rev}
-			}
-			c.AddCompositeGeom(parts)
-		default:
-			return nil, fmt.Errorf("mscomplex: unknown geometry kind %d", kind)
+			c.parts = append(c.parts, GeomPart{ID: GeomID(slot), Reversed: rev})
 		}
 	}
 
@@ -356,16 +394,35 @@ type reader struct {
 	err error
 }
 
+// zeros is what take returns past the end of the payload: a fixed
+// buffer, so no count read from a bad payload becomes an allocation.
+var zeros [8]byte
+
+// take returns the next n ≤ 8 bytes, or zeros once the payload is
+// exhausted, recording the error.
 func (r *reader) take(n int) []byte {
-	if r.err != nil || r.off+n > len(r.buf) {
-		if r.err == nil {
-			r.err = fmt.Errorf("mscomplex: truncated payload at offset %d", r.off)
-		}
-		return make([]byte, n)
+	if !r.fits(n, 1) {
+		r.fail()
+		return zeros[:n]
 	}
 	b := r.buf[r.off : r.off+n]
 	r.off += n
 	return b
+}
+
+// skip advances past n bytes, recording an error if fewer remain.
+func (r *reader) skip(n int) {
+	if !r.fits(n, 1) {
+		r.fail()
+		return
+	}
+	r.off += n
+}
+
+func (r *reader) fail() {
+	if r.err == nil {
+		r.err = fmt.Errorf("mscomplex: truncated payload at offset %d", r.off)
+	}
 }
 
 // fits reports whether count elements of at least minSize bytes each

@@ -196,11 +196,9 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 		// Parallel records between one (q, p) pair are clamped at two:
 		// multiplicity never decreases while both endpoints live, so
 		// "≥ 2" blocks cancellation identically however large it is.
-		// The composites' part lists are carved from one array per
-		// cancellation.
+		// The composites' part lists go straight into the part arena.
 		clear(pairCount)
 		clear(countedQ)
-		parts := make([]GeomPart, 3*len(ups)*len(downs))
 		newArcs = newArcs[:0]
 		for _, qa := range ups {
 			q := c.Arcs[qa].Upper
@@ -220,12 +218,12 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 					continue
 				}
 				pairCount[key]++
-				g := parts[:3:3]
-				parts = parts[3:]
-				g[0] = GeomPart{ID: c.Arcs[qa].Geom}
-				g[1] = GeomPart{ID: arc.Geom, Reversed: true}
-				g[2] = GeomPart{ID: c.Arcs[pa].Geom}
-				na := c.AddArc(q, p, c.AddCompositeGeom(g))
+				g := [3]GeomPart{
+					{ID: c.Arcs[qa].Geom},
+					{ID: arc.Geom, Reversed: true},
+					{ID: c.Arcs[pa].Geom},
+				}
+				na := c.AddArc(q, p, c.AddCompositeGeom(g[:]))
 				newArcs = append(newArcs, na)
 				push(na)
 			}

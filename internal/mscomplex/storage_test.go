@@ -139,6 +139,173 @@ func TestCarvedArcListsDoNotAlias(t *testing.T) {
 	})
 }
 
+// arenaView is every geometry of a complex flattened and every node's
+// owner list, copied out of the complex's arenas.
+type arenaView struct {
+	geoms  [][]grid.Addr
+	owners [][]int32
+}
+
+func viewArenas(c *Complex) arenaView {
+	var v arenaView
+	for g := range c.Geoms {
+		v.geoms = append(v.geoms, c.FlattenGeom(GeomID(g)))
+	}
+	for n := range c.Nodes {
+		v.owners = append(v.owners, slices.Clone(c.Owners(NodeID(n))))
+	}
+	return v
+}
+
+// checkArenas fails if c's geometries or owner lists differ from v.
+func checkArenas(t *testing.T, c *Complex, v arenaView) {
+	t.Helper()
+	for g, want := range v.geoms {
+		if got := c.FlattenGeom(GeomID(g)); !slices.Equal(got, want) {
+			t.Fatalf("geometry %d changed: %d cells, was %d", g, len(got), len(want))
+		}
+	}
+	for n, want := range v.owners {
+		if got := c.Owners(NodeID(n)); !slices.Equal(got, want) {
+			t.Fatalf("node %d owners changed: %v, was %v", n, got, want)
+		}
+	}
+}
+
+// growArenas appends to all three arenas of c: Simplify adds composite
+// part lists, AddLeafGeom a leaf's cells, AddNode an owner list.
+func growArenas(t *testing.T, c *Complex) {
+	t.Helper()
+	if c.Simplify(SimplifyOptions{Threshold: 0.5}).ArcsCreated == 0 {
+		t.Fatal("simplification created no composite geometry")
+	}
+	leaf := make([]grid.Addr, 64)
+	for i := range leaf {
+		leaf[i] = grid.Addr(1<<40 + i)
+	}
+	c.AddLeafGeom(leaf)
+	c.AddNode(Node{Cell: 1 << 41}, []int32{97, 98, 99})
+}
+
+// TestArenasDoNotAlias: Compact, Deserialize and Glue copy what they
+// keep into arenas the built complex owns, so growing either side's
+// arenas afterwards leaves every geometry and owner list of the other
+// side as it was.
+func TestArenasDoNotAlias(t *testing.T) {
+	vol := synth.Random(grid.Dims{9, 9, 9}, 61)
+	builds := []struct {
+		name  string
+		build func(t *testing.T) (source, built *Complex)
+	}{
+		{"compact", func(t *testing.T) (*Complex, *Complex) {
+			src := traceVolume(t, vol)
+			src.Simplify(SimplifyOptions{Threshold: 0.1})
+			return src, src.Compact()
+		}},
+		{"deserialize", func(t *testing.T) (*Complex, *Complex) {
+			src := traceVolume(t, vol)
+			src.Simplify(SimplifyOptions{Threshold: 0.1})
+			built, err := Deserialize(src.Serialize())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src, built
+		}},
+		{"glue", func(t *testing.T) (*Complex, *Complex) {
+			_, blocks := computeBlocks(t, vol, 2, 0.1)
+			blocks[0].Glue(blocks[1])
+			return blocks[1], blocks[0]
+		}},
+	}
+	for _, b := range builds {
+		t.Run(b.name+"/grow-source", func(t *testing.T) {
+			src, built := b.build(t)
+			want := viewArenas(built)
+			growArenas(t, src)
+			checkArenas(t, built, want)
+		})
+		t.Run(b.name+"/grow-built", func(t *testing.T) {
+			src, built := b.build(t)
+			want := viewArenas(src)
+			growArenas(t, built)
+			checkArenas(t, src, want)
+		})
+	}
+}
+
+// TestDeserializeAllocsBounded: Deserialize allocates each array and
+// arena once, however many geometries and owner lists the payload
+// holds, instead of one slice per geometry and per node.
+func TestDeserializeAllocsBounded(t *testing.T) {
+	_, blocks := computeBlocks(t, synth.Random(grid.Dims{17, 17, 17}, 7), 2, 0.05)
+	payload := blocks[0].Serialize()
+	if len(blocks[0].Geoms) < 1000 {
+		t.Fatalf("only %d geometries: too few to tell per-geometry allocation apart", len(blocks[0].Geoms))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Deserialize(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The fixed arrays plus the node index map, whose table count grows
+	// with the node count, not the geometry count.
+	const limit = 32
+	if allocs > limit {
+		t.Fatalf("Deserialize of %d geometries made %.0f allocations, want at most %d", len(blocks[0].Geoms), allocs, limit)
+	}
+}
+
+// hostileCounts returns copies of a valid payload with one count
+// raised past what the payload holds: the first node's owner count, the
+// first leaf's cell count (to 2^32-1) and the first composite's part
+// count.
+func hostileCounts(t testing.TB, payload []byte) []struct {
+	name    string
+	payload []byte
+} {
+	t.Helper()
+	r := reader{buf: payload}
+	r.u32()
+	r.skip(4 * int(r.u32()))
+	ownerAt, leafAt, partAt := -1, -1, -1
+	for i, n := 0, int(r.u32()); i < n; i++ {
+		r.skip(8 + 1 + 4 + 8)
+		if ownerAt < 0 {
+			ownerAt = r.off
+		}
+		r.skip(4 * int(r.u16()))
+	}
+	for i, n := 0, int(r.u32()); i < n; i++ {
+		if r.u8() == 0 {
+			if leafAt < 0 {
+				leafAt = r.off
+			}
+			r.skip(8 * int(r.u32()))
+		} else {
+			if partAt < 0 {
+				partAt = r.off
+			}
+			r.skip(5 * int(r.u16()))
+		}
+	}
+	if r.err != nil || ownerAt < 0 || leafAt < 0 || partAt < 0 {
+		t.Fatalf("payload lacks an owner list, a leaf or a composite (err %v)", r.err)
+	}
+	patch := func(at int, count ...byte) []byte {
+		p := bytes.Clone(payload)
+		copy(p[at:], count)
+		return p
+	}
+	return []struct {
+		name    string
+		payload []byte
+	}{
+		{"owner count", patch(ownerAt, 0xff, 0xff)},
+		{"leaf cell count", patch(leafAt, 0xff, 0xff, 0xff, 0xff)},
+		{"part count", patch(partAt, 0xff, 0xff)},
+	}
+}
+
 // refHeap drives candidateHeap's ordering through container/heap.
 type refHeap struct{ candidateHeap }
 
@@ -203,6 +370,9 @@ func FuzzDeserialize(f *testing.F) {
 	f.Add(glued)
 	f.Add(glued[:len(glued)/2])
 	f.Add(New(nil).Serialize())
+	for _, h := range hostileCounts(f, glued) {
+		f.Add(h.payload)
+	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		c, err := Deserialize(p)
 		if err != nil {

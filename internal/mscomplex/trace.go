@@ -111,8 +111,7 @@ func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptio
 			Index:   uint8(c.Dim(idx)),
 			Value:   keys[0].Val,
 			MaxVert: keys[0].ID,
-			Owners:  owners,
-		})
+		}, owners)
 	}
 
 	// Phase 1: pointer-jumping sweeps on the vertex layer.
@@ -146,15 +145,29 @@ func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptio
 			} else {
 				outs[i] = tr.traceFrom(start)
 			}
+			outs[i].worker = worker
 		}
 	})
 
 	// Phase 3: sequential commit in critical-cell order. The first pass
 	// resolves every arc's endpoints and counts node degrees, so the
 	// second fills arrays and incidence lists allocated at final size.
-	nGeoms := 0
+	// Geometry cells stay where the tracer appended them when one
+	// tracer traced every start (the nil pool): the complex adopts its
+	// arena, which no one else holds. A wider pool's workers' arenas are
+	// copied into one of exact size.
+	nGeoms, nCells := 0, 0
 	for i := range outs {
 		nGeoms += len(outs[i].emits)
+		for _, e := range outs[i].emits {
+			nCells += int(e.geom.n)
+		}
+	}
+	adopt := len(tracers) == 1 && tracers[0] != nil
+	if adopt {
+		ms.cells = tracers[0].cells
+	} else {
+		ms.cells = make([]grid.Addr, 0, nCells)
 	}
 	origins := make([]NodeID, len(outs))
 	lowers := make([]NodeID, 0, nGeoms)
@@ -183,7 +196,13 @@ func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptio
 	k := 0
 	for i := range outs {
 		for _, e := range outs[i].emits {
-			geom := ms.AddLeafGeom(e.geom)
+			geom := GeomID(len(ms.Geoms))
+			if adopt {
+				ms.Geoms = append(ms.Geoms, Geom{span: e.geom})
+			} else {
+				src := tracers[outs[i].worker].cells
+				ms.AddLeafGeom(src[e.geom.off : e.geom.off+e.geom.n])
+			}
 			for r := 0; r < e.records; r++ {
 				ms.AddArc(origins[i], lowers[k], geom)
 			}
@@ -267,11 +286,11 @@ func jumpSweepKernel(cur, next []int32, writes []int64, pool *kernel.Pool) {
 const pathCountCap = 1 << 20
 
 // emitRec is one arc bundle produced by tracing a single start: the
-// terminal critical cell, the representative geometry, and how many arc
-// records to add.
+// terminal critical cell, the representative geometry's range of the
+// tracer's cell arena, and how many arc records to add.
 type emitRec struct {
 	terminal int
-	geom     []grid.Addr
+	geom     span
 	records  int
 }
 
@@ -282,6 +301,7 @@ type startOut struct {
 	emits     []emitRec
 	truncated int
 	steps     int64
+	worker    int // the pool worker whose tracer holds the geometry
 }
 
 // tracer holds per-worker scratch for the per-start tracing phase. It
@@ -293,18 +313,23 @@ type tracer struct {
 
 	// Per-start scratch, indexed by cell and validated by an epoch
 	// counter so it is cleared in O(1) between starts.
-	order   []int   // reverse-finish (reverse topological) order
-	parent  []int32 // first-discovery predecessor tail (-1 = start)
-	count   []int32 // number of V-paths start → tail, saturating
-	seen    []int32 // epoch at which the cell was discovered
-	visited []int32 // epoch at which the cell was DFS-expanded
-	epoch   int32
+	order  []int   // reverse-finish (reverse topological) order
+	parent []int32 // first-discovery predecessor tail (-1 = start)
+	count  []int32 // number of V-paths start → tail, saturating
+	// mark is 2·epoch once the cell is discovered in this epoch and
+	// 2·epoch+1 once it is DFS-expanded; every expanded cell was
+	// discovered first in the same epoch.
+	mark  []int32
+	epoch int32
 
-	// Scratch reused across starts: the DFS stack, the reversed parent
-	// walk of reconstruct and the vertex-chain walk of walkChain.
+	// Scratch reused across starts: the DFS stack and the reversed
+	// parent walk of reconstruct.
 	stack []frame
 	rev   []int
-	walk  []grid.Addr
+
+	// cells is the arena every traced geometry is appended to, grown by
+	// at least doubling.
+	cells []grid.Addr
 }
 
 // frame is one DFS stack entry of traceFrom.
@@ -320,19 +345,27 @@ func (t *tracer) reset() {
 	if len(t.parent) != n {
 		t.parent = make([]int32, n)
 		t.count = make([]int32, n)
-		t.seen = make([]int32, n)
-		t.visited = make([]int32, n)
+		t.mark = make([]int32, n)
 	}
 	t.epoch++
 	t.order = t.order[:0]
 }
 
 func (t *tracer) discover(cell, parent int) {
-	if t.seen[cell] != t.epoch {
-		t.seen[cell] = t.epoch
+	if t.mark[cell] < 2*t.epoch {
+		t.mark[cell] = 2 * t.epoch
 		t.parent[cell] = int32(parent)
 		t.count[cell] = 0
 	}
+}
+
+// expand marks cell DFS-expanded and reports whether it was not yet.
+func (t *tracer) expand(cell int) bool {
+	if t.mark[cell] == 2*t.epoch+1 {
+		return false
+	}
+	t.mark[cell] = 2*t.epoch + 1
+	return true
 }
 
 // traceChain traces a 1-saddle using the precompressed vertex layer.
@@ -358,7 +391,7 @@ func (t *tracer) traceChain(start int) startOut {
 		out.emits = append(out.emits,
 			emitRec{terminal: end0, geom: geom0, records: 1},
 			emitRec{terminal: end1, geom: geom1, records: 1})
-		out.steps += int64(len(geom0) + len(geom1))
+		out.steps += int64(geom0.n + geom1.n)
 		return out
 	}
 	// Both chains reach the same minimum: exactly two V-paths. The
@@ -372,7 +405,7 @@ func (t *tracer) traceChain(start int) startOut {
 		out.truncated++
 	}
 	out.emits = append(out.emits, emitRec{terminal: term, geom: g, records: records})
-	out.steps += int64(len(g))
+	out.steps += int64(g.n)
 	return out
 }
 
@@ -380,25 +413,24 @@ func (t *tracer) traceChain(start int) startOut {
 // building the representative geometry for a path that starts at the
 // saddle cell start: [saddle, vertex, pairing edge, vertex, ..., final
 // vertex]. If restart is a non-negative vertex id and the walk reaches
-// it, the geometry restarts there. Returns the geometry, an exact-size
-// copy of the walk, and the terminal vertex's cell index.
-func (t *tracer) walkChain(start, v, restart int) ([]grid.Addr, int) {
+// it, the geometry restarts there. Returns the geometry's range of the
+// cell arena and the terminal vertex's cell index.
+func (t *tracer) walkChain(start, v, restart int) (span, int) {
 	c := t.f.C
 	succ := t.f.Succ0()
-	cells := append(t.walk[:0], c.GlobalAddr(start))
+	off := len(t.cells)
+	t.cells = append(grow(t.cells, 1), c.GlobalAddr(start))
 	for {
 		if v == restart {
-			cells = cells[:1]
+			t.cells = t.cells[:off+1]
 		}
+		t.cells = grow(t.cells, 2)
 		cell := t.f.VertexCell(v)
-		cells = append(cells, c.GlobalAddr(cell))
+		t.cells = append(t.cells, c.GlobalAddr(cell))
 		if succ[v] < 0 {
-			t.walk = cells
-			geom := make([]grid.Addr, len(cells))
-			copy(geom, cells)
-			return geom, cell
+			return newSpan(off, len(t.cells)-off), cell
 		}
-		cells = append(cells, c.GlobalAddr(int(t.f.HeadOf(cell))))
+		t.cells = append(t.cells, c.GlobalAddr(int(t.f.HeadOf(cell))))
 		v = int(succ[v])
 	}
 }
@@ -427,11 +459,10 @@ func (t *tracer) traceFrom(start int) startOut {
 		t.discover(r, -1)
 	}
 	for _, r := range rootBuf[:nRoots] {
-		if t.visited[r] == t.epoch {
+		if !t.expand(r) {
 			continue
 		}
 		stack = append(stack[:0], frame{cell: r})
-		t.visited[r] = t.epoch
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if !f.expanded {
@@ -455,8 +486,7 @@ func (t *tracer) traceFrom(start int) startOut {
 			f.nNext--
 			n := f.next[f.nNext]
 			t.discover(n, f.cell)
-			if t.visited[n] != t.epoch {
-				t.visited[n] = t.epoch
+			if t.expand(n) {
 				stack = append(stack, frame{cell: n})
 			}
 		}
@@ -514,10 +544,10 @@ func (t *tracer) traceFrom(start int) startOut {
 	return out
 }
 
-// reconstruct builds the representative geometry for the first-discovery
-// path start → terminal: alternating (head, tail) cells ending at the
-// terminal, starting at the origin cell.
-func (t *tracer) reconstruct(start, terminal int, out *startOut) []grid.Addr {
+// reconstruct appends to the cell arena the representative geometry for
+// the first-discovery path start → terminal: alternating (head, tail)
+// cells ending at the terminal, starting at the origin cell.
+func (t *tracer) reconstruct(start, terminal int, out *startOut) span {
 	c := t.f.C
 	// Walk parents from terminal back to a root facet.
 	rev := t.rev[:0]
@@ -525,8 +555,8 @@ func (t *tracer) reconstruct(start, terminal int, out *startOut) []grid.Addr {
 		rev = append(rev, cell)
 	}
 	t.rev = rev
-	cells := make([]grid.Addr, 0, 2*len(rev)+1)
-	cells = append(cells, c.GlobalAddr(start))
+	off := len(t.cells)
+	cells := append(grow(t.cells, 2*len(rev)+1), c.GlobalAddr(start))
 	for i := len(rev) - 1; i >= 0; i-- {
 		tail := rev[i]
 		cells = append(cells, c.GlobalAddr(tail))
@@ -537,6 +567,7 @@ func (t *tracer) reconstruct(start, terminal int, out *startOut) []grid.Addr {
 			}
 		}
 	}
-	out.steps += int64(len(cells))
-	return cells
+	t.cells = cells
+	out.steps += int64(len(cells) - off)
+	return newSpan(off, len(cells)-off)
 }
