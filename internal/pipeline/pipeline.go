@@ -209,11 +209,14 @@ func rankProgram(r *mpsim.Rank, c *mpsim.Cluster, p Params, dec *grid.Decomposit
 	// so the replicas never diverge.
 	owners := grid.NewOwnerTableAvoiding(nblocks, r.Size(), p.AvoidRanks)
 	myBlocks := owners.Blocks(r.ID())
+	// One pass over the owner table counts every rank's blocks; asking
+	// Blocks(rank) per rank would scan the table P times on each rank.
+	perRank := make([]int32, r.Size())
 	maxPerRank := 0
-	for rank := 0; rank < r.Size(); rank++ {
-		if n := len(owners.Blocks(rank)); n > maxPerRank {
-			maxPerRank = n
-		}
+	for b := 0; b < nblocks; b++ {
+		o := owners.Owner(b)
+		perRank[o]++
+		maxPerRank = max(maxPerRank, int(perRank[o]))
 	}
 
 	report := &fault.Report{}
