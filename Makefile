@@ -111,13 +111,15 @@ benchgate-compute:
 
 # The intra-rank kernel surface in one target: worker-pool unit tests,
 # the cross-width byte-equivalence and sweep-determinism suite, the
-# pooled gradient/tracer microbenchmarks, the one-block gradient
-# microbenchmark of the smooth-field pipeline case and the merge-heavy
-# noise-field pipeline (add -cpuprofile to profile the merge path).
+# pooled gradient/tracer microbenchmarks, the one-block gradient and
+# trace microbenchmarks of the smooth-field pipeline case and the
+# merge-heavy noise-field pipeline (add -cpuprofile to profile the
+# merge path).
 kernels:
 	$(GO) test ./internal/kernel/ ./internal/serial/
 	$(GO) test -run '^$$' -bench 'Pooled' -benchtime 3x ./internal/gradient/ ./internal/mscomplex/
 	$(GO) test -run '^$$' -bench 'GradientSmoothBlock' -benchtime 3x ./internal/gradient/
+	$(GO) test -run '^$$' -bench 'TraceSmoothBlock' -benchtime 3x ./internal/mscomplex/
 	$(GO) test -run '^$$' -bench 'PipelineNoiseMerge' -benchtime 3x -benchmem .
 
 # The complex-storage microbenchmarks with their allocation counts:

@@ -30,6 +30,29 @@ func BenchmarkTrace32(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceSmoothBlock traces one block of the pipeline's
+// smooth-field case: Sinusoid(97, 8) cut into 16 blocks, block 5, with
+// the decomposition — the block gradient.BenchmarkGradientSmoothBlock
+// times. Unlike BenchmarkTrace32 it has boundary strata. The field is
+// computed outside the timed loop.
+func BenchmarkTraceSmoothBlock(b *testing.B) {
+	vol := synth.Sinusoid(97, 8)
+	dec, err := grid.Decompose(vol.Dims, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk := dec.Blocks[5]
+	f := gradient.Compute(cube.New(vol.Dims, blk, vol.SubVolume(blk.Lo, blk.Hi)), dec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := FromField(f, dec, TraceOptions{})
+		if res.Complex.NumAliveNodes() == 0 {
+			b.Fatal("no nodes")
+		}
+	}
+}
+
 // BenchmarkTracePooled measures the pointer-jumping tracer under the
 // intra-rank worker pool at several widths. The traced arcs are
 // byte-identical across widths; this tracks sweep and dispatch cost.

@@ -311,60 +311,62 @@ type tracer struct {
 	maxArcs int
 	term0   []int32 // compressed vertex terminals from the jumping sweeps
 
-	// Per-start scratch, indexed by cell and validated by an epoch
+	// Per-start scratch, one record per cell, validated by an epoch
 	// counter so it is cleared in O(1) between starts.
-	order  []int   // reverse-finish (reverse topological) order
-	parent []int32 // first-discovery predecessor tail (-1 = start)
-	count  []int32 // number of V-paths start → tail, saturating
-	// mark is 2·epoch once the cell is discovered in this epoch and
-	// 2·epoch+1 once it is DFS-expanded; every expanded cell was
-	// discovered first in the same epoch.
-	mark  []int32
-	epoch int32
+	order   []int32     // reverse-finish (reverse topological) order
+	scratch []cellState // indexed by cell
+	epoch   int32
 
 	// Scratch reused across starts: the DFS stack and the reversed
 	// parent walk of reconstruct.
 	stack []frame
-	rev   []int
+	rev   []int32
 
 	// cells is the arena every traced geometry is appended to, grown by
 	// at least doubling.
 	cells []grid.Addr
 }
 
-// frame is one DFS stack entry of traceFrom.
+// cellState is one cell's per-start DFS scratch, packed so that
+// discovering a cell touches one cache line.
+type cellState struct {
+	// mark is 2·epoch once the cell is discovered in this epoch and
+	// 2·epoch+1 once it is DFS-expanded; every expanded cell was
+	// discovered first in the same epoch.
+	mark   int32
+	parent int32 // first-discovery predecessor tail (-1 = start)
+	count  int32 // number of V-paths start → tail, saturating
+}
+
+// frame is one DFS stack entry of traceFrom: 32 bytes.
 type frame struct {
-	cell     int
-	next     [5]int
-	nNext    int
+	cell     int32
+	next     [5]int32
+	nNext    int32
 	expanded bool
 }
 
 func (t *tracer) reset() {
-	n := t.f.C.NumCells()
-	if len(t.parent) != n {
-		t.parent = make([]int32, n)
-		t.count = make([]int32, n)
-		t.mark = make([]int32, n)
+	if n := t.f.C.NumCells(); len(t.scratch) != n {
+		t.scratch = make([]cellState, n)
 	}
 	t.epoch++
 	t.order = t.order[:0]
 }
 
-func (t *tracer) discover(cell, parent int) {
-	if t.mark[cell] < 2*t.epoch {
-		t.mark[cell] = 2 * t.epoch
-		t.parent[cell] = int32(parent)
-		t.count[cell] = 0
+func (t *tracer) discover(cell, parent int32) {
+	if cs := &t.scratch[cell]; cs.mark < 2*t.epoch {
+		*cs = cellState{mark: 2 * t.epoch, parent: parent}
 	}
 }
 
 // expand marks cell DFS-expanded and reports whether it was not yet.
-func (t *tracer) expand(cell int) bool {
-	if t.mark[cell] == 2*t.epoch+1 {
+func (t *tracer) expand(cell int32) bool {
+	cs := &t.scratch[cell]
+	if cs.mark == 2*t.epoch+1 {
 		return false
 	}
-	t.mark[cell] = 2*t.epoch + 1
+	cs.mark = 2*t.epoch + 1
 	return true
 }
 
@@ -451,14 +453,17 @@ func (t *tracer) traceFrom(start int) startOut {
 	// order is well defined).
 	stack := t.stack[:0]
 	var fb [6]int
-	roots := c.Facets(start, fb[:0])
-	nRoots := len(roots)
-	var rootBuf [6]int
-	copy(rootBuf[:], roots)
-	for _, r := range rootBuf[:nRoots] {
+	var rootBuf [6]int32
+	nRoots := 0
+	for _, r := range c.Facets(start, fb[:0]) {
+		rootBuf[nRoots] = int32(r)
+		nRoots++
+	}
+	roots := rootBuf[:nRoots]
+	for _, r := range roots {
 		t.discover(r, -1)
 	}
-	for _, r := range rootBuf[:nRoots] {
+	for _, r := range roots {
 		if !t.expand(r) {
 			continue
 		}
@@ -467,13 +472,12 @@ func (t *tracer) traceFrom(start int) startOut {
 			f := &stack[len(stack)-1]
 			if !f.expanded {
 				f.expanded = true
-				if !t.f.IsCritical(f.cell) {
-					if head := t.f.HeadOf(f.cell); head >= 0 {
-						for _, nx := range c.Facets(int(head), fb[:0]) {
-							if nx != f.cell {
-								f.next[f.nNext] = nx
-								f.nNext++
-							}
+				// A critical cell is unpaired, so its HeadOf is -1 too.
+				if head := t.f.HeadOf(int(f.cell)); head >= 0 {
+					for _, nx := range c.Facets(int(head), fb[:0]) {
+						if int32(nx) != f.cell {
+							f.next[f.nNext] = int32(nx)
+							f.nNext++
 						}
 					}
 				}
@@ -499,37 +503,34 @@ func (t *tracer) traceFrom(start int) startOut {
 	// finish order): path counts from start. Duplicate roots cannot
 	// occur (facets are distinct), so each root starts with exactly one
 	// path: the direct step from start.
-	for _, r := range rootBuf[:nRoots] {
-		if t.count[r] < pathCountCap {
-			t.count[r]++
+	sc := t.scratch
+	for _, r := range roots {
+		if sc[r].count < pathCountCap {
+			sc[r].count++
 		}
 	}
 	for i := len(t.order) - 1; i >= 0; i-- {
 		cell := t.order[i]
-		cnt := t.count[cell]
-		if cnt == 0 || t.f.IsCritical(cell) {
+		cnt := sc[cell].count
+		if cnt == 0 {
 			continue
 		}
-		if head := t.f.HeadOf(cell); head >= 0 {
+		if head := t.f.HeadOf(int(cell)); head >= 0 {
 			for _, nx := range c.Facets(int(head), fb[:0]) {
-				if nx == cell {
+				if int32(nx) == cell {
 					continue
 				}
-				nc := t.count[nx] + cnt
-				if nc > pathCountCap {
-					nc = pathCountCap
-				}
-				t.count[nx] = nc
+				sc[nx].count = min(sc[nx].count+cnt, pathCountCap)
 			}
 		}
 	}
 
 	// Emit arcs for every reachable critical terminal, in finish order.
 	for _, cell := range t.order {
-		if !t.f.IsCritical(cell) {
+		if !t.f.IsCritical(int(cell)) {
 			continue
 		}
-		cnt := int(t.count[cell])
+		cnt := int(sc[cell].count)
 		if cnt == 0 {
 			continue
 		}
@@ -539,7 +540,7 @@ func (t *tracer) traceFrom(start int) startOut {
 			records = t.maxArcs
 			out.truncated++
 		}
-		out.emits = append(out.emits, emitRec{terminal: cell, geom: geom, records: records})
+		out.emits = append(out.emits, emitRec{terminal: int(cell), geom: geom, records: records})
 	}
 	return out
 }
@@ -547,18 +548,18 @@ func (t *tracer) traceFrom(start int) startOut {
 // reconstruct appends to the cell arena the representative geometry for
 // the first-discovery path start → terminal: alternating (head, tail)
 // cells ending at the terminal, starting at the origin cell.
-func (t *tracer) reconstruct(start, terminal int, out *startOut) span {
+func (t *tracer) reconstruct(start int, terminal int32, out *startOut) span {
 	c := t.f.C
 	// Walk parents from terminal back to a root facet.
 	rev := t.rev[:0]
-	for cell := terminal; cell != -1; cell = int(t.parent[cell]) {
+	for cell := terminal; cell != -1; cell = t.scratch[cell].parent {
 		rev = append(rev, cell)
 	}
 	t.rev = rev
 	off := len(t.cells)
 	cells := append(grow(t.cells, 2*len(rev)+1), c.GlobalAddr(start))
 	for i := len(rev) - 1; i >= 0; i-- {
-		tail := rev[i]
+		tail := int(rev[i])
 		cells = append(cells, c.GlobalAddr(tail))
 		if i > 0 {
 			// The head through which the path continues from tail.
