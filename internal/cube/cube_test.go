@@ -18,6 +18,26 @@ func testComplex(dims grid.Dims) *Complex {
 	return New(dims, block, vol)
 }
 
+// TestNewCellIndexBound holds New to the int32 cell-index bound that
+// Coords and the gradient and tracer arrays rely on: a 645×645×646
+// block has 1289²·1291 refined cells, which fits, and a 645×646×646
+// block 1289·1291², which does not. The volumes carry dims only: New
+// never reads the samples.
+func TestNewCellIndexBound(t *testing.T) {
+	build := func(bd grid.Dims) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		block := grid.Block{Hi: [3]int{bd[0] - 1, bd[1] - 1, bd[2] - 1}}
+		New(bd, block, &grid.Volume{Dims: bd})
+		return false
+	}
+	if at := (grid.Dims{645, 645, 646}); build(at) {
+		t.Fatalf("%v panicked; its cell indices fit an int32", at)
+	}
+	if over := (grid.Dims{645, 646, 646}); !build(over) {
+		t.Fatalf("%v did not panic; its cell indices overflow an int32", over)
+	}
+}
+
 func TestCellCounts(t *testing.T) {
 	c := testComplex(grid.Dims{4, 5, 6})
 	if c.NumCells() != 7*9*11 {

@@ -48,6 +48,71 @@ func TestThinDomain(t *testing.T) {
 	}
 }
 
+// TestThinBlockDirections: in a block one sample thick along x or y a
+// step along the next axis moves the cell index by the same amount as a
+// step along x (or y), so a direction code with the wrong axis still
+// finds the right partner. The code must nevertheless name the axis the
+// partner lies along, because successorsKernel reads the axis to tell
+// a tail from a head: a head, like a critical cell, has HeadOf -1.
+// Decompose refuses domains under two samples per axis, so thin blocks
+// are either a whole volume or a box inside one; both are checked.
+func TestThinBlockDirections(t *testing.T) {
+	for _, tc := range []struct {
+		dims   grid.Dims
+		lo, hi [3]int
+	}{
+		{grid.Dims{9, 2, 1}, [3]int{0, 0, 0}, [3]int{8, 1, 0}},
+		{grid.Dims{9, 2, 1}, [3]int{2, 0, 0}, [3]int{7, 1, 0}},
+		{grid.Dims{5, 1, 4}, [3]int{0, 0, 0}, [3]int{4, 0, 3}},
+		{grid.Dims{5, 1, 4}, [3]int{1, 0, 2}, [3]int{4, 0, 3}},
+		{grid.Dims{1, 6, 3}, [3]int{0, 0, 0}, [3]int{0, 5, 2}},
+		{grid.Dims{1, 1, 7}, [3]int{0, 0, 0}, [3]int{0, 0, 6}},
+		{grid.Dims{1, 1, 7}, [3]int{0, 0, 3}, [3]int{0, 0, 6}},
+	} {
+		vol := synth.Random(tc.dims, 11)
+		b := grid.Block{Lo: tc.lo, Hi: tc.hi}
+		f := Compute(cube.New(tc.dims, b, vol.SubVolume(b.Lo, b.Hi)), nil)
+		if err := f.Validate(); err != nil {
+			t.Fatalf("%v block %v: %v", tc.dims, b, err)
+		}
+		c := f.C
+		for idx := 0; idx < c.NumCells(); idx++ {
+			if f.IsCritical(idx) {
+				if h := f.HeadOf(idx); h != -1 {
+					t.Fatalf("%v block %v: critical cell %d has HeadOf %d", tc.dims, b, idx, h)
+				}
+				continue
+			}
+			p, ok := f.PairedWith(idx)
+			if !ok {
+				continue
+			}
+			x, y, z := c.Coords(idx)
+			px, py, pz := c.Coords(p)
+			delta := [3]int{px - x, py - y, pz - z}
+			dir := int(f.StateByte(idx) & dirMask)
+			axis, step := dir/2, 2*(dir&1)-1
+			for a, dv := range delta {
+				want := 0
+				if a == axis {
+					want = step
+				}
+				if dv != want {
+					t.Fatalf("%v block %v: cell %d paired with %d (offset %v), direction code %d says axis %d step %+d",
+						tc.dims, b, idx, p, delta, dir, axis, step)
+				}
+			}
+			want := int32(-1)
+			if f.IsTail(idx) {
+				want = int32(p)
+			}
+			if h := f.HeadOf(idx); h != want {
+				t.Fatalf("%v block %v: cell %d (tail %v) has HeadOf %d, want %d", tc.dims, b, idx, f.IsTail(idx), h, want)
+			}
+		}
+	}
+}
+
 // TestAnisotropicConsistency: shared-face determinism must hold for
 // non-cubic domains and decompositions that split different axes.
 func TestAnisotropicConsistency(t *testing.T) {
