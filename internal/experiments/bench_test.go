@@ -1,0 +1,142 @@
+package experiments
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// benchGolden is the committed bench snapshot. Re-pin it, after a
+// declared model change, with
+//
+//	go run ./cmd/msbench -exp bench -q -json internal/experiments/testdata/bench_golden.json
+//
+// and name every moved field in CHANGES.
+const benchGolden = "testdata/bench_golden.json"
+
+// benchUnpinned are the snapshot fields the exact comparison leaves
+// out: the creation time, and the one host-measured field.
+var benchUnpinned = map[string]bool{
+	"created_at":                          true,
+	"tracer_overhead.alloc_overhead_frac": true,
+}
+
+// TestBenchGolden runs the bench sweep as `msbench -exp bench -q` does
+// and matches every field of its snapshot exactly against the golden:
+// the modeled seconds, imbalance ratios, byte and node counts, and the
+// fault drill and tracer probe counters. The whole sweep is virtual
+// time, so any difference is a behaviour or model change, not noise.
+//
+// Exact float equality holds because the cost model's arithmetic is
+// evaluated in one fixed order and, on amd64, Go never fuses a
+// multiply and an add into one FMA instruction. Other GOARCHs (arm64,
+// ppc64le, s390x) may fuse them and round differently, so the test
+// skips there.
+func TestBenchGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the bench golden is pinned on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
+	}
+	res, err := Bench(Config{Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := res.TracerOverhead.AllocOverheadFrac; f >= 0.05 {
+		t.Errorf("tracer_overhead.alloc_overhead_frac = %.4f, budget 0.05", f)
+	}
+	var fresh bytes.Buffer
+	if err := res.WriteJSON(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(benchGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moved []string
+	diffJSON("", decodeJSONTree(t, golden), decodeJSONTree(t, fresh.Bytes()), &moved)
+	if len(moved) > 0 {
+		t.Errorf("%d bench field(s) moved from %s (golden → fresh):\n  %s\n"+
+			"a declared model change re-pins with: go run ./cmd/msbench -exp bench -q -json internal/experiments/%s",
+			len(moved), benchGolden, strings.Join(moved, "\n  "), benchGolden)
+	}
+}
+
+// decodeJSONTree decodes a snapshot keeping every number as its JSON
+// literal, so equal literals mean bit-identical float64 values.
+func decodeJSONTree(t *testing.T, data []byte) any {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// diffJSON appends one "path: golden → fresh" line for every leaf that
+// differs between two decoded JSON trees, skipping benchUnpinned paths.
+// A field present on one side only shows as "absent" on the other.
+func diffJSON(path string, want, got any, moved *[]string) {
+	if benchUnpinned[path] {
+		return
+	}
+	switch w := want.(type) {
+	case map[string]any:
+		g, ok := got.(map[string]any)
+		if !ok {
+			break
+		}
+		keys := make([]string, 0, len(w)+len(g))
+		for k := range w {
+			keys = append(keys, k)
+		}
+		for k := range g {
+			if _, ok := w[k]; !ok {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			sub := k
+			if path != "" {
+				sub = path + "." + k
+			}
+			diffJSON(sub, w[k], g[k], moved)
+		}
+		return
+	case []any:
+		g, ok := got.([]any)
+		if !ok {
+			break
+		}
+		for i := 0; i < len(w) || i < len(g); i++ {
+			var wi, gi any
+			if i < len(w) {
+				wi = w[i]
+			}
+			if i < len(g) {
+				gi = g[i]
+			}
+			diffJSON(fmt.Sprintf("%s[%d]", path, i), wi, gi, moved)
+		}
+		return
+	default:
+		if want == got {
+			return
+		}
+	}
+	*moved = append(*moved, fmt.Sprintf("%s: %s → %s", path, jsonLeaf(want), jsonLeaf(got)))
+}
+
+func jsonLeaf(v any) string {
+	if v == nil {
+		return "absent"
+	}
+	b, _ := json.Marshal(v)
+	return string(b)
+}
