@@ -103,8 +103,8 @@ bench:
 kernels:
 	$(GO) test ./internal/kernel/ ./internal/serial/
 	$(GO) test -run '^$$' -bench 'Pooled' -benchtime 3x ./internal/gradient/ ./internal/mscomplex/
-	$(GO) test -run '^$$' -bench 'GradientSmoothBlock' -benchtime 3x ./internal/gradient/
-	$(GO) test -run '^$$' -bench 'TraceSmoothBlock' -benchtime 3x ./internal/mscomplex/
+	$(GO) test -run '^$$' -bench 'GradientSmoothBlock' -benchtime 3x -benchmem ./internal/gradient/
+	$(GO) test -run '^$$' -bench 'TraceSmoothBlock' -benchtime 3x -benchmem ./internal/mscomplex/
 	$(GO) test -run '^$$' -bench 'PipelineNoiseMerge' -benchtime 3x -benchmem .
 
 # The complex-storage microbenchmarks with their allocation counts:

@@ -52,8 +52,8 @@ func TestThinDomain(t *testing.T) {
 // step along the next axis moves the cell index by the same amount as a
 // step along x (or y), so a direction code with the wrong axis still
 // finds the right partner. The code must nevertheless name the axis the
-// partner lies along, because successorsKernel reads the axis to tell
-// a tail from a head: a head, like a critical cell, has HeadOf -1.
+// partner lies along, and HeadOf must tell a tail from a head: a head,
+// like a critical cell, has HeadOf -1.
 // Decompose refuses domains under two samples per axis, so thin blocks
 // are either a whole volume or a box inside one; both are checked.
 func TestThinBlockDirections(t *testing.T) {

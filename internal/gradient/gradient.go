@@ -21,17 +21,21 @@
 // cofacets are compared by rank as well.
 // Work.SortedItems nonetheless bills the paper's cell sort, so the
 // virtual-time cost model is unchanged by this host-side shortcut. The
-// worker pool covers only the successor arrays built after pairing.
+// ranking and the sweep order are scratch that is garbage once the
+// field is assigned, so a sync.Pool recycles them across blocks. The
+// worker pool covers only the vertex successor array built after
+// pairing.
 //
 // The result is stored in one byte per refined-grid cell, exactly as the
 // paper's implementation does: three bits of pair direction, plus flags
-// for assigned/critical state. A second byte per cell holds the cell's
-// boundary stratum id.
+// for paired/critical state and for the tail (lower-dimensional end) of
+// a pair. A second byte per cell holds the cell's boundary stratum id.
 package gradient
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"parms/internal/cube"
 	"parms/internal/grid"
@@ -41,25 +45,28 @@ import (
 
 // State byte layout.
 const (
-	dirMask     = 0x07 // bits 0-2: direction of the paired neighbor
-	flagPaired  = 0x08 // bit 3: cell is half of a gradient vector
-	flagCrit    = 0x10 // bit 4: cell is critical
-	flagVisited = 0x20 // bit 5: scratch flag for traversals
+	dirMask    = 0x07 // bits 0-2: direction of the paired neighbor
+	flagPaired = 0x08 // bit 3: cell is half of a gradient vector
+	flagCrit   = 0x10 // bit 4: cell is critical
+	flagTail   = 0x20 // bit 5: cell is the lower-dimensional end of its pair
 )
 
 // Field is the discrete gradient vector field of one block, stored in
 // structure-of-arrays form: one state byte and one stratum byte per
-// refined-grid cell, plus the flat successor arrays the tracing kernels
-// iterate (headOf for every tail cell, succ0 for the functional vertex
-// layer).
+// refined-grid cell, plus the flat vertex successor array the tracing
+// kernels iterate. A tail's head cofacet is read off its state byte
+// (HeadOf), not stored.
 type Field struct {
 	C *cube.Complex
 
 	state  []byte
 	strata []uint8
+	// dirStep[d] is the cell-index offset of the neighbor in direction
+	// code d: −x, +x, −y, +y, −z, +z.
+	dirStep [6]int
 
-	// Successor arrays, built by successorsKernel after assignment.
-	headOf        []int32 // tail cell -> paired head cofacet, -1 otherwise
+	// The vertex successor array, built by successorsKernel after
+	// assignment.
 	succ0         []int32 // vertex -> next vertex on its V-path chain, -1 at criticals
 	nvx, nvy, nvz int     // vertex-grid extents
 
@@ -77,15 +84,17 @@ func Compute(c *cube.Complex, dec *grid.Decomposition) *Field {
 }
 
 // ComputePooled is Compute with an explicit intra-rank worker pool for
-// the batch kernel that builds the successor arrays. The ordering and
+// the batch kernel that builds the successor array. The ordering and
 // the greedy pairing sweeps are order-dependent and stay sequential, so
 // the resulting field is byte-identical for every pool width — a nil
 // pool is the reference sequential path.
 func ComputePooled(c *cube.Complex, dec *grid.Decomposition, pool *kernel.Pool) *Field {
+	nx, nxy := c.NX, c.NX*c.NY
 	f := &Field{
-		C:      c,
-		state:  make([]byte, c.NumCells()),
-		strata: make([]uint8, c.NumCells()),
+		C:       c,
+		state:   make([]byte, c.NumCells()),
+		strata:  make([]uint8, c.NumCells()),
+		dirStep: [6]int{-1, 1, -nx, nx, -nxy, nxy},
 	}
 	f.classifyStrata(dec)
 	f.assign()
@@ -159,17 +168,23 @@ type ownerSet [8]int32
 // comparison sort the paper's construction performs: the cost model
 // keeps reproducing the paper's time shapes, and this host-side
 // speed-up does not show up as a change of the model.
+//
+// The ranking and the sweep order live in a blockScratch taken from
+// scratchPool and returned once the sweeps end.
 func (f *Field) assign() {
 	c := f.C
 	f.Work.CellsVisited += int64(c.NumCells())
-	r := newRanking(c)
+	s := scratchPool.Get().(*blockScratch)
+	defer scratchPool.Put(s)
+	r := newRanking(c, s)
 	counts := r.cellCounts()
 
 	const assigned = flagPaired | flagCrit
 	state, strata := f.state, f.strata
 	ext := [3]int{c.NX, c.NY, c.NZ}
 	stride := r.cellStride
-	order := make([]int32, 0, max(counts[0], counts[1], counts[2]))
+	s.order = slices.Grow(s.order[:0], max(counts[0], counts[1], counts[2]))
+	order := s.order
 	for d := 0; d <= 2; d++ {
 		order = r.appendCells(order[:0], d)
 		f.Work.SortedItems += int64(counts[d]) * int64(bits.Len(uint(counts[d])))
@@ -231,7 +246,7 @@ func (f *Field) assign() {
 			}
 			// The vector idx→best: direction codes are axis*2 + 1 for a
 			// step up the axis, so the two ends get opposite low bits.
-			state[idx] = flagPaired | byte(2*bestAxis+(bestStep+1)/2)
+			state[idx] = flagPaired | flagTail | byte(2*bestAxis+(bestStep+1)/2)
 			state[best] = flagPaired | byte(2*bestAxis+(1-bestStep)/2)
 		}
 	}
@@ -247,23 +262,8 @@ func (f *Field) assign() {
 	}
 }
 
-// neighborByDir returns the cell adjacent to idx in the given direction.
-func neighborByDir(c *cube.Complex, idx int, dir byte) int {
-	switch dir {
-	case 0:
-		return idx - 1
-	case 1:
-		return idx + 1
-	case 2:
-		return idx - c.NX
-	case 3:
-		return idx + c.NX
-	case 4:
-		return idx - c.NX*c.NY
-	default:
-		return idx + c.NX*c.NY
-	}
-}
+// neighbor returns the cell adjacent to idx in direction code dir.
+func (f *Field) neighbor(idx int, dir byte) int { return idx + f.dirStep[dir] }
 
 // IsCritical reports whether a cell is unpaired (a node of the complex).
 func (f *Field) IsCritical(idx int) bool { return f.state[idx]&flagCrit != 0 }
@@ -276,7 +276,7 @@ func (f *Field) PairedWith(idx int) (int, bool) {
 	if !f.IsPaired(idx) {
 		return 0, false
 	}
-	return neighborByDir(f.C, idx, f.state[idx]&dirMask), true
+	return f.neighbor(idx, f.state[idx]&dirMask), true
 }
 
 // IsHead reports whether idx is the head (higher-dimensional end) of its
@@ -298,7 +298,7 @@ func (f *Field) Stratum(idx int) int32 { return int32(f.strata[idx]) }
 
 // StateByte exposes the raw one-byte encoding of a cell's gradient
 // state (used by tests that compare shared faces between blocks).
-func (f *Field) StateByte(idx int) byte { return f.state[idx] &^ flagVisited }
+func (f *Field) StateByte(idx int) byte { return f.state[idx] &^ flagTail }
 
 // CriticalCells returns the indices of all critical cells, in index
 // order.
@@ -337,14 +337,14 @@ func (f *Field) Validate() error {
 			return fmt.Errorf("cell %d both paired and critical", idx)
 		}
 		if s&flagPaired != 0 {
-			p := neighborByDir(c, idx, s&dirMask)
+			p := f.neighbor(idx, s&dirMask)
 			if p < 0 || p >= n {
 				return fmt.Errorf("cell %d paired out of range", idx)
 			}
 			if !f.IsPaired(p) {
 				return fmt.Errorf("cell %d paired with unpaired cell %d", idx, p)
 			}
-			if back := neighborByDir(c, p, f.state[p]&dirMask); back != idx {
+			if back := f.neighbor(p, f.state[p]&dirMask); back != idx {
 				return fmt.Errorf("pairing of %d and %d not mutual", idx, p)
 			}
 			if dd := c.Dim(p) - c.Dim(idx); dd != 1 && dd != -1 {

@@ -9,40 +9,13 @@ import "parms/internal/kernel"
 // per-element loop bodies allocate nothing — the msvet `kernel`
 // analyzer enforces the latter for every function named *Kernel.
 
-// successorsKernel fills the flat successor arrays from the assigned
-// state bytes: headOf[idx] is the paired head cofacet when idx is the
-// tail of its gradient vector (-1 otherwise), and succ0[v] is the next
-// vertex along the descending V-path chain of vertex v (-1 when v is
-// critical). The vertex layer is a functional graph — one successor per
-// vertex — which is what makes pointer-jumping sweeps applicable there.
+// successorsKernel fills the flat vertex successor array from the
+// assigned state bytes: succ0[v] is the next vertex along the
+// descending V-path chain of vertex v (-1 when v is critical). The
+// vertex layer is a functional graph — one successor per vertex — which
+// is what makes pointer-jumping sweeps applicable there.
 func (f *Field) successorsKernel(pool *kernel.Pool) {
 	c := f.C
-	n := c.NumCells()
-	f.headOf = make([]int32, n)
-	pool.Run(n, kernel.DefaultGrain, func(_, _, lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			f.headOf[idx] = -1
-			s := f.state[idx]
-			if s&flagPaired == 0 {
-				continue
-			}
-			// The partner is a cofacet when idx is even along the
-			// pairing's axis, so the step adds an odd coordinate.
-			var coord int
-			switch (s & dirMask) >> 1 {
-			case 0:
-				coord = idx % c.NX
-			case 1:
-				coord = idx / c.NX % c.NY
-			default:
-				coord = idx / (c.NX * c.NY)
-			}
-			if coord&1 == 0 {
-				f.headOf[idx] = int32(neighborByDir(c, idx, s&dirMask))
-			}
-		}
-	})
-
 	f.nvx = (c.NX + 1) / 2
 	f.nvy = (c.NY + 1) / 2
 	f.nvz = (c.NZ + 1) / 2
@@ -51,7 +24,7 @@ func (f *Field) successorsKernel(pool *kernel.Pool) {
 	pool.Run(nv, kernel.DefaultGrain, func(_, _, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			cell := f.vertexCell(v)
-			e := f.headOf[cell]
+			e := f.HeadOf(cell)
 			if e < 0 {
 				f.succ0[v] = -1
 				continue
@@ -62,7 +35,7 @@ func (f *Field) successorsKernel(pool *kernel.Pool) {
 			f.succ0[v] = int32(f.vertexID(int(2*e) - cell))
 		}
 	})
-	f.Work.CellsVisited += int64(n)
+	f.Work.CellsVisited += int64(c.NumCells())
 }
 
 // vertexID maps a vertex cell index (all-even refined coordinates) to
@@ -92,9 +65,16 @@ func (f *Field) vertexCell(vid int) int {
 func (f *Field) Succ0() []int32 { return f.succ0 }
 
 // HeadOf returns the paired head cofacet of a tail cell, or -1 when the
-// cell is not the tail of a gradient vector. It is the flat-array form
-// of PairedWith + dimension check used by the tracing kernels.
-func (f *Field) HeadOf(idx int) int32 { return f.headOf[idx] }
+// cell is not the tail of a gradient vector (a head or a critical
+// cell). It is the PairedWith + dimension check of the tracing kernels,
+// read off the state byte's tail flag and direction code.
+func (f *Field) HeadOf(idx int) int32 {
+	s := f.state[idx]
+	if s&flagTail == 0 {
+		return -1
+	}
+	return int32(idx + f.dirStep[s&dirMask])
+}
 
 // VertexCount returns the number of vertices (0-cells) in the block.
 func (f *Field) VertexCount() int { return len(f.succ0) }

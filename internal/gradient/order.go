@@ -1,6 +1,24 @@
 package gradient
 
-import "parms/internal/cube"
+import (
+	"slices"
+	"sync"
+
+	"parms/internal/cube"
+)
+
+// blockScratch is the working memory of one block's pairing sweeps: the
+// ranking's two scatter buffers and its sort keys, and the sweep order.
+// It is garbage once the field is assigned, so scratchPool recycles it
+// across blocks. It is pooled as one struct so each buffer keeps its
+// role and its size from block to block.
+type blockScratch struct {
+	rank, byRank []int32
+	keys         []uint32
+	order        []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // ranking is the simulation-of-simplicity order of one block, held as a
 // rank per vertex. A d-cell's SoS key is its vertex ranks sorted
@@ -42,21 +60,26 @@ type starQuad struct {
 // it starts from ascending index order and stability keeps that order
 // among equal values. rank and byRank are its two scatter buffers, so
 // the only scratch is the key array; the four passes swap them an even
-// number of times, which leaves the sorted order in byRank.
-func newRanking(c *cube.Complex) *ranking {
+// number of times, which leaves the sorted order in byRank. All three
+// arrays are s's buffers, overwritten whole, so the ranking is valid
+// only until s is reused.
+func newRanking(c *cube.Complex, s *blockScratch) *ranking {
 	data := c.Samples()
+	s.rank = slices.Grow(s.rank[:0], len(data))[:len(data)]
+	s.byRank = slices.Grow(s.byRank[:0], len(data))[:len(data)]
+	s.keys = slices.Grow(s.keys[:0], len(data))[:len(data)]
 	r := &ranking{
 		nvx:        (c.NX + 1) / 2,
 		nvy:        (c.NY + 1) / 2,
 		nvz:        (c.NZ + 1) / 2,
-		rank:       make([]int32, len(data)),
-		byRank:     make([]int32, len(data)),
+		rank:       s.rank,
+		byRank:     s.byRank,
 		cellStride: [3]int{1, c.NX, c.NX * c.NY},
 	}
 	r.vStride = [3]int{1, r.nvx, r.nvx * r.nvy}
 	r.buildStarTables()
 
-	keys := make([]uint32, len(data))
+	keys := s.keys
 	var hist [4][256]int32
 	for i, v := range data {
 		k := cube.OrderBits(v)

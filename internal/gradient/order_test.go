@@ -57,7 +57,7 @@ func paletteVolume(dims grid.Dims, palette int, seed int64) *grid.Volume {
 // cube.Compare on every pair of cofacets of every cell.
 func checkCellOrder(t testing.TB, c *cube.Complex) {
 	t.Helper()
-	r := newRanking(c)
+	r := newRanking(c, new(blockScratch))
 	counts := r.cellCounts()
 	var byDim [4][]int32
 	for idx := 0; idx < c.NumCells(); idx++ {
@@ -115,7 +115,7 @@ func checkCellOrder(t testing.TB, c *cube.Complex) {
 func TestRankingOracle(t *testing.T) {
 	check := func(t *testing.T, dims grid.Dims, vol *grid.Volume) {
 		t.Helper()
-		r := newRanking(cube.New(dims, fullBlock(dims), vol))
+		r := newRanking(cube.New(dims, fullBlock(dims), vol), new(blockScratch))
 		keys := make([]uint64, len(vol.Data))
 		for i, v := range vol.Data {
 			keys[i] = uint64(cube.OrderBits(v))<<32 | uint64(i)

@@ -276,22 +276,27 @@ func (c *Complex) compositeParts(g Geom) []GeomPart { return c.parts[g.off : g.o
 // ArcsOf appends the ids of the alive arcs incident to n to buf and
 // returns it, pruning dead references from the node's list as it goes.
 func (c *Complex) ArcsOf(n NodeID, buf []ArcID) []ArcID {
+	return append(buf, c.pruneArcs(n)...)
+}
+
+// pruneArcs drops the dead references from node n's incidence list and
+// returns the list, which is the complex's own storage.
+func (c *Complex) pruneArcs(n NodeID) []ArcID {
 	node := &c.Nodes[n]
 	kept := node.arcs[:0]
 	for _, a := range node.arcs {
 		if c.Arcs[a].Alive {
 			kept = append(kept, a)
-			buf = append(buf, a)
 		}
 	}
 	node.arcs = kept
-	return buf
+	return kept
 }
 
-// Degree returns the number of alive arcs incident to n.
+// Degree returns the number of alive arcs incident to n, pruning dead
+// references from the node's list as ArcsOf does.
 func (c *Complex) Degree(n NodeID) int {
-	var buf []ArcID
-	return len(c.ArcsOf(n, buf))
+	return len(c.pruneArcs(n))
 }
 
 // OtherEnd returns the endpoint of arc a that is not n.
@@ -303,11 +308,11 @@ func (c *Complex) OtherEnd(a ArcID, n NodeID) NodeID {
 	return arc.Upper
 }
 
-// Multiplicity returns the number of alive arcs connecting u and v.
+// Multiplicity returns the number of alive arcs connecting u and v,
+// pruning dead references from u's list as ArcsOf does.
 func (c *Complex) Multiplicity(u, v NodeID) int {
-	var buf [32]ArcID
 	count := 0
-	for _, a := range c.ArcsOf(u, buf[:0]) {
+	for _, a := range c.pruneArcs(u) {
 		if c.OtherEnd(a, u) == v {
 			count++
 		}

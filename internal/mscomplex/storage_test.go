@@ -255,6 +255,39 @@ func TestDeserializeAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestMultiplicityAllocsNothing: Multiplicity and Degree count in place
+// over a node's incidence list, also for a node of more alive arcs than
+// a small stack buffer holds, and still prune the dead ones.
+func TestMultiplicityAllocsNothing(t *testing.T) {
+	c := New([]int32{0})
+	u := c.AddNode(Node{Cell: 1, Index: 1}, nil)
+	v := c.AddNode(Node{Cell: 2, Index: 0}, nil)
+	w := c.AddNode(Node{Cell: 3, Index: 0}, nil)
+	for i := 0; i < 40; i++ {
+		c.AddArc(u, v, 0)
+	}
+	for i := 0; i < 8; i++ {
+		c.AddArc(u, w, 0)
+	}
+	for a := 0; a < 48; a += 6 {
+		c.Arcs[a].Alive = false // 7 arcs to v and 1 to w
+	}
+	var mult, deg int
+	allocs := testing.AllocsPerRun(10, func() {
+		mult = c.Multiplicity(u, v)
+		deg = c.Degree(u)
+	})
+	if mult != 33 || deg != 40 {
+		t.Fatalf("Multiplicity(u, v) = %d, Degree(u) = %d; want 33 and 40", mult, deg)
+	}
+	if len(c.Nodes[u].arcs) != 40 {
+		t.Fatalf("u lists %d arcs after pruning, want the 40 alive ones", len(c.Nodes[u].arcs))
+	}
+	if allocs != 0 {
+		t.Fatalf("Multiplicity and Degree made %.0f allocations per call, want 0", allocs)
+	}
+}
+
 // hostileCounts returns copies of a valid payload with one count
 // raised past what the payload holds: the first node's owner count, the
 // first leaf's cell count (to 2^32-1) and the first composite's part

@@ -1,6 +1,10 @@
 package mscomplex
 
 import (
+	"math"
+	"slices"
+	"sync"
+
 	"parms/internal/cube"
 	"parms/internal/gradient"
 	"parms/internal/grid"
@@ -72,10 +76,12 @@ func FromField(f *gradient.Field, dec *grid.Decomposition, opts TraceOptions) *T
 // the braided (1,2) and (2,3) layers keep the exact per-start DFS and
 // path-counting dynamic program of the sequential tracer. Starts are
 // distributed over the pool with per-worker scratch and per-start
-// output slots. Third, the per-start results are committed to the
-// complex sequentially in critical-cell order, so node ids, arc order,
-// geometry ids and every serialized byte are identical for every pool
-// width — a nil pool is the reference sequential path.
+// output slots; the scratch is one workspace per worker, taken from a
+// sync.Pool and returned after the commit, so it is allocated once per
+// worker rather than once per block. Third, the per-start results are
+// committed to the complex sequentially in critical-cell order, so node
+// ids, arc order, geometry ids and every serialized byte are identical
+// for every pool width — a nil pool is the reference sequential path.
 //
 // Distinct V-paths between the same pair of critical cells are counted
 // exactly (saturating) with a linear-time dynamic program over the
@@ -84,6 +90,32 @@ func FromField(f *gradient.Field, dec *grid.Decomposition, opts TraceOptions) *T
 // representative geometry (the first-discovery path) is shared by the
 // arc records of a multi-path pair.
 func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptions, pool *kernel.Pool) *TraceResult {
+	ws := make([]*workspace, pool.Workers())
+	for i := range ws {
+		ws[i] = workspaces.Get().(*workspace)
+	}
+	res := trace(f, dec, opts, pool, ws)
+	for _, w := range ws {
+		w.f, w.term0 = nil, nil
+		workspaces.Put(w)
+	}
+	return res
+}
+
+// workspace is one pool worker's trace scratch: the tracer with its
+// per-cell DFS records and its order, stack, reversed-walk and geometry
+// buffers, plus the double buffer of the jumping sweeps (used in the
+// first worker's workspace only). All of it is garbage once a block's
+// trace is committed, so workspaces recycles it across blocks.
+type workspace struct {
+	tracer
+	chains [2][]int32
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// trace is FromFieldPooled on the given workspaces, one per pool worker.
+func trace(f *gradient.Field, dec *grid.Decomposition, opts TraceOptions, pool *kernel.Pool, ws []*workspace) *TraceResult {
 	c := f.C
 	maxArcs := opts.MaxArcsPerPair
 	if maxArcs <= 0 {
@@ -115,7 +147,7 @@ func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptio
 	}
 
 	// Phase 1: pointer-jumping sweeps on the vertex layer.
-	term0, stats := compressChains(f, pool)
+	term0, stats := compressChains(f, pool, &ws[0].chains)
 	res.Kernel = stats
 	for _, w := range stats.SweepWrites {
 		ms.Work.SweepWrites += w
@@ -130,14 +162,17 @@ func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptio
 			starts = append(starts, ci)
 		}
 	}
+	// Geometry cells stay where the tracer appended them when one tracer
+	// traces every start (a width-1 pool): the complex adopts that arena,
+	// so it never returns to the pool. A wider pool's workers' arenas are
+	// copied into one of exact size at the commit, so they are recycled.
+	adopt := len(ws) == 1
+	for _, w := range ws {
+		w.f, w.maxArcs, w.term0, w.cells = f, maxArcs, term0, w.cells[:0]
+	}
 	outs := make([]startOut, len(starts))
-	tracers := make([]*tracer, pool.Workers())
 	pool.Run(len(starts), 1, func(worker, _, lo, hi int) {
-		tr := tracers[worker]
-		if tr == nil {
-			tr = &tracer{f: f, maxArcs: maxArcs, term0: term0}
-			tracers[worker] = tr
-		}
+		tr := &ws[worker].tracer
 		for i := lo; i < hi; i++ {
 			start := int(starts[i])
 			if c.Dim(start) == 1 {
@@ -152,10 +187,6 @@ func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptio
 	// Phase 3: sequential commit in critical-cell order. The first pass
 	// resolves every arc's endpoints and counts node degrees, so the
 	// second fills arrays and incidence lists allocated at final size.
-	// Geometry cells stay where the tracer appended them when one
-	// tracer traced every start (the nil pool): the complex adopts its
-	// arena, which no one else holds. A wider pool's workers' arenas are
-	// copied into one of exact size.
 	nGeoms, nCells := 0, 0
 	for i := range outs {
 		nGeoms += len(outs[i].emits)
@@ -163,9 +194,9 @@ func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptio
 			nCells += int(e.geom.n)
 		}
 	}
-	adopt := len(tracers) == 1 && tracers[0] != nil
 	if adopt {
-		ms.cells = tracers[0].cells
+		ms.cells = ws[0].cells
+		ws[0].cells = nil // the complex owns this arena now
 	} else {
 		ms.cells = make([]grid.Addr, 0, nCells)
 	}
@@ -200,7 +231,7 @@ func FromFieldPooled(f *gradient.Field, dec *grid.Decomposition, opts TraceOptio
 			if adopt {
 				ms.Geoms = append(ms.Geoms, Geom{span: e.geom})
 			} else {
-				src := tracers[outs[i].worker].cells
+				src := ws[outs[i].worker].cells
 				ms.AddLeafGeom(src[e.geom.off : e.geom.off+e.geom.n])
 			}
 			for r := 0; r < e.records; r++ {
@@ -226,13 +257,17 @@ const sweepGrain = kernel.DefaultGrain
 // critical). Sweeps are double-buffered — each reads only the previous
 // generation — so the result and the per-sweep write counts are
 // independent of worker count and chunk schedule, and the sweep total
-// is ⌈log₂(longest chain)⌉ + 1.
-func compressChains(f *gradient.Field, pool *kernel.Pool) ([]int32, KernelStats) {
+// is ⌈log₂(longest chain)⌉ + 1. The two generations live in bufs,
+// which are resized to the vertex count and kept there for reuse; the
+// returned array is one of them.
+func compressChains(f *gradient.Field, pool *kernel.Pool, bufs *[2][]int32) ([]int32, KernelStats) {
 	succ := f.Succ0()
 	nv := len(succ)
 	stats := KernelStats{Workers: pool.Workers()}
-	cur := make([]int32, nv)
-	next := make([]int32, nv)
+	for i := range bufs {
+		bufs[i] = slices.Grow(bufs[i][:0], nv)[:nv]
+	}
+	cur, next := bufs[0], bufs[1]
 	initChainsKernel(succ, cur, pool)
 	writes := make([]int64, kernel.Chunks(nv, sweepGrain))
 	for {
@@ -312,7 +347,9 @@ type tracer struct {
 	term0   []int32 // compressed vertex terminals from the jumping sweeps
 
 	// Per-start scratch, one record per cell, validated by an epoch
-	// counter so it is cleared in O(1) between starts.
+	// counter so it is cleared in O(1) between starts. The epoch keeps
+	// counting across blocks, so marks left by an earlier block read as
+	// stale too.
 	order   []int32     // reverse-finish (reverse topological) order
 	scratch []cellState // indexed by cell
 	epoch   int32
@@ -346,10 +383,26 @@ type frame struct {
 	expanded bool
 }
 
+// maxEpoch is the last epoch whose expanded mark 2·epoch+1 fits an
+// int32.
+const maxEpoch = math.MaxInt32 / 2
+
+// reset starts a new epoch over scratch sized to the block. Every mark
+// in the array is below 2·epoch afterwards: the array is new, or its
+// marks are from earlier epochs, or it was cleared because the epoch
+// counter reached maxEpoch. The whole capacity is cleared then, since a
+// later, larger block reslices into it.
 func (t *tracer) reset() {
-	if n := t.f.C.NumCells(); len(t.scratch) != n {
+	n := t.f.C.NumCells()
+	switch {
+	case cap(t.scratch) < n:
 		t.scratch = make([]cellState, n)
+		t.epoch = 0
+	case t.epoch >= maxEpoch:
+		clear(t.scratch[:cap(t.scratch)])
+		t.epoch = 0
 	}
+	t.scratch = t.scratch[:n]
 	t.epoch++
 	t.order = t.order[:0]
 }
