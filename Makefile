@@ -111,7 +111,7 @@ kernels:
 # encode and decode of one 33³ block's complex, an eight-block glue and
 # the one-block trace (the EXPERIMENTS storage tables in one command).
 storagebench:
-	$(GO) test -run '^$$' -bench 'Serialize32|Deserialize32|Glue8Blocks|Trace32$$' -benchmem ./internal/mscomplex/
+	$(GO) test -run '^$$' -bench 'Compact32|Serialize32|Deserialize32|Glue8Blocks|Trace32$$' -benchmem ./internal/mscomplex/
 
 # The paper-evaluation drivers as Go microbenchmarks.
 microbench:

@@ -85,7 +85,7 @@ func (o Options) CanRecover() bool { return o.Recompute != nil || o.Checkpoint !
 // complex. Every rank of the cluster must call Execute collectively. It
 // returns per-round statistics (identical on every rank).
 //
-// Every payload travels in a length+CRC32C frame (mpsim.Frame); a root
+// Every payload travels in a length+CRC32C frame (mpsim.Seal); a root
 // never glues bytes that fail the checksum. With Options.Recompute set,
 // Execute survives rank crashes (at "merge:<round>" checkpoints),
 // dropped, delayed and corrupted messages: every lost root or member is
@@ -200,7 +200,7 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					}
 				}
 				serStart := r.Clock()
-				payload := mpsim.Frame(ms.Serialize())
+				payload := mpsim.Seal(ms.AppendSerialized(make([]byte, mpsim.FrameHeader)))
 				w := vtime.Work{BytesCoded: int64(len(payload))}
 				r.Compute(w)
 				if tr.Enabled() {

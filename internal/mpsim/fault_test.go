@@ -337,6 +337,17 @@ func TestFrameRoundTripAndCorruptionDetection(t *testing.T) {
 	}
 }
 
+// TestSealMatchesFrame: a payload built behind FrameHeader reserved
+// bytes and sealed in place is the frame Frame builds by copying.
+func TestSealMatchesFrame(t *testing.T) {
+	for _, p := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("abc123"), 100)} {
+		sealed := Seal(append(make([]byte, FrameHeader), p...))
+		if want := Frame(p); !bytes.Equal(sealed, want) {
+			t.Fatalf("len=%d: sealed %x, framed %x", len(p), sealed, want)
+		}
+	}
+}
+
 func TestCollectiveIORetries(t *testing.T) {
 	plan := fault.NewPlan(1).FailWrite("out", 2).FailRead("out", 1)
 	c, _ := New(Config{Procs: 1, Faults: plan})

@@ -12,7 +12,11 @@ import (
 // truncation and bit corruption instead of deserializing garbage.
 //
 //	length u32 | crc32c(payload) u32 | payload
-const frameHeader = 8
+//
+// FrameHeader is the header's size. A sender that builds the payload
+// behind FrameHeader reserved bytes seals it in place with Seal; Frame
+// copies a finished payload into a new frame.
+const FrameHeader = 8
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -22,25 +26,32 @@ func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
 // Frame wraps a payload in a length+checksum header.
 func Frame(payload []byte) []byte {
-	out := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], Checksum(payload))
-	copy(out[frameHeader:], payload)
-	return out
+	frame := make([]byte, FrameHeader+len(payload))
+	copy(frame[FrameHeader:], payload)
+	return Seal(frame)
+}
+
+// Seal fills the header reserved in the first FrameHeader bytes of
+// frame for the payload that follows it, and returns frame.
+func Seal(frame []byte) []byte {
+	payload := frame[FrameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], Checksum(payload))
+	return frame
 }
 
 // Unframe validates a framed message and returns the payload. Any
 // truncation, padding or bit flip — in the header or the payload —
 // yields an error.
 func Unframe(frame []byte) ([]byte, error) {
-	if len(frame) < frameHeader {
+	if len(frame) < FrameHeader {
 		return nil, fmt.Errorf("mpsim: frame of %d bytes is shorter than its header", len(frame))
 	}
 	n := int(binary.LittleEndian.Uint32(frame[0:4]))
-	if n != len(frame)-frameHeader {
-		return nil, fmt.Errorf("mpsim: frame declares %d payload bytes, carries %d", n, len(frame)-frameHeader)
+	if n != len(frame)-FrameHeader {
+		return nil, fmt.Errorf("mpsim: frame declares %d payload bytes, carries %d", n, len(frame)-FrameHeader)
 	}
-	payload := frame[frameHeader:]
+	payload := frame[FrameHeader:]
 	want := binary.LittleEndian.Uint32(frame[4:8])
 	if got := Checksum(payload); got != want {
 		return nil, fmt.Errorf("mpsim: frame checksum %#x, want %#x", got, want)

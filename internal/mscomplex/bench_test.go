@@ -88,6 +88,22 @@ func BenchmarkSimplify32(b *testing.B) {
 	}
 }
 
+// BenchmarkCompact32 compacts the complex BenchmarkSimplify32 leaves.
+// Compact works in place, so every iteration traces and simplifies a
+// fresh complex outside the timer.
+func BenchmarkCompact32(b *testing.B) {
+	f := benchField(b, 33, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ms := FromField(f, nil, TraceOptions{}).Complex
+		ms.Simplify(SimplifyOptions{Threshold: 0.02})
+		b.StartTimer()
+		ms.Compact()
+	}
+}
+
 func BenchmarkSerialize32(b *testing.B) {
 	ms := FromField(benchField(b, 33, 4), nil, TraceOptions{}).Complex
 	ms.Simplify(SimplifyOptions{Threshold: 0.02})

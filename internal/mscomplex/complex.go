@@ -99,14 +99,16 @@ func newSpan(off, n int) span {
 }
 
 // grow returns s with room for n more elements. When it has to
-// reallocate it at least doubles the capacity, so an arena filled by
-// many small appends copies each element O(1) times; append alone grows
-// a large slice by only 1.25x.
+// reallocate it at least doubles the length, so an arena filled by many
+// small appends copies each element O(1) times; append alone grows a
+// large slice by only 1.25x. Doubling the length rather than the
+// capacity keeps slack that a slice already carries (Compact leaves
+// Nodes at its old capacity) from being doubled again.
 func grow[E any](s []E, n int) []E {
 	if n <= cap(s)-len(s) {
 		return s
 	}
-	g := make([]E, len(s), max(2*cap(s), len(s)+n))
+	g := make([]E, len(s), max(2*len(s), len(s)+n))
 	copy(g, s)
 	return g
 }

@@ -164,56 +164,87 @@ func unseenGeoms(n int) []GeomID {
 	return memo
 }
 
-// Compact rebuilds the complex keeping only alive nodes and arcs and the
-// geometry objects they reference (shared children once), releasing the
-// memory of cancelled elements — the paper's cleanup step that drops all
-// but the coarsest level of the hierarchy before communication. The
-// hierarchy record is preserved. The result is built at its final size:
-// one walk counts and numbers what survives, then every array and arena
-// is allocated once, exactly, and filled with copies of the reachable
-// cells, parts and owner lists; node incidence lists are carved from
-// one backing array.
+// Compact drops the cancelled nodes and arcs and the geometry objects
+// no alive arc references (shared children kept once), releasing the
+// memory of cancelled elements — the paper's cleanup step that drops
+// all but the coarsest level of the hierarchy before communication —
+// and returns the receiver. It works in place: the alive nodes and arcs
+// slide down in id order, and the cell index forgets the dead cells and
+// renumbers the live ones. When fewer than a quarter of the node
+// array's slots survive, the node array and the cell index are built
+// anew at exact size instead: copying the few survivors costs little,
+// and the large array is freed rather than held by a complex that may
+// wait a merge round to be sent. The cell, part and owner arenas and
+// the geometry records are copied at exact size, keeping only what is
+// reachable; node incidence lists are carved again from one array, in
+// arc order, since Refine leaves them out of order and list order
+// decides the order in which Simplify creates arcs. The hierarchy
+// record is preserved, but the undo history is dropped: the compacted
+// complex cannot be refined.
 func (c *Complex) Compact() *Complex {
 	l := c.layout()
-	out := newSized(c.Region, l.nodes)
-	out.Hierarchy = c.Hierarchy
-	out.Work = c.Work
-	out.owners = make([]int32, 0, l.owners)
+	owners := make([]int32, 0, l.owners)
+	nodes := c.Nodes[:0]
+	shrink := 4*l.nodes < cap(c.Nodes)
+	if shrink {
+		nodes = make([]Node, 0, l.nodes)
+		c.byCell = make(map[grid.Addr]NodeID, l.nodes)
+	}
 	for i := range c.Nodes {
-		n := &c.Nodes[i]
+		n := c.Nodes[i]
 		if !n.Alive {
+			if !shrink {
+				delete(c.byCell, n.Cell)
+			}
 			continue
 		}
-		out.AddNode(Node{
+		c.byCell[n.Cell] = NodeID(len(nodes))
+		nodes = append(nodes, Node{
 			Cell:    n.Cell,
 			Index:   n.Index,
 			Value:   n.Value,
 			MaxVert: n.MaxVert,
-		}, c.Owners(NodeID(i)))
+			Alive:   true,
+			owners:  newSpan(len(owners), int(n.owners.n)),
+		})
+		owners = append(owners, c.owners[n.owners.off:n.owners.off+n.owners.n]...)
 	}
-	out.Geoms = make([]Geom, 0, len(l.geomOrder))
-	out.cells = make([]grid.Addr, 0, l.cells)
-	out.parts = make([]GeomPart, 0, l.parts)
+	if !shrink {
+		clear(c.Nodes[l.nodes:]) // let the old incidence lists go
+	}
+	c.Nodes = nodes
+	c.owners = owners
+
+	geoms, cells, parts := c.Geoms, c.cells, c.parts
+	c.Geoms = make([]Geom, 0, len(l.geomOrder))
+	c.cells = make([]grid.Addr, 0, l.cells)
+	c.parts = make([]GeomPart, 0, l.parts)
 	for _, g := range l.geomOrder {
-		if geom := c.Geoms[g]; geom.composite {
-			out.addRemappedComposite(c.compositeParts(geom), l.geomSlot)
+		geom := geoms[g]
+		if geom.composite {
+			c.addRemappedComposite(parts[geom.off:geom.off+geom.n], l.geomSlot)
 		} else {
-			out.AddLeafGeom(c.leafCells(geom))
+			c.AddLeafGeom(cells[geom.off : geom.off+geom.n])
 		}
 	}
+
 	deg := make([]int32, l.nodes)
-	for i := range c.Arcs {
-		if a := &c.Arcs[i]; a.Alive {
-			deg[l.nodeSlot[a.Upper]]++
-			deg[l.nodeSlot[a.Lower]]++
+	arcs := c.Arcs[:0]
+	for _, a := range c.Arcs {
+		if a.Alive {
+			a.Upper, a.Lower, a.Geom = l.nodeSlot[a.Upper], l.nodeSlot[a.Lower], l.geomSlot[a.Geom]
+			arcs = append(arcs, a)
+			deg[a.Upper]++
+			deg[a.Lower]++
 		}
 	}
-	carveArcLists(out.Nodes, deg)
-	out.Arcs = make([]Arc, 0, l.arcs)
-	for i := range c.Arcs {
-		if a := &c.Arcs[i]; a.Alive {
-			out.AddArc(l.nodeSlot[a.Upper], l.nodeSlot[a.Lower], l.geomSlot[a.Geom])
-		}
+	c.Arcs = arcs
+	carveArcLists(c.Nodes, deg)
+	for i, a := range c.Arcs {
+		c.Nodes[a.Upper].arcs = append(c.Nodes[a.Upper].arcs, ArcID(i))
+		c.Nodes[a.Lower].arcs = append(c.Nodes[a.Lower].arcs, ArcID(i))
 	}
-	return out
+	c.Work.ArcsTouched += int64(len(c.Arcs))
+	c.undo, c.applied, c.geomLen = nil, 0, nil
+	return c
 }

@@ -10,7 +10,8 @@ package mscomplex
 // SetResolution walks to an arbitrary level.
 //
 // Compact drops the dead elements — the paper's memory cleanup that
-// keeps "all but the coarsest levels" out of memory — after which the
+// keeps "all but the coarsest levels" out of memory. It compacts its
+// receiver in place, so it consumes the receiver's finer levels: the
 // compacted complex starts a fresh hierarchy and cannot be refined past
 // its own history.
 

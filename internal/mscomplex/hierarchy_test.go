@@ -110,15 +110,18 @@ func TestRefineUnavailableAfterCompact(t *testing.T) {
 	ms := traceVolume(t, synth.Random(grid.Dims{8, 8, 8}, 73))
 	ms.Simplify(SimplifyOptions{Threshold: 0.3})
 	compact := ms.Compact()
+	if compact != ms {
+		t.Fatal("Compact did not compact its receiver")
+	}
 	if compact.Refine() {
 		t.Fatal("Refine succeeded on a compacted complex")
 	}
 	if compact.MaxResolution() != 0 {
 		t.Fatal("compacted complex claims refinable levels")
 	}
-	// The original can still refine.
-	if !ms.Refine() {
-		t.Fatal("original lost its hierarchy")
+	// Compact consumed the receiver's finer levels.
+	if ms.Refine() {
+		t.Fatal("the receiver kept its finer levels")
 	}
 }
 

@@ -191,24 +191,25 @@ func TestGlueCommutes(t *testing.T) {
 func TestCompactPreservesContent(t *testing.T) {
 	ms := traceVolume(t, synth.Random(grid.Dims{10, 9, 8}, 53))
 	ms.Simplify(SimplifyOptions{Threshold: 0.2})
-	compact := ms.Compact()
 	wn, wa := ms.AliveCounts()
-	gn, ga := compact.AliveCounts()
-	if wn != gn || wa != ga {
-		t.Fatalf("compaction changed counts: %v/%d -> %v/%d", wn, wa, gn, ga)
-	}
-	if len(compact.Hierarchy) != len(ms.Hierarchy) {
-		t.Fatal("compaction lost hierarchy")
-	}
-	if err := compact.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	wantHier := len(ms.Hierarchy)
 	// Geometry is preserved per arc (same flattened total).
 	var wantLen, gotLen int64
 	for i := range ms.Arcs {
 		if ms.Arcs[i].Alive {
 			wantLen += int64(ms.GeomLen(ms.Arcs[i].Geom))
 		}
+	}
+	compact := ms.Compact()
+	gn, ga := compact.AliveCounts()
+	if wn != gn || wa != ga {
+		t.Fatalf("compaction changed counts: %v/%d -> %v/%d", wn, wa, gn, ga)
+	}
+	if len(compact.Hierarchy) != wantHier {
+		t.Fatal("compaction lost hierarchy")
+	}
+	if err := compact.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	for i := range compact.Arcs {
 		if compact.Arcs[i].Alive {

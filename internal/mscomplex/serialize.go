@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"parms/internal/grid"
 )
@@ -113,9 +114,15 @@ func (l *layout) visit(c *Complex, g GeomID) {
 
 // Serialize encodes the alive part of the complex for communication or
 // storage and returns the byte payload.
-func (c *Complex) Serialize() []byte {
+func (c *Complex) Serialize() []byte { return c.AppendSerialized(nil) }
+
+// AppendSerialized appends the payload Serialize returns to dst and
+// returns the extended slice. It grows dst once, by the payload's exact
+// size, so a caller that reserves a header in dst gets header and
+// payload in one allocation.
+func (c *Complex) AppendSerialized(dst []byte) []byte {
 	l := c.layout()
-	w := writer{buf: make([]byte, 0, l.size)}
+	w := writer{buf: slices.Grow(dst, int(l.size))}
 	w.u32(serialMagic)
 	w.u32(uint32(len(c.Region)))
 	for _, b := range c.Region {
@@ -184,10 +191,10 @@ func (c *Complex) Serialize() []byte {
 		w.u32(uint32(h.ArcsRemoved))
 		w.u32(uint32(h.ArcsCreated))
 	}
-	if int64(len(w.buf)) != l.size {
-		panic(fmt.Sprintf("mscomplex: serialized %d bytes, sized %d", len(w.buf), l.size))
+	if n := int64(len(w.buf) - len(dst)); n != l.size {
+		panic(fmt.Sprintf("mscomplex: serialized %d bytes, sized %d", n, l.size))
 	}
-	c.Work.BytesCoded += int64(len(w.buf))
+	c.Work.BytesCoded += l.size
 	return w.buf
 }
 

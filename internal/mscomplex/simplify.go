@@ -107,7 +107,11 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 		}
 	}
 
-	h := make(candidateHeap, 0, len(c.Arcs))
+	// Only arcs at or below the threshold with no boundary end are
+	// pushed, usually a small share of the arcs, so the heap grows from
+	// empty. less is a total order, so the pops come out in the same
+	// sequence however the heap was built.
+	var h candidateHeap
 	push := func(a ArcID) {
 		arc := &c.Arcs[a]
 		if !arc.Alive {

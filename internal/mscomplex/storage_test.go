@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"parms/internal/grid"
+	"parms/internal/mpsim"
 	"parms/internal/synth"
 )
 
@@ -190,7 +191,9 @@ func growArenas(t *testing.T, c *Complex) {
 // TestArenasDoNotAlias: Compact, Deserialize and Glue copy what they
 // keep into arenas the built complex owns, so growing either side's
 // arenas afterwards leaves every geometry and owner list of the other
-// side as it was.
+// side as it was. Compact works in place, so its source and result are
+// one complex: its rows check that growing the exact-size arenas it
+// leaves keeps every existing geometry and owner list.
 func TestArenasDoNotAlias(t *testing.T) {
 	vol := synth.Random(grid.Dims{9, 9, 9}, 61)
 	builds := []struct {
@@ -423,4 +426,111 @@ func FuzzDeserialize(f *testing.F) {
 			t.Fatalf("re-encoding is not a fixed point: %d then %d bytes", len(s), len(again))
 		}
 	})
+}
+
+// twin returns an independent copy of c, built by Deserialize: alive
+// elements in id order, incidence lists in arc order.
+func twin(t *testing.T, c *Complex) *Complex {
+	t.Helper()
+	out, err := Deserialize(c.Serialize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// arcOrdered reports whether every node's incidence list is in arc id
+// order, as Deserialize builds them.
+func arcOrdered(c *Complex) bool {
+	for i := range c.Nodes {
+		if !slices.IsSorted(c.Nodes[i].arcs) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCompactInPlace: Compact compacts its receiver and returns it,
+// leaving the bytes as they were, and the compacted complex behaves
+// exactly as a Deserialize twin under further simplification and
+// gluing — in particular after Refine, whose restored arcs sit out of
+// order in their incidence lists until Compact rebuilds them.
+func TestCompactInPlace(t *testing.T) {
+	// Compact keeps the node array when at least a quarter of it
+	// survives and rebuilds it at exact size otherwise; the two
+	// thresholds take one path each.
+	kept := map[bool]int{}
+	for _, seed := range []int64{3, 17, 29} {
+		vol := synth.Random(grid.Dims{10, 9, 11}, seed)
+
+		for _, threshold := range []float32{0.01, 0.3} {
+			ms := traceVolume(t, vol)
+			ms.Simplify(SimplifyOptions{Threshold: threshold})
+			before, nodes := ms.Serialize(), ms.Nodes
+			if ms.Compact() != ms {
+				t.Fatalf("seed %d: Compact did not return its receiver", seed)
+			}
+			kept[&ms.Nodes[0] == &nodes[0]]++
+			if !bytes.Equal(ms.Serialize(), before) {
+				t.Fatalf("seed %d threshold %v: Compact changed the serialized bytes", seed, threshold)
+			}
+			if err := ms.Validate(); err != nil {
+				t.Fatalf("seed %d threshold %v: %v", seed, threshold, err)
+			}
+			checkIncidence(t, ms)
+		}
+
+		ms := traceVolume(t, vol)
+		ms.Simplify(SimplifyOptions{Threshold: 0.3})
+		for i := 0; i < 5 && ms.Refine(); i++ {
+		}
+		if arcOrdered(ms) {
+			t.Fatalf("seed %d: Refine left every incidence list in arc order", seed)
+		}
+		ref := twin(t, ms)
+		ms.Compact()
+		checkIncidence(t, ms)
+		if !arcOrdered(ms) {
+			t.Fatalf("seed %d: Compact left an incidence list out of arc order", seed)
+		}
+		ms.Simplify(SimplifyOptions{Threshold: 0.6})
+		ref.Simplify(SimplifyOptions{Threshold: 0.6})
+		if !bytes.Equal(ms.Serialize(), ref.Serialize()) {
+			t.Fatalf("seed %d: refine, compact, simplify differs from its twin", seed)
+		}
+
+		_, blocks := computeBlocks(t, vol, 4, 0.1)
+		root := blocks[0]
+		root.Glue(blocks[1])
+		root.Simplify(SimplifyOptions{Threshold: 0.1})
+		root.Compact()
+		ref = twin(t, root)
+		for _, b := range blocks[2:] {
+			root.Glue(b)
+			ref.Glue(b)
+		}
+		root.Simplify(SimplifyOptions{Threshold: 0.1})
+		ref.Simplify(SimplifyOptions{Threshold: 0.1})
+		if !bytes.Equal(root.Serialize(), ref.Serialize()) {
+			t.Fatalf("seed %d: gluing a compacted root differs from gluing its twin", seed)
+		}
+	}
+	if kept[true] == 0 || kept[false] == 0 {
+		t.Fatalf("node array kept %d times, rebuilt %d times: a path went untested", kept[true], kept[false])
+	}
+}
+
+// TestSealAppendSerialized: serializing behind a reserved frame header
+// and sealing it in place gives the frame Frame builds by copying.
+func TestSealAppendSerialized(t *testing.T) {
+	ms := traceVolume(t, synth.Random(grid.Dims{9, 9, 9}, 5))
+	ms.Simplify(SimplifyOptions{Threshold: 0.1})
+	want := mpsim.Frame(ms.Serialize())
+	got := mpsim.Seal(ms.AppendSerialized(make([]byte, mpsim.FrameHeader)))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sealed frame (%d bytes) differs from Frame (%d bytes)", len(got), len(want))
+	}
+	if !bytes.Equal(ms.AppendSerialized(nil), ms.Serialize()) {
+		t.Fatal("AppendSerialized(nil) differs from Serialize")
+	}
 }

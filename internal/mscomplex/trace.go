@@ -125,14 +125,16 @@ func trace(f *gradient.Field, dec *grid.Decomposition, opts TraceOptions, pool *
 	ms := newSized([]int32{int32(c.Block.ID)}, len(criticals))
 	res := &TraceResult{Complex: ms}
 
+	var ob []int
+	owners := make([]int32, 0, 8)
 	for _, ci := range criticals {
 		idx := int(ci)
 		var kb [8]cube.VertKey
 		keys := c.VertKeys(idx, kb[:])
-		owners := []int32{int32(c.Block.ID)}
+		owners = append(owners[:0], int32(c.Block.ID))
 		if dec != nil {
 			gx, gy, gz := c.GlobalCoords(idx)
-			ob := dec.OwnersOfRefined(c.Block.ID, gx, gy, gz)
+			ob = dec.AppendOwnersOfRefined(ob[:0], c.Block.ID, gx, gy, gz)
 			owners = owners[:0]
 			for _, o := range ob {
 				owners = append(owners, int32(o))
@@ -168,7 +170,8 @@ func trace(f *gradient.Field, dec *grid.Decomposition, opts TraceOptions, pool *
 	// copied into one of exact size at the commit, so they are recycled.
 	adopt := len(ws) == 1
 	for _, w := range ws {
-		w.f, w.maxArcs, w.term0, w.cells = f, maxArcs, term0, w.cells[:0]
+		w.f, w.maxArcs, w.term0 = f, maxArcs, term0
+		w.cells, w.emits = w.cells[:0], w.emits[:0]
 	}
 	outs := make([]startOut, len(starts))
 	pool.Run(len(starts), 1, func(worker, _, lo, hi int) {
@@ -187,10 +190,13 @@ func trace(f *gradient.Field, dec *grid.Decomposition, opts TraceOptions, pool *
 	// Phase 3: sequential commit in critical-cell order. The first pass
 	// resolves every arc's endpoints and counts node degrees, so the
 	// second fills arrays and incidence lists allocated at final size.
+	emitsOf := func(o *startOut) []emitRec {
+		return ws[o.worker].emits[o.emits.off : o.emits.off+o.emits.n]
+	}
 	nGeoms, nCells := 0, 0
 	for i := range outs {
-		nGeoms += len(outs[i].emits)
-		for _, e := range outs[i].emits {
+		nGeoms += int(outs[i].emits.n)
+		for _, e := range emitsOf(&outs[i]) {
 			nCells += int(e.geom.n)
 		}
 	}
@@ -210,7 +216,7 @@ func trace(f *gradient.Field, dec *grid.Decomposition, opts TraceOptions, pool *
 			panic("mscomplex: tracing from a cell with no node")
 		}
 		origins[i] = origin
-		for _, e := range outs[i].emits {
+		for _, e := range emitsOf(&outs[i]) {
 			lower, ok := ms.NodeAt(c.GlobalAddr(e.terminal))
 			if !ok {
 				panic("mscomplex: critical terminal with no node")
@@ -226,7 +232,7 @@ func trace(f *gradient.Field, dec *grid.Decomposition, opts TraceOptions, pool *
 	ms.Arcs = make([]Arc, 0, nArcs)
 	k := 0
 	for i := range outs {
-		for _, e := range outs[i].emits {
+		for _, e := range emitsOf(&outs[i]) {
 			geom := GeomID(len(ms.Geoms))
 			if adopt {
 				ms.Geoms = append(ms.Geoms, Geom{span: e.geom})
@@ -333,10 +339,10 @@ type emitRec struct {
 // in emission order. It is committed sequentially after the parallel
 // phase.
 type startOut struct {
-	emits     []emitRec
+	emits     span // range of the worker's emit arena
 	truncated int
 	steps     int64
-	worker    int // the pool worker whose tracer holds the geometry
+	worker    int // the pool worker whose tracer holds emits and geometry
 }
 
 // tracer holds per-worker scratch for the per-start tracing phase. It
@@ -360,8 +366,10 @@ type tracer struct {
 	rev   []int32
 
 	// cells is the arena every traced geometry is appended to, grown by
-	// at least doubling.
+	// at least doubling; emits is the arena of the starts' emitted arc
+	// bundles.
 	cells []grid.Addr
+	emits []emitRec
 }
 
 // cellState is one cell's per-start DFS scratch, packed so that
@@ -443,7 +451,8 @@ func (t *tracer) traceChain(start int) startOut {
 		// Disjoint chains: one arc per root, own geometry.
 		geom0, end0 := t.walkChain(start, v0, -1)
 		geom1, end1 := t.walkChain(start, v1, -1)
-		out.emits = append(out.emits,
+		out.emits = newSpan(len(t.emits), 2)
+		t.emits = append(t.emits,
 			emitRec{terminal: end0, geom: geom0, records: 1},
 			emitRec{terminal: end1, geom: geom1, records: 1})
 		out.steps += int64(geom0.n + geom1.n)
@@ -459,7 +468,8 @@ func (t *tracer) traceChain(start int) startOut {
 		records = t.maxArcs
 		out.truncated++
 	}
-	out.emits = append(out.emits, emitRec{terminal: term, geom: g, records: records})
+	out.emits = newSpan(len(t.emits), 1)
+	t.emits = append(t.emits, emitRec{terminal: term, geom: g, records: records})
 	out.steps += int64(g.n)
 	return out
 }
@@ -579,6 +589,7 @@ func (t *tracer) traceFrom(start int) startOut {
 	}
 
 	// Emit arcs for every reachable critical terminal, in finish order.
+	first := len(t.emits)
 	for _, cell := range t.order {
 		if !t.f.IsCritical(int(cell)) {
 			continue
@@ -593,8 +604,9 @@ func (t *tracer) traceFrom(start int) startOut {
 			records = t.maxArcs
 			out.truncated++
 		}
-		out.emits = append(out.emits, emitRec{terminal: int(cell), geom: geom, records: records})
+		t.emits = append(t.emits, emitRec{terminal: int(cell), geom: geom, records: records})
 	}
+	out.emits = newSpan(first, len(t.emits)-first)
 	return out
 }
 

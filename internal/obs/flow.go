@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -105,17 +106,29 @@ type FlowID struct {
 type flowStream struct {
 	mu     sync.Mutex
 	seq    int64
-	chunks [][]Flow
+	chunks [][]flowRec
 	n      int
+}
+
+// flowRec is a Flow as its stream keeps it, in 80 bytes instead of
+// 104. A recording stream numbers every record it keeps, so a record's
+// Seq is its position and its Emitter the stream's rank: neither is
+// stored. Ranks fit 32 bits.
+type flowRec struct {
+	src, dst                      int32
+	tag, bytes                    int
+	kind                          string
+	send, arrive, recvStart, recv vtime.Time
+	done                          bool
 }
 
 // flowChunk is the number of flows per chunk.
 const flowChunk = 32
 
 // add appends f and returns its position + 1.
-func (st *flowStream) add(f Flow) int32 {
+func (st *flowStream) add(f flowRec) int32 {
 	if st.n%flowChunk == 0 {
-		st.chunks = append(st.chunks, make([]Flow, 0, flowChunk))
+		st.chunks = append(st.chunks, make([]flowRec, 0, flowChunk))
 	}
 	last := &st.chunks[len(st.chunks)-1]
 	*last = append(*last, f)
@@ -169,14 +182,13 @@ func (fr *FlowRecorder) Begin(emitter, src, dst, tag, bytes int, kind string, se
 	st := &fr.streams[emitter]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	seq := st.seq
 	st.seq++
 	if fr.countOnly.Load() {
 		return FlowID{}
 	}
-	index := st.add(Flow{
-		Seq: seq, Emitter: emitter, Src: src, Dst: dst, Tag: tag,
-		Bytes: bytes, Kind: kind, SendVT: send, ArriveVT: arrive,
+	index := st.add(flowRec{
+		src: int32(src), dst: int32(dst), tag: tag,
+		bytes: bytes, kind: kind, send: send, arrive: arrive,
 	})
 	return FlowID{emitter: int32(emitter), index: index}
 }
@@ -201,15 +213,12 @@ func (fr *FlowRecorder) Complete(id FlowID, recvStart, recv vtime.Time) {
 		return
 	}
 	f := &st.chunks[i/flowChunk][i%flowChunk]
-	if f.Done {
+	if f.done {
 		return
 	}
-	f.RecvStartVT = recvStart
-	f.RecvVT = recv
-	if f.RecvVT < f.SendVT {
-		f.RecvVT = f.SendVT
-	}
-	f.Done = true
+	f.recvStart = recvStart
+	f.recv = max(recv, f.send)
+	f.done = true
 }
 
 // Emit records a synthetic, already-complete flow: data that reached
@@ -225,10 +234,10 @@ func (fr *FlowRecorder) Emit(emitter, src, dst, tag, bytes int, kind string, sen
 	}
 	st := &fr.streams[emitter]
 	st.mu.Lock()
-	st.add(Flow{
-		Seq: st.seq, Emitter: emitter, Src: src, Dst: dst, Tag: tag,
-		Bytes: bytes, Kind: kind, SendVT: send, ArriveVT: recv,
-		RecvStartVT: recv, RecvVT: recv, Done: true,
+	st.add(flowRec{
+		src: int32(src), dst: int32(dst), tag: tag,
+		bytes: bytes, kind: kind, send: send, arrive: recv,
+		recvStart: recv, recv: recv, done: true,
 	})
 	st.seq++
 	st.mu.Unlock()
@@ -245,8 +254,17 @@ func (fr *FlowRecorder) Flows() []Flow {
 	for e := range fr.streams {
 		st := &fr.streams[e]
 		st.mu.Lock()
+		out = slices.Grow(out, st.n)
+		var seq int64
 		for _, c := range st.chunks {
-			out = append(out, c...)
+			for _, f := range c {
+				out = append(out, Flow{
+					Seq: seq, Emitter: e, Src: int(f.src), Dst: int(f.dst), Tag: f.tag,
+					Bytes: f.bytes, Kind: f.kind, SendVT: f.send, ArriveVT: f.arrive,
+					RecvStartVT: f.recvStart, RecvVT: f.recv, Done: f.done,
+				})
+				seq++
+			}
 		}
 		st.mu.Unlock()
 	}

@@ -26,16 +26,20 @@ func CheckpointName(dir string, round, block int) string {
 
 // EncodeCheckpoint frames one merged complex as a single-entry PCSFM2
 // file ready to be written at offset 0.
+//
+// The footer's length depends on the region's length alone, not on the
+// values it records, so the image is allocated once: the footer's bytes
+// are reserved in front of the payload, the payload then slides down
+// over them and the footer is written behind it.
 func EncodeCheckpoint(block int, ms *mscomplex.Complex) []byte {
-	payload := ms.Serialize()
-	entry := IndexEntry{
-		BlockID: int32(block),
-		Offset:  0,
-		Size:    int64(len(payload)),
-		CRC:     mpsim.Checksum(payload),
-		Region:  ms.Region,
-	}
-	return append(payload, EncodeFooter([]IndexEntry{entry})...)
+	entry := IndexEntry{BlockID: int32(block), Offset: 0, Region: ms.Region}
+	footerLen := len(EncodeFooter([]IndexEntry{entry}))
+	image := ms.AppendSerialized(make([]byte, footerLen))
+	payload := image[:copy(image, image[footerLen:])]
+	entry.Size = int64(len(payload))
+	entry.CRC = mpsim.Checksum(payload)
+	copy(image[len(payload):], EncodeFooter([]IndexEntry{entry}))
+	return image
 }
 
 // DecodeCheckpoint parses, CRC-verifies and deserializes a checkpoint

@@ -230,18 +230,26 @@ func RayleighTaylor(dims grid.Dims, seed int64) *grid.Volume {
 			amp:   math.Pow(k, -1.2),
 		}
 	}
+	// Interface height perturbation, once per (x, y) column.
+	etas := make([]float64, dims[0]*dims[1])
+	for y := 0; y < dims[1]; y++ {
+		ny := float64(y) / float64(dims[1]-1)
+		for x := 0; x < dims[0]; x++ {
+			nx := float64(x) / float64(dims[0]-1)
+			eta := 0.0
+			for _, m := range iface {
+				eta += m.amp * math.Sin(2*math.Pi*(m.kx*nx+m.ky*ny)+m.phase)
+			}
+			etas[y*dims[0]+x] = eta * 0.25
+		}
+	}
 	for z := 0; z < dims[2]; z++ {
 		nz := float64(z)/float64(dims[2]-1) - 0.5
 		for y := 0; y < dims[1]; y++ {
 			ny := float64(y) / float64(dims[1]-1)
 			for x := 0; x < dims[0]; x++ {
 				nx := float64(x) / float64(dims[0]-1)
-				// Interface height perturbation at (x, y).
-				eta := 0.0
-				for _, m := range iface {
-					eta += m.amp * math.Sin(2*math.Pi*(m.kx*nx+m.ky*ny)+m.phase)
-				}
-				eta *= 0.25
+				eta := etas[y*dims[0]+x]
 				// Density transition across the perturbed interface.
 				d := (nz - eta) / 0.08
 				rho := math.Tanh(d)

@@ -1,6 +1,11 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
 	"testing"
 
 	"parms/internal/grid"
@@ -132,6 +137,32 @@ func TestRayleighTaylorStratification(t *testing.T) {
 	}
 	if top/n < 0.5 {
 		t.Fatalf("top density %v not heavy", top/n)
+	}
+}
+
+// TestRayleighTaylorGolden pins the generated samples bit for bit:
+// sha256 over the little-endian float32 bits in x-fastest order.
+func TestRayleighTaylorGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the golden is pinned on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
+	}
+	for _, tc := range []struct {
+		dims grid.Dims
+		want string
+	}{
+		{grid.Dims{64, 64, 64}, "8790aa2122e90ba23ea709688f05a38144376a30f2d3203b597b36b27127615d"},
+		{grid.Dims{17, 19, 23}, "040f90ff698025901e8c73851f00c86ca335e69d851f3851fa1d5367b48ba45b"},
+	} {
+		v := RayleighTaylor(tc.dims, 1)
+		h := sha256.New()
+		var b [4]byte
+		for _, f := range v.Data {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(f))
+			h.Write(b[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("RayleighTaylor(%v, 1): sha256 %s, want %s", tc.dims, got, tc.want)
+		}
 	}
 }
 
