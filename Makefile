@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChaosUnframe -fuzztime 30s ./internal/merge/
 	$(GO) test -run '^$$' -fuzz FuzzChaosDecodeCheckpoint -fuzztime 30s ./internal/pario/
 	$(GO) test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/mscomplex/
+	$(GO) test -run '^$$' -fuzz FuzzGlueSerialized -fuzztime 30s ./internal/mscomplex/
 	$(GO) test -run '^$$' -fuzz FuzzParseChromeTrace -fuzztime 30s ./internal/obs/analyze/
 
 # The lint umbrella is exactly what the CI lint job enforces:

@@ -24,29 +24,29 @@ func framedPayload(tb testing.TB) []byte {
 }
 
 // TestChaosFramedPayloadCorruptionRejected flips every single byte of a
-// framed merge payload and tries a spread of truncations: the decoder
+// framed merge payload and tries a spread of truncations: glueMember
 // must reject 100% of them — a corrupted complex must never be glued.
 func TestChaosFramedPayloadCorruptionRejected(t *testing.T) {
 	frame := framedPayload(t)
 	for i := range frame {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x20
-		if _, err := decodeMember(bad); err == nil {
+		if err := glueMember(mscomplex.New(nil), bad); err == nil {
 			t.Fatalf("byte flip at offset %d of %d accepted", i, len(frame))
 		}
 	}
 	for n := 0; n < len(frame); n += 11 {
-		if _, err := decodeMember(frame[:n]); err == nil {
+		if err := glueMember(mscomplex.New(nil), frame[:n]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes accepted", n, len(frame))
 		}
 	}
 	for _, pad := range []int{1, 8, 4096} {
 		padded := append(append([]byte(nil), frame...), make([]byte, pad)...)
-		if _, err := decodeMember(padded); err == nil {
+		if err := glueMember(mscomplex.New(nil), padded); err == nil {
 			t.Fatalf("frame padded by %d bytes accepted", pad)
 		}
 	}
-	if _, err := decodeMember(frame); err != nil {
+	if err := glueMember(mscomplex.New(nil), frame); err != nil {
 		t.Fatalf("intact frame rejected: %v", err)
 	}
 }

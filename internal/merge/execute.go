@@ -279,11 +279,16 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 				} else {
 					payload, _ = r.Recv(srcRank, tag)
 				}
-				var other *mscomplex.Complex
+				// A received payload is glued straight into the root; one
+				// that fails the checksum or the decoder's validation
+				// leaves the root untouched and is recovered in its place.
+				glueStart := r.Clock()
+				workBefore := root.Work
+				glued := false
 				if !lost {
-					var err error
-					other, err = decodeMember(payload)
-					if err != nil {
+					if err := glueMember(root, payload); err == nil {
+						glued = true
+					} else {
 						if !opts.CanRecover() {
 							return nil, fmt.Errorf("merge: block %d from rank %d: %w", m, srcRank, err)
 						}
@@ -292,10 +297,10 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 						}
 						tr.Instant("fault:corrupt", r.Clock(), obs.I("block", int64(m)),
 							obs.I("src", int64(srcRank)), obs.I("round", int64(round)))
-						other, payload = nil, nil
+						payload = nil
 					}
 				}
-				if other == nil {
+				if !glued {
 					// The recovered complex is the one this member would
 					// have sent, so gluing it here, in member order, keeps
 					// the merged output byte-identical to the fault-free
@@ -304,14 +309,12 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					if err != nil {
 						return nil, fmt.Errorf("merge: recover block %d: %w", m, err)
 					}
-					other = recovered
+					glueStart = r.Clock()
+					root.Glue(recovered)
 				}
-				glueStart := r.Clock()
 				if len(payload) > 0 {
 					r.Compute(vtime.Work{BytesCoded: int64(len(payload))})
 				}
-				workBefore := root.Work
-				root.Glue(other)
 				r.Compute(workDelta(root.Work, workBefore))
 				if tr.Enabled() {
 					tr.Span("glue", glueStart, r.Clock(),
@@ -357,14 +360,14 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 	return stats, nil
 }
 
-// decodeMember unframes and deserializes one merge payload, rejecting
-// any corruption.
-func decodeMember(payload []byte) (*mscomplex.Complex, error) {
+// glueMember unframes one merge payload and glues it onto root,
+// rejecting any corruption before root changes.
+func glueMember(root *mscomplex.Complex, payload []byte) error {
 	inner, err := mpsim.Unframe(payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return mscomplex.Deserialize(inner)
+	return root.GlueSerialized(inner)
 }
 
 // rebuild deterministically reconstructs the merged complex that block

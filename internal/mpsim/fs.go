@@ -54,6 +54,21 @@ func (fs *FS) Create(name string) {
 	f.mu.Unlock()
 }
 
+// extend grows f to at least n bytes, zero-filled. The caller holds f.mu.
+func (f *file) extend(n int64) {
+	f.data = append(f.data, make([]byte, max(0, n-int64(len(f.data))))...)
+}
+
+// SetSize grows a file to n zero-filled bytes, creating it if needed; it
+// never shrinks one. Like MPI_File_set_size, it lets WriteAt fill the
+// file in place. It is metadata-only and, like Remove, never fails.
+func (fs *FS) SetSize(name string, n int64) {
+	f, _ := fs.open(name, true)
+	f.mu.Lock()
+	f.extend(n)
+	f.mu.Unlock()
+}
+
 // WriteAt stores data at the given offset, growing the file as needed.
 // A fault plan may make it fail transiently (retryable) or permanently.
 func (fs *FS) WriteAt(name string, off int64, data []byte) error {
@@ -66,13 +81,8 @@ func (fs *FS) WriteAt(name string, off int64, data []byte) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	end := off + int64(len(data))
-	if int64(len(f.data)) < end {
-		grown := make([]byte, end)
-		copy(grown, f.data)
-		f.data = grown
-	}
-	copy(f.data[off:end], data)
+	f.extend(off + int64(len(data)))
+	copy(f.data[off:], data)
 	return nil
 }
 

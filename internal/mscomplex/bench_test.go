@@ -132,6 +132,9 @@ func BenchmarkDeserialize32(b *testing.B) {
 	}
 }
 
+// BenchmarkGlue8Blocks decodes one block of an eight-block split and
+// glues the other seven onto it straight from their payloads, as
+// merge.Execute glues received members, then re-simplifies.
 func BenchmarkGlue8Blocks(b *testing.B) {
 	vol := synth.Sinusoid(33, 4)
 	dec, err := grid.Decompose(vol.Dims, 8)
@@ -154,11 +157,9 @@ func BenchmarkGlue8Blocks(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, p := range payloads[1:] {
-			other, err := Deserialize(p)
-			if err != nil {
+			if err := root.GlueSerialized(p); err != nil {
 				b.Fatal(err)
 			}
-			root.Glue(other)
 		}
 		root.Simplify(SimplifyOptions{Threshold: 0.02})
 	}

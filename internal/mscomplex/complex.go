@@ -10,8 +10,8 @@
 // the cells of leaf geometries, the part lists of composite geometries
 // and the nodes' owner lists. A Geom or a node's owner list is an
 // (offset, length) range of one of them, so the records hold no
-// pointers. No two complexes ever share an arena: Compact, Deserialize
-// and Glue copy what they keep, and a traced complex adopts its
+// pointers. No two complexes ever share an arena: Compact and
+// GlueSerialized copy what they keep, and a traced complex adopts its
 // tracer's arena only when no other complex can reach it.
 //
 // A Complex also knows the Region of the domain it covers (the set of
@@ -179,8 +179,8 @@ func newSized(region []int32, nodes int) *Complex {
 // carveArcLists gives every node an empty incidence list with room for
 // exactly deg[i] arcs, all carved from one backing array. Each list's
 // capacity is clipped to its own range, so an append beyond deg[i] —
-// from Glue, Simplify or ensureListed — reallocates that node's list
-// alone and never writes into a neighbour's.
+// from GlueSerialized, Simplify or ensureListed — reallocates that
+// node's list alone and never writes into a neighbour's.
 func carveArcLists(nodes []Node, deg []int32) {
 	total := 0
 	for _, d := range deg {

@@ -1,167 +1,314 @@
 package mscomplex
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"sync"
 
 	"parms/internal/grid"
 )
 
-func f32bits(v float32) uint32     { return math.Float32bits(v) }
-func f32frombits(b uint32) float32 { return math.Float32frombits(b) }
-
-// Glue enlarges the receiver by gluing other onto it (section IV-F3).
-// The discrete gradients of the two regions are identical on their
-// shared boundary, so every critical cell on that boundary is a node of
-// both complexes; these shared nodes anchor the gluing:
-//
-//   - every node of other that is not already present (by cell address)
-//     is added;
-//   - every arc of other is added unless both of its endpoints lie on
-//     the boundary shared with the receiver's region, in which case the
-//     arc is guaranteed to exist in the receiver already;
-//   - the receiver's region becomes the union of the two regions, which
-//     reclassifies boundary status: nodes interior to the union become
-//     candidates for cancellation in the next simplification.
-//
-// Every array the receiver extends grows at least geometrically, so a
-// root that glues many members in turn copies its own arrays O(1) times
-// per element, not once per member. The member's geometry and owner
-// lists are copied into the receiver's arenas.
+// Glue glues other onto the receiver (section IV-F3) through other's
+// payload, so it is exactly GlueSerialized; other bills the Serialize.
 func (c *Complex) Glue(other *Complex) {
-	c.Nodes = grow(c.Nodes, len(other.Nodes))
-	c.Arcs = grow(c.Arcs, len(other.Arcs))
-	c.Geoms = grow(c.Geoms, len(other.Geoms))
-	c.cells = grow(c.cells, len(other.cells))
-	c.parts = grow(c.parts, len(other.parts))
-	c.owners = grow(c.owners, len(other.owners))
+	if err := c.GlueSerialized(other.Serialize()); err != nil {
+		panic(fmt.Sprintf("mscomplex: gluing an in-memory complex: %v", err))
+	}
+}
 
-	// A node of other is "shared" when its cell is also contained in a
-	// block of the receiver's region. An arc between two shared nodes
-	// is already present in the receiver; every other arc is added, and
-	// deg counts the arcs each node of other gains.
-	shared := make([]bool, len(other.Nodes))
-	for i := range other.Nodes {
-		for _, o := range other.Owners(NodeID(i)) {
-			if c.InRegion(o) {
-				shared[i] = true
-				break
+// GlueSerialized glues the complex serialized in data onto the receiver
+// (section IV-F3), copying nodes, owners, geometry and arcs straight
+// from the payload into the receiver's arrays and arenas; it is the
+// package's one decoder. The discrete gradients of the two regions are
+// identical on their shared boundary, so every critical cell on that
+// boundary is a node of both complexes; these shared nodes anchor the
+// gluing:
+//
+//   - every node of the payload not already present (by cell address)
+//     is added;
+//   - every arc is added unless both of its endpoints lie on the
+//     boundary shared with the receiver's region, in which case the
+//     arc exists in the receiver already, as does the geometry only
+//     such arcs reference;
+//   - the receiver's region becomes the union of the two regions, so
+//     nodes interior to the union become candidates for cancellation.
+//
+// A read-only pass validates the whole payload first, so a rejected
+// payload leaves the receiver untouched. The arrays the receiver extends
+// grow geometrically; it bills NodesGlued and ArcsTouched.
+func (c *Complex) GlueSerialized(data []byte) error {
+	s := glueScratchPool.Get().(*glueScratch)
+	defer glueScratchPool.Put(s)
+	p, err := c.scanPayload(data, s)
+	if err == nil {
+		c.gluePayload(data, p, s)
+	}
+	return err
+}
+
+// glueScratch holds GlueSerialized's tables, indexed by payload slot.
+type glueScratch struct {
+	nodes []slotNode
+	geoms []slotGeom
+	cells []grid.Addr // the payload's node cells, sorted to find duplicates
+}
+
+var glueScratchPool = sync.Pool{New: func() any { return new(glueScratch) }}
+
+type slotNode struct {
+	id     NodeID // receiver id; -1 for a node not yet in the receiver
+	index  uint8  // Morse index, the receiver's for a node it has
+	shared bool   // an owner lies in the receiver's region
+	deg    int32  // arcs the node gains
+}
+
+type slotGeom struct {
+	off int32  // payload offset of the record
+	id  GeomID // receiver id once copied; -1 = not needed
+}
+
+// gluePlan is where the arc section starts and how much each array grows.
+type gluePlan struct {
+	arcs, newNodes, lists, arcsKept int
+	owners, geoms, cells, parts     int
+}
+
+// scanPayload checks every count against the bytes left, node indices,
+// duplicate cells, arc endpoints and indices, forward geometry references
+// and matches with cancelled nodes, without changing the receiver.
+func (c *Complex) scanPayload(data []byte, s *glueScratch) (gluePlan, error) {
+	var p gluePlan
+	r := reader{buf: data}
+	if len(data) > math.MaxInt32 {
+		return p, fmt.Errorf("mscomplex: payload of %d bytes exceeds int32 offsets", len(data))
+	}
+	if r.u32() != serialMagic {
+		return p, fmt.Errorf("mscomplex: bad magic")
+	}
+	nRegion := int(r.u32())
+	if !r.fits(nRegion, 4) {
+		return p, fmt.Errorf("mscomplex: region count %d exceeds payload", nRegion)
+	}
+	r.skip(4 * nRegion)
+	nNodes := int(r.u32())
+	if !r.fits(nNodes, 8+1+4+8+2) {
+		return p, fmt.Errorf("mscomplex: node count %d exceeds payload", nNodes)
+	}
+	s.nodes = slices.Grow(s.nodes[:0], nNodes)
+	s.cells = slices.Grow(s.cells[:0], nNodes)
+	for i := 0; i < nNodes && r.err == nil; i++ {
+		cell := grid.Addr(r.u64())
+		n := slotNode{id: -1, index: r.u8()}
+		r.skip(4 + 8)
+		k := int(r.u16())
+		if !r.fits(k, 4) {
+			return p, fmt.Errorf("mscomplex: owner count %d exceeds payload", k)
+		}
+		for j := 0; j < k; j++ {
+			n.shared = c.InRegion(int32(r.u32())) || n.shared
+		}
+		if n.index > 3 {
+			return p, fmt.Errorf("mscomplex: node %d has index %d", i, n.index)
+		}
+		if id, ok := c.byCell[cell]; !ok {
+			p.newNodes++
+			p.owners += k
+		} else if !c.Nodes[id].Alive {
+			return p, fmt.Errorf("mscomplex: node at cell %d matches a cancelled node", cell)
+		} else {
+			n.id, n.index = id, c.Nodes[id].Index
+		}
+		s.nodes = append(s.nodes, n)
+		s.cells = append(s.cells, cell)
+	}
+	if slices.Sort(s.cells); len(slices.Compact(s.cells)) < len(s.nodes) {
+		return p, fmt.Errorf("mscomplex: payload repeats a node cell")
+	}
+
+	nGeoms := int(r.u32())
+	if !r.fits(nGeoms, 1+2) {
+		return p, fmt.Errorf("mscomplex: geometry count %d exceeds payload", nGeoms)
+	}
+	s.geoms = slices.Grow(s.geoms[:0], nGeoms)
+	for i := 0; i < nGeoms && r.err == nil; i++ {
+		s.geoms = append(s.geoms, slotGeom{off: int32(r.off), id: -1})
+		switch kind := r.u8(); kind {
+		case 0:
+			k := int(r.u32())
+			if !r.fits(k, 8) {
+				return p, fmt.Errorf("mscomplex: geometry cell count %d exceeds payload", k)
 			}
-		}
-	}
-	deg := make([]int32, len(other.Nodes))
-	for i := range other.Arcs {
-		if a := &other.Arcs[i]; a.Alive && !(shared[a.Upper] && shared[a.Lower]) {
-			deg[a.Upper]++
-			deg[a.Lower]++
+			r.skip(8 * k)
+		case 1:
+			k := int(r.u16())
+			if !r.fits(k, 5) {
+				return p, fmt.Errorf("mscomplex: geometry part count %d exceeds payload", k)
+			}
+			for j := r.off; j < r.off+5*k; j += 5 {
+				if slot := int(binary.LittleEndian.Uint32(data[j:])); slot >= i {
+					return p, fmt.Errorf("mscomplex: geometry %d references later object %d", i, slot)
+				}
+			}
+			r.skip(5 * k)
+		default:
+			return p, fmt.Errorf("mscomplex: unknown geometry kind %d", kind)
 		}
 	}
 
-	firstNew := len(c.Nodes)
-	remap := make([]NodeID, len(other.Nodes))
-	for i := range other.Nodes {
-		n := &other.Nodes[i]
-		if !n.Alive {
+	p.arcs = r.off
+	nArcs := int(r.u32())
+	if !r.fits(nArcs, 12) {
+		return p, fmt.Errorf("mscomplex: arc count %d exceeds payload", nArcs)
+	}
+	for i := 0; i < nArcs; i++ {
+		upper, lower, g := int(r.u32()), int(r.u32()), int(r.u32())
+		if upper >= nNodes || lower >= nNodes {
+			return p, fmt.Errorf("mscomplex: arc %d references node out of range", i)
+		}
+		if g >= nGeoms {
+			return p, fmt.Errorf("mscomplex: arc %d references geometry out of range", i)
+		}
+		u, l := &s.nodes[upper], &s.nodes[lower]
+		if u.index != l.index+1 {
+			return p, fmt.Errorf("mscomplex: arc %d connects index %d to %d", i, u.index, l.index)
+		}
+		if !(u.shared && l.shared) {
+			u.deg++
+			l.deg++
+			s.geoms[g].id = 0
+			p.arcsKept++
+		}
+	}
+	nHier := int(r.u32())
+	if !r.fits(nHier, 36) {
+		return p, fmt.Errorf("mscomplex: hierarchy count %d exceeds payload", nHier)
+	}
+	if r.skip(36 * nHier); r.err != nil {
+		return p, r.err
+	}
+
+	// Copy only the geometry the kept arcs reach: children precede their
+	// parents, so one backward pass marks every child of a needed parent.
+	for i := len(s.geoms) - 1; i >= 0; i-- {
+		if s.geoms[i].id < 0 {
 			continue
 		}
-		if id, ok := c.byCell[n.Cell]; ok {
-			remap[i] = id
-		} else {
-			remap[i] = c.AddNode(Node{
-				Cell:    n.Cell,
-				Index:   n.Index,
-				Value:   n.Value,
-				MaxVert: n.MaxVert,
-			}, other.Owners(NodeID(i)))
-		}
-		c.Work.NodesGlued++
-	}
-	// Room for the incoming arcs: new nodes' lists are carved from one
-	// array, existing nodes' lists grow once.
-	newDeg := make([]int32, len(c.Nodes)-firstNew)
-	for i := range other.Nodes {
-		if !other.Nodes[i].Alive || deg[i] == 0 {
+		p.geoms++
+		r.off = int(s.geoms[i].off)
+		if r.u8() == 0 {
+			p.cells += int(r.u32())
 			continue
 		}
-		if id := int(remap[i]); id >= firstNew {
-			newDeg[id-firstNew] = deg[i]
-		} else {
-			c.Nodes[id].arcs = slices.Grow(c.Nodes[id].arcs, int(deg[i]))
+		k := int(r.u16())
+		p.parts += k
+		for j := r.off; j < r.off+5*k; j += 5 {
+			s.geoms[binary.LittleEndian.Uint32(data[j:])].id = 0
 		}
 	}
-	carveArcLists(c.Nodes[firstNew:], newDeg)
+	for _, n := range s.nodes {
+		if n.id < 0 {
+			p.lists += int(n.deg)
+		} else if a := c.Nodes[n.id].arcs; len(a)+int(n.deg) > cap(a) {
+			p.lists += len(a) + int(n.deg)
+		}
+	}
+	if n := max(len(c.owners)+p.owners, len(c.cells)+p.cells, len(c.parts)+p.parts); n > math.MaxInt32 {
+		return p, fmt.Errorf("mscomplex: arena of %d entries exceeds int32 offsets", n)
+	}
+	return p, nil
+}
 
-	geomMemo := unseenGeoms(len(other.Geoms))
-	for i := range other.Arcs {
-		a := &other.Arcs[i]
-		if !a.Alive || shared[a.Upper] && shared[a.Lower] {
+// gluePayload glues the payload scanPayload accepted, following its plan.
+func (c *Complex) gluePayload(data []byte, p gluePlan, s *glueScratch) {
+	c.Nodes = grow(c.Nodes, p.newNodes)
+	c.Arcs = grow(c.Arcs, p.arcsKept)
+	c.Geoms = grow(c.Geoms, p.geoms)
+	c.cells = grow(c.cells, p.cells)
+	c.parts = grow(c.parts, p.parts)
+	c.owners = grow(c.owners, p.owners)
+	if c.byCell == nil {
+		c.byCell = make(map[grid.Addr]NodeID, p.newNodes)
+	}
+
+	r := reader{buf: data, off: 4} // past the magic
+	n := int(r.u32())
+	region := append(make([]int32, 0, len(c.Region)+n), c.Region...)
+	for range n {
+		region = append(region, int32(r.u32()))
+	}
+	slices.Sort(region)
+	c.Region = slices.Compact(region)
+
+	// New nodes' incidence lists, and existing ones too short for the
+	// arcs they gain, are carved from one array, as carveArcLists does.
+	lists := make([]ArcID, p.lists)
+	r.u32() // the node count
+	for i := range s.nodes {
+		sn := &s.nodes[i]
+		n := Node{Cell: grid.Addr(r.u64()), Index: r.u8(), Value: r.f32(), MaxVert: int64(r.u64())}
+		k := int(r.u16())
+		if sn.id >= 0 {
+			r.skip(4 * k)
+			if a := c.Nodes[sn.id].arcs; len(a)+int(sn.deg) > cap(a) {
+				m := len(a) + int(sn.deg)
+				c.Nodes[sn.id].arcs, lists = append(lists[:0:m], a...), lists[m:]
+			}
 			continue
 		}
-		geom := c.importGeom(other, a.Geom, geomMemo)
-		c.AddArc(remap[a.Upper], remap[a.Lower], geom)
+		n.owners = newSpan(len(c.owners), k)
+		for j := 0; j < k; j++ {
+			c.owners = append(c.owners, int32(r.u32()))
+		}
+		n.arcs, lists = lists[:0:sn.deg], lists[sn.deg:]
+		sn.id = c.insertNode(n)
 	}
+	c.Work.NodesGlued += int64(len(s.nodes))
 
-	// Union the regions.
-	merged := append(append([]int32(nil), c.Region...), other.Region...)
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	out := merged[:0]
-	var last int32 = -1
-	for _, b := range merged {
-		if b != last {
-			out = append(out, b)
-			last = b
+	for i := range s.geoms {
+		g := &s.geoms[i]
+		if g.id < 0 {
+			continue
+		}
+		g.id = GeomID(len(c.Geoms))
+		r.off = int(g.off)
+		if r.u8() == 0 {
+			k := int(r.u32())
+			c.Geoms = append(c.Geoms, Geom{span: newSpan(len(c.cells), k)})
+			for j := r.off; j < r.off+8*k; j += 8 {
+				c.cells = append(c.cells, grid.Addr(binary.LittleEndian.Uint64(data[j:])))
+			}
+			continue
+		}
+		k := int(r.u16())
+		c.Geoms = append(c.Geoms, Geom{span: newSpan(len(c.parts), k), composite: true})
+		for j := r.off; j < r.off+5*k; j += 5 {
+			slot := binary.LittleEndian.Uint32(data[j:])
+			c.parts = append(c.parts, GeomPart{ID: s.geoms[slot].id, Reversed: data[j+4] == 1})
 		}
 	}
-	c.Region = out
-	c.Hierarchy = append(c.Hierarchy, other.Hierarchy...)
-	// Note: other.Work is NOT folded in — it tallies operations already
-	// performed (and already charged to a clock) on the rank that
-	// computed the incoming complex. Only the gluing operations
-	// themselves (node insertions, arc additions) accrue here.
-}
 
-// importGeom deep-copies a geometry DAG from another complex,
-// preserving sharing: a child referenced by several composites is
-// imported once. memo maps other's geometry ids to the receiver's, -1
-// for not yet imported.
-func (c *Complex) importGeom(other *Complex, g GeomID, memo []GeomID) GeomID {
-	if id := memo[g]; id >= 0 {
-		return id
-	}
-	geom := other.Geoms[g]
-	var id GeomID
-	if !geom.composite {
-		id = c.AddLeafGeom(other.leafCells(geom))
-	} else {
-		parts := other.compositeParts(geom)
-		for _, p := range parts {
-			c.importGeom(other, p.ID, memo)
+	r.off = p.arcs
+	for range r.u32() {
+		u, l, g := &s.nodes[r.u32()], &s.nodes[r.u32()], r.u32()
+		if !(u.shared && l.shared) {
+			c.AddArc(u.id, l.id, s.geoms[g].id)
 		}
-		id = c.addRemappedComposite(parts, memo)
 	}
-	memo[g] = id
-	return id
-}
-
-// addRemappedComposite adds a composite whose parts are parts with
-// every child id mapped through slot.
-func (c *Complex) addRemappedComposite(parts []GeomPart, slot []GeomID) GeomID {
-	var buf [3]GeomPart // every composite Simplify builds has three parts
-	own := buf[:0]
-	for _, p := range parts {
-		own = append(own, GeomPart{ID: slot[p.ID], Reversed: p.Reversed})
+	n = int(r.u32())
+	c.Hierarchy = slices.Grow(c.Hierarchy, n)
+	for range n {
+		c.Hierarchy = append(c.Hierarchy, Cancellation{
+			Persistence: r.f32(),
+			UpperCell:   grid.Addr(r.u64()),
+			LowerCell:   grid.Addr(r.u64()),
+			UpperValue:  r.f32(),
+			LowerValue:  r.f32(),
+			ArcsRemoved: int(r.u32()),
+			ArcsCreated: int(r.u32()),
+		})
 	}
-	return c.AddCompositeGeom(own)
-}
-
-// unseenGeoms returns a geometry memo of n entries, all -1.
-func unseenGeoms(n int) []GeomID {
-	memo := make([]GeomID, n)
-	for i := range memo {
-		memo[i] = -1
-	}
-	return memo
 }
 
 // Compact drops the cancelled nodes and arcs and the geometry objects
@@ -183,6 +330,7 @@ func unseenGeoms(n int) []GeomID {
 // complex cannot be refined.
 func (c *Complex) Compact() *Complex {
 	l := c.layout()
+	defer layoutPool.Put(l)
 	owners := make([]int32, 0, l.owners)
 	nodes := c.Nodes[:0]
 	shrink := 4*l.nodes < cap(c.Nodes)
@@ -222,7 +370,10 @@ func (c *Complex) Compact() *Complex {
 	for _, g := range l.geomOrder {
 		geom := geoms[g]
 		if geom.composite {
-			c.addRemappedComposite(parts[geom.off:geom.off+geom.n], l.geomSlot)
+			c.AddCompositeGeom(parts[geom.off : geom.off+geom.n])
+			for i := len(c.parts) - int(geom.n); i < len(c.parts); i++ {
+				c.parts[i].ID = l.geomSlot[c.parts[i].ID]
+			}
 		} else {
 			c.AddLeafGeom(cells[geom.off : geom.off+geom.n])
 		}

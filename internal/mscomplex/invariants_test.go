@@ -1,6 +1,7 @@
 package mscomplex
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -112,18 +113,7 @@ func TestDeserializeFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 
 	for trial := 0; trial < 200; trial++ {
-		mutated := append([]byte(nil), payload...)
-		switch trial % 3 {
-		case 0: // truncate
-			mutated = mutated[:rng.Intn(len(mutated))]
-		case 1: // flip bytes
-			for k := 0; k < 4; k++ {
-				mutated[rng.Intn(len(mutated))] ^= byte(1 + rng.Intn(255))
-			}
-		case 2: // truncate and flip
-			mutated = mutated[:1+rng.Intn(len(mutated)-1)]
-			mutated[rng.Intn(len(mutated))] ^= 0xff
-		}
+		mutated := mutatePayload(rng, payload, trial)
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
@@ -154,6 +144,112 @@ func TestDeserializeFuzz(t *testing.T) {
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*uint64(len(payload))+1<<16 {
 			t.Fatalf("%s beyond the payload: allocated %d bytes for a %d-byte payload", h.name, alloc, len(payload))
 		}
+	}
+}
+
+// mutatePayload returns a copy of payload truncated (trial%3 == 0),
+// with four bytes flipped (1) or truncated with one byte flipped (2).
+func mutatePayload(rng *rand.Rand, payload []byte, trial int) []byte {
+	mutated := append([]byte(nil), payload...)
+	switch trial % 3 {
+	case 0:
+		mutated = mutated[:rng.Intn(len(mutated))]
+	case 1:
+		for k := 0; k < 4; k++ {
+			mutated[rng.Intn(len(mutated))] ^= byte(1 + rng.Intn(255))
+		}
+	case 2:
+		mutated = mutated[:1+rng.Intn(len(mutated)-1)]
+		mutated[rng.Intn(len(mutated))] ^= 0xff
+	}
+	return mutated
+}
+
+// glueOrKeep glues p onto root and fails t unless the glue either
+// leaves a root that passes Validate or is rejected with the root's
+// bytes unchanged. It reports the rejection.
+func glueOrKeep(t *testing.T, root *Complex, p []byte) (rejected bool) {
+	t.Helper()
+	before := root.Serialize()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("GlueSerialized panicked: %v", r)
+		}
+	}()
+	if err := root.GlueSerialized(p); err != nil {
+		if !bytes.Equal(root.Serialize(), before) {
+			t.Fatalf("payload rejected (%v), but the root changed", err)
+		}
+		return true
+	}
+	if err := root.Validate(); err != nil {
+		t.Fatalf("payload glued into an invalid root: %v", err)
+	}
+	return false
+}
+
+// repeatCell returns a copy of payload whose second node has the first
+// node's cell.
+func repeatCell(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	r := reader{buf: payload}
+	r.u32()
+	r.skip(4 * int(r.u32()))
+	if r.u32() < 2 {
+		t.Fatal("payload has fewer than two nodes")
+	}
+	first := r.off
+	r.skip(8 + 1 + 4 + 8)
+	r.skip(4 * int(r.u16()))
+	p := bytes.Clone(payload)
+	copy(p[r.off:r.off+8], payload[first:first+8])
+	return p
+}
+
+// TestGlueSerializedRejectsBeforeWriting: TestDeserializeFuzz's
+// mutations of a member's payload, and every hostileCounts payload,
+// glued onto the non-empty root they border: each either glues into a
+// valid root or is rejected with the root untouched. A payload that
+// repeats a node cell, or has arcs to nodes the root has cancelled, is
+// rejected.
+func TestGlueSerializedRejectsBeforeWriting(t *testing.T) {
+	_, blocks := computeBlocks(t, synth.Random(grid.Dims{11, 10, 9}, 5), 2, 0.05)
+	payload := blocks[1].Serialize()
+	if glueOrKeep(t, twin(t, blocks[0]), payload) {
+		t.Fatal("intact member payload rejected")
+	}
+	rng := rand.New(rand.NewSource(5))
+	rejected := 0
+	for trial := 0; trial < 200; trial++ {
+		if glueOrKeep(t, twin(t, blocks[0]), mutatePayload(rng, payload, trial)) {
+			rejected++
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no mutation was rejected: the untouched-root check never ran")
+	}
+	for _, h := range hostileCounts(t, payload) {
+		if !glueOrKeep(t, twin(t, blocks[0]), h.payload) {
+			t.Fatalf("%s beyond the payload: accepted", h.name)
+		}
+	}
+
+	dup := repeatCell(t, payload)
+	if _, err := Deserialize(dup); err == nil {
+		t.Fatal("Deserialize accepted a payload repeating a node cell")
+	}
+	if !glueOrKeep(t, twin(t, blocks[0]), dup) {
+		t.Fatal("a payload repeating a node cell was accepted")
+	}
+
+	root := twin(t, blocks[0])
+	if root.Simplify(SimplifyOptions{Threshold: 1}).Cancellations == 0 {
+		t.Fatal("simplification cancelled nothing")
+	}
+	both := twin(t, blocks[0])
+	both.Glue(blocks[1])
+	if !glueOrKeep(t, root, both.Serialize()) {
+		t.Fatal("a payload matching cancelled nodes was accepted")
 	}
 }
 

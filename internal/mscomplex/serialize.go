@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"parms/internal/grid"
+	"sync"
 )
 
 // Serialization format (little-endian):
@@ -34,17 +33,19 @@ import (
 // sharing is what keeps output sizes near the paper's, rather than the
 // exponentially larger flattened walks. The cancellation hierarchy
 // travels with the complex so the multi-resolution persistence curve
-// survives merging and storage.
+// survives merging and storage. GlueSerialized is the one decoder.
 const serialMagic = 0x3243534d // "MSC2"
 
 // layout is the alive part of a complex as Serialize and Compact lay it
 // out: alive nodes and arcs in id order, and the geometry objects
 // reachable from alive arcs numbered children first, shared children
-// once, so a reader resolves every reference in one pass.
+// once, so a reader resolves every reference in one pass. Its tables
+// come from layoutPool; the caller puts them back when done.
 type layout struct {
 	nodeSlot  []NodeID // new id of each node; -1 = dead
 	geomSlot  []GeomID // new id of each geometry; -1 = unreachable
 	geomOrder []GeomID // reachable geometries by new id
+	geoms     []GeomID // the array geomSlot and geomOrder share, whole
 	nodes     int
 	arcs      int
 	owners    int // owners of the alive nodes
@@ -59,11 +60,13 @@ type layout struct {
 func (c *Complex) layout() *layout {
 	// One array holds both geometry tables: at most every geometry is
 	// reachable.
-	geoms := make([]GeomID, 2*len(c.Geoms))
-	l := &layout{
-		nodeSlot:  make([]NodeID, len(c.Nodes)),
-		geomSlot:  geoms[:len(c.Geoms)],
-		geomOrder: geoms[len(c.Geoms):len(c.Geoms)],
+	l := layoutPool.Get().(*layout)
+	l.geoms = slices.Grow(l.geoms[:0], 2*len(c.Geoms))[:2*len(c.Geoms)]
+	*l = layout{
+		nodeSlot:  slices.Grow(l.nodeSlot[:0], len(c.Nodes))[:len(c.Nodes)],
+		geomSlot:  l.geoms[:len(c.Geoms)],
+		geomOrder: l.geoms[len(c.Geoms):len(c.Geoms)],
+		geoms:     l.geoms,
 	}
 	l.size = 4 + 4 + 4*int64(len(c.Region)) + 4
 	for i := range c.Nodes {
@@ -91,6 +94,8 @@ func (c *Complex) layout() *layout {
 	l.size += 4 + 36*int64(len(c.Hierarchy))
 	return l
 }
+
+var layoutPool = sync.Pool{New: func() any { return new(layout) }}
 
 // visit numbers geometry g after its children.
 func (l *layout) visit(c *Complex, g GeomID) {
@@ -122,6 +127,7 @@ func (c *Complex) Serialize() []byte { return c.AppendSerialized(nil) }
 // payload in one allocation.
 func (c *Complex) AppendSerialized(dst []byte) []byte {
 	l := c.layout()
+	defer layoutPool.Put(l)
 	w := writer{buf: slices.Grow(dst, int(l.size))}
 	w.u32(serialMagic)
 	w.u32(uint32(len(c.Region)))
@@ -198,191 +204,24 @@ func (c *Complex) AppendSerialized(dst []byte) []byte {
 	return w.buf
 }
 
-// Deserialize decodes a serialized complex. Every count is validated
-// against the remaining payload before anything is allocated, so a
-// corrupted or truncated payload returns an error instead of attempting
-// an enormous allocation. A skim of the node and geometry sections sizes
-// the owner, cell and part arenas exactly before they are filled.
+// Deserialize decodes a serialized complex by gluing it onto an empty
+// one, which sizes every array exactly; it bills the bytes decoded and
+// the arcs added, not glued nodes.
 func Deserialize(data []byte) (*Complex, error) {
-	r := reader{buf: data}
-	if r.u32() != serialMagic {
-		return nil, fmt.Errorf("mscomplex: bad magic")
+	c := &Complex{}
+	if err := c.GlueSerialized(data); err != nil {
+		return nil, err
 	}
-	nRegion := int(r.u32())
-	if !r.fits(nRegion, 4) {
-		return nil, fmt.Errorf("mscomplex: region count %d exceeds payload", nRegion)
-	}
-	region := make([]int32, nRegion)
-	for i := range region {
-		region[i] = int32(r.u32())
-	}
-	nNodes := int(r.u32())
-	if !r.fits(nNodes, 8+1+4+8+2) {
-		return nil, fmt.Errorf("mscomplex: node count %d exceeds payload", nNodes)
-	}
-	// Skim the node and geometry sections, checking every count against
-	// the remaining payload, to size the owner, cell and part arenas
-	// exactly before anything is allocated.
-	nodeSection := r.off
-	nOwners := 0
-	for i := 0; i < nNodes && r.err == nil; i++ {
-		r.skip(8 + 1 + 4 + 8)
-		k := int(r.u16())
-		if !r.fits(k, 4) {
-			return nil, fmt.Errorf("mscomplex: owner count %d exceeds payload", k)
-		}
-		r.skip(4 * k)
-		nOwners += k
-	}
-	nGeoms := int(r.u32())
-	if !r.fits(nGeoms, 1) {
-		return nil, fmt.Errorf("mscomplex: geometry count %d exceeds payload", nGeoms)
-	}
-	nCells, nParts := 0, 0
-	for i := 0; i < nGeoms && r.err == nil; i++ {
-		switch kind := r.u8(); kind {
-		case 0:
-			k := int(r.u32())
-			if !r.fits(k, 8) {
-				return nil, fmt.Errorf("mscomplex: geometry cell count %d exceeds payload", k)
-			}
-			r.skip(8 * k)
-			nCells += k
-		case 1:
-			k := int(r.u16())
-			if !r.fits(k, 5) {
-				return nil, fmt.Errorf("mscomplex: geometry part count %d exceeds payload", k)
-			}
-			r.skip(5 * k)
-			nParts += k
-		default:
-			return nil, fmt.Errorf("mscomplex: unknown geometry kind %d", kind)
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n := max(nOwners, nCells, nParts); n > math.MaxInt32 {
-		return nil, fmt.Errorf("mscomplex: arena of %d entries exceeds int32 offsets", n)
-	}
-	r.off = nodeSection
-
-	// Nodes, geometries and arcs are added in slot order to an empty
-	// complex, so a slot is also the element's id.
-	c := newSized(region, nNodes)
-	c.owners = make([]int32, 0, nOwners)
-	c.Geoms = make([]Geom, 0, nGeoms)
-	c.cells = make([]grid.Addr, 0, nCells)
-	c.parts = make([]GeomPart, 0, nParts)
-	for i := 0; i < nNodes; i++ {
-		var n Node
-		n.Cell = grid.Addr(r.u64())
-		n.Index = r.u8()
-		n.Value = r.f32()
-		n.MaxVert = int64(r.u64())
-		k := int(r.u16())
-		n.owners = newSpan(len(c.owners), k)
-		for j := 0; j < k; j++ {
-			c.owners = append(c.owners, int32(r.u32()))
-		}
-		if n.Index > 3 {
-			return nil, fmt.Errorf("mscomplex: node %d has index %d", i, n.Index)
-		}
-		if _, dup := c.NodeAt(n.Cell); dup {
-			return nil, fmt.Errorf("mscomplex: duplicate node at cell %d", n.Cell)
-		}
-		c.insertNode(n)
-	}
-	r.u32() // the geometry count, read by the skim
-	for i := 0; i < nGeoms; i++ {
-		if r.u8() == 0 {
-			k := int(r.u32())
-			c.Geoms = append(c.Geoms, Geom{span: newSpan(len(c.cells), k)})
-			for j := 0; j < k; j++ {
-				c.cells = append(c.cells, grid.Addr(r.u64()))
-			}
-			continue
-		}
-		k := int(r.u16())
-		c.Geoms = append(c.Geoms, Geom{span: newSpan(len(c.parts), k), composite: true})
-		for j := 0; j < k; j++ {
-			slot := int(r.u32())
-			rev := r.u8() == 1
-			if slot >= i {
-				return nil, fmt.Errorf("mscomplex: geometry %d references later object %d", i, slot)
-			}
-			c.parts = append(c.parts, GeomPart{ID: GeomID(slot), Reversed: rev})
-		}
-	}
-
-	nArcs := int(r.u32())
-	if !r.fits(nArcs, 12) {
-		return nil, fmt.Errorf("mscomplex: arc count %d exceeds payload", nArcs)
-	}
-	// Size every node's incidence list from the arc section before
-	// adding arcs; out-of-range endpoints are rejected below.
-	deg := make([]int32, nNodes)
-	arcSection := r.off
-	for i := 0; i < nArcs; i++ {
-		upper, lower := int(r.u32()), int(r.u32())
-		r.u32()
-		if upper < nNodes && lower < nNodes {
-			deg[upper]++
-			deg[lower]++
-		}
-	}
-	r.off = arcSection
-	carveArcLists(c.Nodes, deg)
-	c.Arcs = make([]Arc, 0, nArcs)
-	for i := 0; i < nArcs; i++ {
-		upper := int(r.u32())
-		lower := int(r.u32())
-		geomSlot := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
-		}
-		if upper >= nNodes || lower >= nNodes {
-			return nil, fmt.Errorf("mscomplex: arc %d references node out of range", i)
-		}
-		if geomSlot >= nGeoms {
-			return nil, fmt.Errorf("mscomplex: arc %d references geometry out of range", i)
-		}
-		if c.Nodes[upper].Index != c.Nodes[lower].Index+1 {
-			return nil, fmt.Errorf("mscomplex: arc %d connects index %d to %d",
-				i, c.Nodes[upper].Index, c.Nodes[lower].Index)
-		}
-		c.AddArc(NodeID(upper), NodeID(lower), GeomID(geomSlot))
-	}
-
-	nHier := int(r.u32())
-	if !r.fits(nHier, 36) {
-		return nil, fmt.Errorf("mscomplex: hierarchy count %d exceeds payload", nHier)
-	}
-	if r.err == nil {
-		c.Hierarchy = make([]Cancellation, 0, nHier)
-		for i := 0; i < nHier; i++ {
-			c.Hierarchy = append(c.Hierarchy, Cancellation{
-				Persistence: r.f32(),
-				UpperCell:   grid.Addr(r.u64()),
-				LowerCell:   grid.Addr(r.u64()),
-				UpperValue:  r.f32(),
-				LowerValue:  r.f32(),
-				ArcsRemoved: int(r.u32()),
-				ArcsCreated: int(r.u32()),
-			})
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	c.Work.BytesCoded += int64(len(data))
+	c.Work.NodesGlued, c.Work.BytesCoded = 0, int64(len(data))
 	return c, nil
 }
 
 // SerializedSize returns the exact number of bytes Serialize would emit,
 // without building the payload.
 func (c *Complex) SerializedSize() int64 {
-	return c.layout().size
+	l := c.layout()
+	defer layoutPool.Put(l)
+	return l.size
 }
 
 type writer struct{ buf []byte }
@@ -392,7 +231,7 @@ func (w *writer) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf,
 func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *writer) f32(v float32) {
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, f32bits(v))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, math.Float32bits(v))
 }
 
 type reader struct {
@@ -443,5 +282,5 @@ func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.take(2)) }
 func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
 func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
 func (r *reader) f32() float32 {
-	return f32frombits(binary.LittleEndian.Uint32(r.take(4)))
+	return math.Float32frombits(binary.LittleEndian.Uint32(r.take(4)))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -236,6 +237,25 @@ func TestArenasDoNotAlias(t *testing.T) {
 	}
 }
 
+// mallocsAfterGC returns the most heap allocations one call of f made
+// over runs calls, each made right after two GCs have emptied every
+// sync.Pool, so a pool miss is inside the count. setup runs before
+// each call, outside the count.
+func mallocsAfterGC(runs int, setup, f func()) uint64 {
+	var most uint64
+	for i := 0; i < runs; i++ {
+		setup()
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		most = max(most, after.Mallocs-before.Mallocs)
+	}
+	return most
+}
+
 // TestDeserializeAllocsBounded: Deserialize allocates each array and
 // arena once, however many geometries and owner lists the payload
 // holds, instead of one slice per geometry and per node.
@@ -245,16 +265,45 @@ func TestDeserializeAllocsBounded(t *testing.T) {
 	if len(blocks[0].Geoms) < 1000 {
 		t.Fatalf("only %d geometries: too few to tell per-geometry allocation apart", len(blocks[0].Geoms))
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := mallocsAfterGC(5, func() {}, func() {
 		if _, err := Deserialize(payload); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// The fixed arrays plus the node index map, whose table count grows
-	// with the node count, not the geometry count.
+	// The fixed arrays, the scratch tables and the node index map, whose
+	// table count grows with the node count, not the geometry count.
+	// Measured: 22–23 allocations after a GC; the budget leaves 9.
 	const limit = 32
 	if allocs > limit {
-		t.Fatalf("Deserialize of %d geometries made %.0f allocations, want at most %d", len(blocks[0].Geoms), allocs, limit)
+		t.Fatalf("Deserialize of %d geometries made %d allocations, want at most %d", len(blocks[0].Geoms), allocs, limit)
+	}
+}
+
+// TestGlueSerializedAllocsBounded: gluing a member's payload onto its
+// root allocates each array, arena and scratch table once, however many
+// geometries the payload holds, and grows the incidence lists of the
+// root's boundary nodes from one array rather than one by one.
+func TestGlueSerializedAllocsBounded(t *testing.T) {
+	_, blocks := computeBlocks(t, synth.Random(grid.Dims{17, 17, 17}, 7), 2, 0.05)
+	rootPayload, payload := blocks[0].Serialize(), blocks[1].Serialize()
+	if len(blocks[1].Geoms) < 1000 {
+		t.Fatalf("only %d geometries: too few to tell per-geometry allocation apart", len(blocks[1].Geoms))
+	}
+	var root *Complex
+	allocs := mallocsAfterGC(5, func() {
+		var err error
+		if root, err = Deserialize(rootPayload); err != nil {
+			t.Fatal(err)
+		}
+	}, func() {
+		if err := root.GlueSerialized(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured: 24 allocations after a GC; the budget leaves 8.
+	const limit = 32
+	if allocs > limit {
+		t.Fatalf("GlueSerialized of %d geometries made %d allocations, want at most %d", len(blocks[1].Geoms), allocs, limit)
 	}
 }
 
@@ -393,21 +442,28 @@ func TestCandidateHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
+// deserializeCorpus is the seed corpus of FuzzDeserialize and
+// FuzzGlueSerialized: a serial complex, a glued two-block complex, its
+// first half, an empty complex and the hostileCounts payloads.
+func deserializeCorpus(f *testing.F) [][]byte {
+	ms := traceVolume(f, synth.Sinusoid(7, 2))
+	ms.Simplify(SimplifyOptions{Threshold: 0.1})
+	_, blocks := computeBlocks(f, synth.Random(grid.Dims{7, 6, 5}, 5), 2, 0.05)
+	blocks[0].Glue(blocks[1])
+	glued := blocks[0].Serialize()
+	corpus := [][]byte{ms.Serialize(), glued, glued[:len(glued)/2], New(nil).Serialize()}
+	for _, h := range hostileCounts(f, glued) {
+		corpus = append(corpus, h.payload)
+	}
+	return corpus
+}
+
 // FuzzDeserialize: arbitrary bytes never panic the decoder, an accepted
 // payload decodes to a valid complex, and re-encoding is a fixed point
 // after one round trip.
 func FuzzDeserialize(f *testing.F) {
-	ms := traceVolume(f, synth.Sinusoid(7, 2))
-	ms.Simplify(SimplifyOptions{Threshold: 0.1})
-	f.Add(ms.Serialize())
-	_, blocks := computeBlocks(f, synth.Random(grid.Dims{7, 6, 5}, 5), 2, 0.05)
-	blocks[0].Glue(blocks[1])
-	glued := blocks[0].Serialize()
-	f.Add(glued)
-	f.Add(glued[:len(glued)/2])
-	f.Add(New(nil).Serialize())
-	for _, h := range hostileCounts(f, glued) {
-		f.Add(h.payload)
+	for _, p := range deserializeCorpus(f) {
+		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		c, err := Deserialize(p)
@@ -425,6 +481,19 @@ func FuzzDeserialize(f *testing.F) {
 		if again := back.Serialize(); !bytes.Equal(again, s) {
 			t.Fatalf("re-encoding is not a fixed point: %d then %d bytes", len(s), len(again))
 		}
+	})
+}
+
+// FuzzGlueSerialized: arbitrary bytes glued onto a non-empty root never
+// panic, and either leave a root that passes Validate or are rejected
+// with the root's bytes unchanged.
+func FuzzGlueSerialized(f *testing.F) {
+	for _, p := range deserializeCorpus(f) {
+		f.Add(p)
+	}
+	_, blocks := computeBlocks(f, synth.Random(grid.Dims{7, 6, 5}, 5), 2, 0.05)
+	f.Fuzz(func(t *testing.T, p []byte) {
+		glueOrKeep(t, twin(t, blocks[1]), p)
 	})
 }
 

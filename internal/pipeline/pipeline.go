@@ -598,9 +598,11 @@ func writeOutput(r *mpsim.Rank, c *mpsim.Cluster, name string, nblocks int,
 	}
 	gathered := r.Gather(0, sizeMsg)
 
-	// Rank 0 assigns offsets in survivor order and broadcasts.
-	var offerMsg []byte
+	// Rank 0 assigns offsets in survivor order, sizes the file for the
+	// blocks and the footer, and broadcasts the offsets.
+	var offerMsg, footer []byte
 	var entries []pario.IndexEntry
+	var footerOff int64
 	if r.ID() == 0 {
 		sizes := make(map[int]int64, len(survivors))
 		crcs := make(map[int]uint32, len(survivors))
@@ -633,6 +635,8 @@ func writeOutput(r *mpsim.Rank, c *mpsim.Cluster, name string, nblocks int,
 			offerMsg = appendU64(offerMsg, uint64(off))
 			off += sz
 		}
+		footer, footerOff = pario.EncodeFooter(entries), off
+		c.FS().SetSize(name, footerOff+int64(len(footer)))
 	}
 	offerMsg = r.Bcast(0, offerMsg)
 	offsets := make(map[int]int64)
@@ -662,15 +666,7 @@ func writeOutput(r *mpsim.Rank, c *mpsim.Cluster, name string, nblocks int,
 		}
 	}
 
-	// Rank 0 appends the footer in one more collective round.
-	var footer []byte
-	var footerOff int64
-	if r.ID() == 0 {
-		for i := range entries {
-			footerOff = entries[i].Offset + entries[i].Size
-		}
-		footer = pario.EncodeFooter(entries)
-	}
+	// Rank 0 writes the footer in one more collective round.
 	if err := r.CollectiveWrite(name, footerOff, footer); err != nil {
 		return 0, nil, err
 	}
