@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"parms/internal/fault"
@@ -80,7 +82,8 @@ type TracerOverhead struct {
 	CountOnlySeconds       float64 `json:"count_only_seconds"`
 	VirtualOverheadSeconds float64 `json:"virtual_overhead_seconds"`
 	// AllocBytesPerFlow is (traced - count-only) host allocation per
-	// recorded flow — the only measured (non-deterministic) field.
+	// recorded flow, each side the least of three runs — the only
+	// measured (non-deterministic) field.
 	AllocBytesPerFlow float64 `json:"alloc_bytes_per_flow"`
 }
 
@@ -186,7 +189,11 @@ func peakPayload(tr *obs.Tracer) int64 {
 // run with the recorder in count-only mode (sequence counters advance,
 // nothing is stored). Virtual times must agree bit-for-bit; the host
 // allocation delta between the two runs is the price of keeping the
-// records.
+// records. A GC partway through a run empties the sync.Pools, and what
+// the run then allocates again moves with GC timing, more so on a
+// loaded host; so each run collects first and holds the GC off until
+// it ends. The first run meets cold pools, so the probe takes each
+// side's least over three alternating pairs.
 func benchTracerOverhead(cfg Config) (TracerOverhead, error) {
 	const procs = 64
 	vol := synth.Sinusoid(33, 4)
@@ -200,6 +207,8 @@ func benchTracerOverhead(cfg Config) (TracerOverhead, error) {
 			return nil, 0, err
 		}
 		pario.WriteVolume(cluster.FS(), "volume.raw", vol)
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		res, err := pipeline.Run(cluster, pipeline.Params{
@@ -214,13 +223,18 @@ func benchTracerOverhead(cfg Config) (TracerOverhead, error) {
 		runtime.ReadMemStats(&m1)
 		return res, m1.TotalAlloc - m0.TotalAlloc, err
 	}
-	traced, tracedAlloc, err := run(false)
-	if err != nil {
-		return TracerOverhead{}, err
-	}
-	counted, countedAlloc, err := run(true)
-	if err != nil {
-		return TracerOverhead{}, err
+	var traced, counted *pipeline.Result
+	tracedAlloc, countedAlloc := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		res, alloc, err := run(false)
+		if err != nil {
+			return TracerOverhead{}, err
+		}
+		traced, tracedAlloc = res, min(tracedAlloc, alloc)
+		if res, alloc, err = run(true); err != nil {
+			return TracerOverhead{}, err
+		}
+		counted, countedAlloc = res, min(countedAlloc, alloc)
 	}
 	flows := traced.Trace.Flows().Flows()
 	var flowBytes int64

@@ -33,8 +33,15 @@ var benchUnpinned = map[string]bool{
 // 5,166 flows; where the budget was set, before the merge hop stopped
 // building an intermediate complex, its count-only run allocated at
 // least 14.24 MB, so 0.05 of that is 137.9 bytes per flow, and this
-// budget rejects whatever the fraction rejected there. Measured since:
-// 87–111 bytes per flow.
+// budget rejects whatever the fraction rejected there. While a GC could
+// empty the pools partway through a probe run, it read 55–144 bytes
+// per flow with another package's tests running beside it; with each
+// run collecting first and not again until it ends, 102–108 under the
+// same load.
+//
+// The budget is not checked under the race detector, whose sync.Pool
+// drops a quarter of the items put back at random: the two runs then
+// miss the pools by different amounts. The modeled fields still are.
 const tracerBytesPerFlowBudget = 137
 
 // TestBenchGolden runs the bench sweep as `msbench -exp bench -q` does
@@ -56,7 +63,7 @@ func TestBenchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := res.TracerOverhead.AllocBytesPerFlow; b >= tracerBytesPerFlowBudget {
+	if b := res.TracerOverhead.AllocBytesPerFlow; !raceEnabled && b >= tracerBytesPerFlowBudget {
 		t.Errorf("tracer_overhead.alloc_bytes_per_flow = %.1f, budget %d", b, tracerBytesPerFlowBudget)
 	}
 	var fresh bytes.Buffer

@@ -11,8 +11,8 @@ import (
 	"parms/internal/synth"
 )
 
-func benchField(b *testing.B, n int, features float64) *gradient.Field {
-	b.Helper()
+func benchField(tb testing.TB, n int, features float64) *gradient.Field {
+	tb.Helper()
 	vol := synth.Sinusoid(n, features)
 	block := grid.Block{Lo: [3]int{0, 0, 0}, Hi: [3]int{n - 1, n - 1, n - 1}}
 	return gradient.Compute(cube.New(vol.Dims, block, vol), nil)

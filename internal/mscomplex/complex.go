@@ -113,8 +113,10 @@ func grow[E any](s []E, n int) []E {
 	return g
 }
 
-// Cancellation records one applied persistence cancellation, in order;
-// the list is the multi-resolution hierarchy of the complex.
+// Cancellation records one applied persistence cancellation. The list
+// of them, in order, is the record of the cancellation hierarchy
+// (section III-C); like the paper, a complex keeps only its coarsest
+// level, and a coarser one comes from simplifying a copy further.
 type Cancellation struct {
 	Persistence float32
 	UpperCell   grid.Addr
@@ -152,11 +154,6 @@ type Complex struct {
 
 	byCell  map[grid.Addr]NodeID
 	geomLen []int64 // memoized GeomLen by geometry id; 0 = unknown
-
-	// Multi-resolution state (hierarchy.go): per-cancellation undo
-	// records and the number currently applied.
-	undo    []undoRecord
-	applied int
 }
 
 // New creates an empty complex covering the given region blocks.
@@ -177,10 +174,11 @@ func newSized(region []int32, nodes int) *Complex {
 }
 
 // carveArcLists gives every node an empty incidence list with room for
-// exactly deg[i] arcs, all carved from one backing array. Each list's
-// capacity is clipped to its own range, so an append beyond deg[i] —
-// from GlueSerialized, Simplify or ensureListed — reallocates that
-// node's list alone and never writes into a neighbour's.
+// exactly deg[i] arcs, all carved from one backing array: one
+// allocation, and no list holds the slack an append-grown list would.
+// Each list's capacity is clipped to its own range, so an append beyond
+// deg[i] — from GlueSerialized or Simplify — reallocates that node's
+// list alone and never writes into a neighbour's.
 func carveArcLists(nodes []Node, deg []int32) {
 	total := 0
 	for _, d := range deg {

@@ -323,11 +323,10 @@ func (c *Complex) gluePayload(data []byte, p gluePlan, s *glueScratch) {
 // and the large array is freed rather than held by a complex that may
 // wait a merge round to be sent. The cell, part and owner arenas and
 // the geometry records are copied at exact size, keeping only what is
-// reachable; node incidence lists are carved again from one array, in
-// arc order, since Refine leaves them out of order and list order
-// decides the order in which Simplify creates arcs. The hierarchy
-// record is preserved, but the undo history is dropped: the compacted
-// complex cannot be refined.
+// reachable; node incidence lists are carved again from one array at
+// exact size rather than pruned where they stand, so the compacted
+// complex holds no list's dead slack while it waits to be sent. The
+// hierarchy record is preserved.
 func (c *Complex) Compact() *Complex {
 	l := c.layout()
 	defer layoutPool.Put(l)
@@ -396,6 +395,6 @@ func (c *Complex) Compact() *Complex {
 		c.Nodes[a.Lower].arcs = append(c.Nodes[a.Lower].arcs, ArcID(i))
 	}
 	c.Work.ArcsTouched += int64(len(c.Arcs))
-	c.undo, c.applied, c.geomLen = nil, 0, nil
+	c.geomLen = nil
 	return c
 }

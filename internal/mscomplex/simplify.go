@@ -5,19 +5,18 @@ type SimplifyOptions struct {
 	// Threshold is the maximum persistence of a cancellation. Pairs
 	// with strictly greater persistence survive.
 	Threshold float32
-	// MaxFanout skips a cancellation when it would create more than
-	// this many new arcs (a safeguard against quadratic blowup in
-	// pathological data); 0 means the default (100000).
-	MaxFanout int
 }
 
 // SimplifyStats reports what a Simplify call did.
 type SimplifyStats struct {
 	Cancellations int
-	ArcsRemoved   int
 	ArcsCreated   int
-	SkippedFanout int
 }
+
+// maxFanout skips a cancellation when it would create more than this
+// many new arcs, a safeguard against quadratic blowup in pathological
+// data.
+const maxFanout = 100000
 
 type candidate struct {
 	pers      float32
@@ -91,13 +90,6 @@ func (h *candidateHeap) pop() candidate {
 // shared with blocks outside the complex's region (section IV-E: arcs
 // with boundary nodes are never considered).
 func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
-	maxFanout := opts.MaxFanout
-	if maxFanout <= 0 {
-		maxFanout = 100000
-	}
-	// A new simplification invalidates any redo history beyond the
-	// current hierarchy position (like editing after an undo).
-	c.undo = c.undo[:c.applied]
 	var stats SimplifyStats
 
 	boundary := make([]bool, len(c.Nodes))
@@ -136,7 +128,7 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 	}
 
 	// Per-cancellation scratch, reused across the loop.
-	var arcBuf, ups, downs, newArcs []ArcID
+	var arcBuf, ups, downs []ArcID
 	pairCount := make(map[[2]NodeID]int)
 	countedQ := make(map[NodeID]bool)
 	for len(h) > 0 {
@@ -154,7 +146,6 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 		// downs: index d neighbors of v other than u.
 		ups, downs = ups[:0], downs[:0]
 		arcBuf = c.ArcsOf(u, arcBuf[:0])
-		degU := len(arcBuf)
 		for _, a := range arcBuf {
 			if other := c.OtherEnd(a, u); other != v {
 				if c.Arcs[a].Upper == u {
@@ -164,7 +155,6 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 			}
 		}
 		arcBuf = c.ArcsOf(v, arcBuf[:0])
-		degV := len(arcBuf)
 		for _, a := range arcBuf {
 			if other := c.OtherEnd(a, v); other != u {
 				if c.Arcs[a].Lower == v {
@@ -174,23 +164,22 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 			}
 		}
 		if len(ups)*len(downs) > maxFanout {
-			stats.SkippedFanout++
 			continue
 		}
 
-		// Remove the cancelled pair and every arc touching it,
-		// recording what changes so the hierarchy can be navigated
-		// back (hierarchy.go). The single u–v arc is listed by both.
-		rec := undoRecord{lower: u, upper: v, removedArcs: make([]ArcID, 0, degU+degV-1)}
-		rec.removedArcs = c.ArcsOf(u, rec.removedArcs)
-		for _, a := range rec.removedArcs {
+		// Remove the cancelled pair and every arc touching it. The
+		// single u–v arc is listed by both, and dead by the time v's
+		// list is read.
+		arcBuf = c.ArcsOf(u, arcBuf[:0])
+		for _, a := range arcBuf {
 			c.Arcs[a].Alive = false
 		}
-		rec.removedArcs = c.ArcsOf(v, rec.removedArcs)
-		for _, a := range rec.removedArcs[degU:] {
+		removed := len(arcBuf)
+		arcBuf = c.ArcsOf(v, arcBuf[:0])
+		for _, a := range arcBuf {
 			c.Arcs[a].Alive = false
 		}
-		removed := len(rec.removedArcs)
+		removed += len(arcBuf)
 		c.Nodes[u].Alive = false
 		c.Nodes[v].Alive = false
 		c.Work.ArcsTouched += int64(removed)
@@ -203,7 +192,7 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 		// The composites' part lists go straight into the part arena.
 		clear(pairCount)
 		clear(countedQ)
-		newArcs = newArcs[:0]
+		created := 0
 		for _, qa := range ups {
 			q := c.Arcs[qa].Upper
 			if !countedQ[q] {
@@ -227,19 +216,11 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 					{ID: arc.Geom, Reversed: true},
 					{ID: c.Arcs[pa].Geom},
 				}
-				na := c.AddArc(q, p, c.AddCompositeGeom(g[:]))
-				newArcs = append(newArcs, na)
-				push(na)
+				push(c.AddArc(q, p, c.AddCompositeGeom(g[:])))
+				created++
 			}
 		}
-		created := len(newArcs)
-		if created > 0 {
-			rec.createdArcs = make([]ArcID, created)
-			copy(rec.createdArcs, newArcs)
-		}
 
-		c.undo = append(c.undo, rec)
-		c.applied = len(c.undo)
 		c.Hierarchy = append(c.Hierarchy, Cancellation{
 			Persistence: cand.pers,
 			UpperCell:   c.Nodes[v].Cell,
@@ -251,7 +232,6 @@ func (c *Complex) Simplify(opts SimplifyOptions) SimplifyStats {
 		})
 		c.Work.Cancellations++
 		stats.Cancellations++
-		stats.ArcsRemoved += removed
 		stats.ArcsCreated += created
 	}
 	return stats

@@ -14,7 +14,9 @@ import (
 )
 
 // checkIncidence verifies that every node's incidence list holds
-// exactly the alive arcs that end at it.
+// exactly the alive arcs that end at it, in ascending arc order: every
+// append adds the newest arc, and Compact and the decoder fill the
+// lists in arc order, so list order never depends on history.
 func checkIncidence(t *testing.T, c *Complex) {
 	t.Helper()
 	want := make([][]ArcID, len(c.Nodes))
@@ -26,7 +28,9 @@ func checkIncidence(t *testing.T, c *Complex) {
 	}
 	for n := range c.Nodes {
 		got := c.ArcsOf(NodeID(n), nil)
-		slices.Sort(got)
+		if !slices.IsSorted(got) {
+			t.Fatalf("node %d lists arcs %v, out of arc order", n, got)
+		}
 		if !slices.Equal(got, want[n]) {
 			t.Fatalf("node %d lists arcs %v, alive arcs ending at it are %v", n, got, want[n])
 		}
@@ -87,39 +91,23 @@ func overfillCarvedList(t *testing.T, c *Complex) {
 	checkIncidence(t, c)
 }
 
-// walkHierarchy simplifies further, then refines to the finest level and
-// reapplies to the coarsest, validating every level on the way.
-func walkHierarchy(t *testing.T, c *Complex) {
+// simplifyFurtherValid simplifies c further and checks that the result
+// passes Validate and checkIncidence.
+func simplifyFurtherValid(t *testing.T, c *Complex) {
 	t.Helper()
-	fine, fineArcs := c.AliveCounts()
 	if c.Simplify(SimplifyOptions{Threshold: 0.5}).Cancellations == 0 {
 		t.Fatal("further simplification cancelled nothing")
 	}
-	coarse, coarseArcs := c.AliveCounts()
-	check := func(stage string) {
-		if err := c.Validate(); err != nil {
-			t.Fatalf("%s at level %d: %v", stage, c.Resolution(), err)
-		}
-		checkIncidence(t, c)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	for c.Refine() {
-		check("refine")
-	}
-	if n, a := c.AliveCounts(); n != fine || a != fineArcs {
-		t.Fatalf("finest level %v/%d, want %v/%d", n, a, fine, fineArcs)
-	}
-	for c.Reapply() {
-		check("reapply")
-	}
-	if n, a := c.AliveCounts(); n != coarse || a != coarseArcs {
-		t.Fatalf("coarsest level %v/%d, want %v/%d", n, a, coarse, coarseArcs)
-	}
+	checkIncidence(t, c)
 }
 
 // TestCarvedArcListsDoNotAlias: Compact and Deserialize carve every
 // node's incidence list from one array with clipped capacity, so
 // growing one list past its carved size must leave every other node's
-// list intact, and the hierarchy built on top must stay valid.
+// list intact, and simplifying further must leave a valid complex.
 func TestCarvedArcListsDoNotAlias(t *testing.T) {
 	build := func() *Complex {
 		ms := traceVolume(t, synth.Random(grid.Dims{9, 9, 9}, 61))
@@ -129,7 +117,7 @@ func TestCarvedArcListsDoNotAlias(t *testing.T) {
 	t.Run("compacted", func(t *testing.T) {
 		c := build()
 		overfillCarvedList(t, c)
-		walkHierarchy(t, c)
+		simplifyFurtherValid(t, c)
 	})
 	t.Run("deserialized", func(t *testing.T) {
 		c, err := Deserialize(build().Serialize())
@@ -137,7 +125,7 @@ func TestCarvedArcListsDoNotAlias(t *testing.T) {
 			t.Fatal(err)
 		}
 		overfillCarvedList(t, c)
-		walkHierarchy(t, c)
+		simplifyFurtherValid(t, c)
 	})
 }
 
@@ -304,6 +292,44 @@ func TestGlueSerializedAllocsBounded(t *testing.T) {
 	const limit = 32
 	if allocs > limit {
 		t.Fatalf("GlueSerialized of %d geometries made %d allocations, want at most %d", len(blocks[1].Geoms), allocs, limit)
+	}
+}
+
+// TestSimplifyAllocsBounded: Simplify on BenchmarkSimplify32's complex
+// allocates for the arcs, geometry and heap it grows and for its
+// scratch, but keeps no per-cancellation record beside the hierarchy.
+func TestSimplifyAllocsBounded(t *testing.T) {
+	f := benchField(t, 33, 4)
+	var ms *Complex
+	allocs := mallocsAfterGC(5, func() {
+		ms = FromField(f, nil, TraceOptions{}).Complex
+	}, func() {
+		ms.Simplify(SimplifyOptions{Threshold: 0.02})
+	})
+	// Measured: 804–805 allocations after a GC (2,386 while every
+	// cancellation wrote an undo record); the budget leaves 195.
+	const limit = 1000
+	if allocs > limit {
+		t.Fatalf("Simplify made %d allocations, want at most %d", allocs, limit)
+	}
+}
+
+// TestCompactAllocsBounded: Compact on BenchmarkCompact32's complex
+// allocates each array, arena and slot table once, however many nodes
+// and arcs survive.
+func TestCompactAllocsBounded(t *testing.T) {
+	f := benchField(t, 33, 4)
+	var ms *Complex
+	allocs := mallocsAfterGC(5, func() {
+		ms = FromField(f, nil, TraceOptions{}).Complex
+		ms.Simplify(SimplifyOptions{Threshold: 0.02})
+	}, func() {
+		ms.Compact()
+	})
+	// Measured: 16 allocations after a GC; the budget leaves 8.
+	const limit = 24
+	if allocs > limit {
+		t.Fatalf("Compact made %d allocations, want at most %d", allocs, limit)
 	}
 }
 
@@ -508,22 +534,10 @@ func twin(t *testing.T, c *Complex) *Complex {
 	return out
 }
 
-// arcOrdered reports whether every node's incidence list is in arc id
-// order, as Deserialize builds them.
-func arcOrdered(c *Complex) bool {
-	for i := range c.Nodes {
-		if !slices.IsSorted(c.Nodes[i].arcs) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestCompactInPlace: Compact compacts its receiver and returns it,
 // leaving the bytes as they were, and the compacted complex behaves
 // exactly as a Deserialize twin under further simplification and
-// gluing — in particular after Refine, whose restored arcs sit out of
-// order in their incidence lists until Compact rebuilds them.
+// gluing.
 func TestCompactInPlace(t *testing.T) {
 	// Compact keeps the node array when at least a quarter of it
 	// survives and rebuilds it at exact size otherwise; the two
@@ -551,21 +565,14 @@ func TestCompactInPlace(t *testing.T) {
 
 		ms := traceVolume(t, vol)
 		ms.Simplify(SimplifyOptions{Threshold: 0.3})
-		for i := 0; i < 5 && ms.Refine(); i++ {
-		}
-		if arcOrdered(ms) {
-			t.Fatalf("seed %d: Refine left every incidence list in arc order", seed)
-		}
+		checkIncidence(t, ms)
 		ref := twin(t, ms)
 		ms.Compact()
 		checkIncidence(t, ms)
-		if !arcOrdered(ms) {
-			t.Fatalf("seed %d: Compact left an incidence list out of arc order", seed)
-		}
 		ms.Simplify(SimplifyOptions{Threshold: 0.6})
 		ref.Simplify(SimplifyOptions{Threshold: 0.6})
 		if !bytes.Equal(ms.Serialize(), ref.Serialize()) {
-			t.Fatalf("seed %d: refine, compact, simplify differs from its twin", seed)
+			t.Fatalf("seed %d: compact, simplify differs from its twin", seed)
 		}
 
 		_, blocks := computeBlocks(t, vol, 4, 0.1)

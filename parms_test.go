@@ -138,22 +138,11 @@ func TestSimplifyPublicMonotone(t *testing.T) {
 func TestMultiResolutionPublic(t *testing.T) {
 	vol := Sinusoid(17, 2)
 	ms := ComputeSerial(vol, 0.3)
-	max := ms.MaxResolution()
-	if max == 0 {
+	if len(ms.Hierarchy) == 0 {
 		t.Fatal("no hierarchy recorded")
 	}
-	coarse := ms.NumAliveNodes()
-	ms.SetResolution(0)
-	fine := ms.NumAliveNodes()
-	if fine != coarse+2*max {
-		t.Fatalf("finest level has %d nodes, want %d", fine, coarse+2*max)
-	}
-	ms.SetResolution(max)
-	if ms.NumAliveNodes() != coarse {
-		t.Fatal("navigation did not return to the coarse level")
-	}
-	if len(Diagram(ms, vol.Dims)) != max {
-		t.Fatalf("diagram has %d pairs, want %d", len(Diagram(ms, vol.Dims)), max)
+	if got := len(Diagram(ms, vol.Dims)); got != len(ms.Hierarchy) {
+		t.Fatalf("diagram has %d pairs, want %d", got, len(ms.Hierarchy))
 	}
 }
 
