@@ -20,8 +20,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -58,27 +60,46 @@ type flowInfo struct {
 }
 
 func main() {
-	requireFlows := flag.Bool("flows", false, "require at least one flow start/finish pair")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-flows] trace.json")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run checks the trace named in args, prints the summary to stdout and
+// every violation to stderr, and returns the exit code: 0 when the
+// trace is valid, 1 on a violation or an unreadable file, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("tracecheck", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	requireFlows := flags.Bool("flows", false, "require at least one flow start/finish pair")
+	flags.Usage = func() {
+		fmt.Fprintln(stderr, "usage: tracecheck [-flows] trace.json")
+		flags.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	path := flag.Arg(0)
+	if flags.NArg() != 1 {
+		flags.Usage()
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "tracecheck: "+format+"\n", args...)
+		return 1
+	}
+	path := flags.Arg(0)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	var tf traceFile
 	if err := json.Unmarshal(data, &tf); err != nil {
-		fail("%s: not valid JSON: %v", path, err)
+		return fail("%s: not valid JSON: %v", path, err)
 	}
 	if tf.TraceEvents == nil {
-		fail("%s: no traceEvents array", path)
+		return fail("%s: no traceEvents array", path)
 	}
 
 	tracks := make(map[trackKey]*trackInfo)
@@ -86,7 +107,7 @@ func main() {
 	violations := 0
 	complain := func(i int, ev traceEvent, format string, args ...interface{}) {
 		violations++
-		fmt.Fprintf(os.Stderr, "tracecheck: event %d (%s %q pid=%d tid=%d): %s\n",
+		fmt.Fprintf(stderr, "tracecheck: event %d (%s %q pid=%d tid=%d): %s\n",
 			i, ev.Ph, ev.Name, ev.Pid, ev.Tid, fmt.Sprintf(format, args...))
 	}
 	for i, ev := range tf.TraceEvents {
@@ -183,7 +204,7 @@ func main() {
 	sort.Strings(orphanIDs)
 	for _, id := range orphanIDs {
 		violations++
-		fmt.Fprintf(os.Stderr, "tracecheck: event %d: flow start id %s never finishes\n",
+		fmt.Fprintf(stderr, "tracecheck: event %d: flow start id %s never finishes\n",
 			flows[id].firstEvent, id)
 	}
 
@@ -197,22 +218,18 @@ func main() {
 		}
 		return keys[i].tid < keys[j].tid
 	})
-	fmt.Printf("%s: %d events, %d tracks, %d flow pair(s)\n", path, len(tf.TraceEvents), len(tracks), pairs)
+	fmt.Fprintf(stdout, "%s: %d events, %d tracks, %d flow pair(s)\n", path, len(tf.TraceEvents), len(tracks), pairs)
 	for _, k := range keys {
 		tr := tracks[k]
-		fmt.Printf("  pid %d tid %d: %d spans, %d instants, [%.3f, %.3f] us\n",
+		fmt.Fprintf(stdout, "  pid %d tid %d: %d spans, %d instants, [%.3f, %.3f] us\n",
 			k.pid, k.tid, tr.spans, tr.instants, tr.minTs, tr.maxEnd)
 	}
 	if *requireFlows && pairs == 0 {
-		fail("-flows: no flow pairs in %s", path)
+		return fail("-flows: no flow pairs in %s", path)
 	}
 	if violations > 0 {
-		fail("%d violation(s)", violations)
+		return fail("%d violation(s)", violations)
 	}
-	fmt.Println("ok")
-}
-
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "tracecheck: "+format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintln(stdout, "ok")
+	return 0
 }

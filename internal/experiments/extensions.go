@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 
 	"parms/internal/analysis"
 	"parms/internal/grid"
@@ -210,16 +209,12 @@ func GlobalSimplify(cfg Config) (*GlobalSimplifyResult, error) {
 		Bytes:        partial.OutputBytes,
 	})
 
-	// Glue all surviving blocks (in id order, deterministically) and
-	// simplify globally.
-	ids := make([]int, 0, len(partial.Complexes))
-	for id := range partial.Complexes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	glueList := make([]*mscomplex.Complex, 0, len(ids))
-	for _, id := range ids {
-		glueList = append(glueList, partial.Complexes[id])
+	// Glue all surviving blocks in id order and simplify globally.
+	glueList := make([]*mscomplex.Complex, 0, len(partial.Complexes))
+	for id := 0; id < partial.Blocks; id++ {
+		if ms, ok := partial.Complexes[id]; ok {
+			glueList = append(glueList, ms)
+		}
 	}
 	global := analysis.MergeAll(glueList, threshold)
 	gNodes, _ := global.AliveCounts()

@@ -6,8 +6,8 @@ import "parms/internal/kernel"
 // stage. Every kernel is a chunked parallel-for over flat arrays
 // (kernel.Pool.Run): writes go only to slots indexed by the loop
 // variable, chunk boundaries depend only on the problem size, and the
-// per-element loop bodies allocate nothing — the msvet `kernel`
-// analyzer enforces the latter for every function named *Kernel.
+// per-element loop bodies allocate nothing — TestComputeAllocsBounded
+// fails when one does.
 
 // successorsKernel fills the flat vertex successor array from the
 // assigned state bytes: succ0[v] is the next vertex along the

@@ -92,6 +92,39 @@ func TestTraceScratchRecycled(t *testing.T) {
 	}
 }
 
+// TestTraceAllocsBounded: tracing one block allocates the complex's
+// arrays, the workspaces and their scratch per block and per sweep, not
+// per vertex or per cell, on one worker and on two. The block is
+// BenchmarkTraceSmoothBlock's; its vertex count spans several sweep
+// chunks, so at width 2 initChainsKernel and jumpSweepKernel run
+// chunked on two goroutines. A per-element allocation in a kernel loop
+// adds one allocation per vertex and sweep.
+func TestTraceAllocsBounded(t *testing.T) {
+	b := recycleBlocks(t)[0]
+	f := gradient.Compute(b.c, b.dec)
+	if chunks := kernel.Chunks(f.VertexCount(), sweepGrain); chunks < 4 {
+		t.Fatalf("%d vertices make %d sweep chunks: too few to run two workers", f.VertexCount(), chunks)
+	}
+	for _, tc := range []struct {
+		workers int
+		limit   uint64
+	}{
+		// Measured: 138–139 allocations after a GC, 140–146 under -race.
+		{1, 160},
+		// Measured: 248–258 after a GC (a second workspace, and two
+		// goroutines per sweep), 250–257 under -race.
+		{2, 280},
+	} {
+		pool := kernel.New(tc.workers)
+		allocs := mallocsAfterGC(5, func() {}, func() {
+			FromFieldPooled(f, b.dec, TraceOptions{}, pool)
+		})
+		if allocs > tc.limit {
+			t.Errorf("width %d: trace made %d allocations, want at most %d", tc.workers, allocs, tc.limit)
+		}
+	}
+}
+
 // TestTraceEpochWraps: a tracer whose epoch counter reaches maxEpoch
 // partway through a block clears its scratch and starts over, and
 // traces the same complex as a fresh tracer.

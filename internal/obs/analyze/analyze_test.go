@@ -2,6 +2,7 @@ package analyze_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -292,5 +293,52 @@ func TestTimeoutFlagsSender(t *testing.T) {
 	}
 	if rep.Faults["fault:timeout"] != 1 {
 		t.Errorf("faults = %v", rep.Faults)
+	}
+}
+
+// TestCommMatrixSortedByLink: the comm matrix lists its links by (src,
+// dst) whatever order the flows arrive in. Map iteration order changes
+// from call to call, so the analysis runs several times.
+func TestCommMatrixSortedByLink(t *testing.T) {
+	in := &analyze.Input{Procs: 3, Spans: make([][]obs.Span, 3), Instants: make([][]obs.Instant, 3)}
+	for _, l := range [][2]int{{2, 1}, {0, 2}, {1, 0}, {2, 0}, {0, 1}, {1, 2}, {0, 2}} {
+		in.Flows = append(in.Flows, obs.Flow{Emitter: l[0], Src: l[0], Dst: l[1], Bytes: 10, Kind: obs.FlowP2P, Done: true})
+	}
+	const want = "0→1 0→2 1→0 1→2 2→0 2→1"
+	for run := 0; run < 10; run++ {
+		var links []string
+		for _, l := range analyze.Analyze(in).CommMatrix {
+			links = append(links, fmt.Sprintf("%d→%d", l.Src, l.Dst))
+		}
+		if got := strings.Join(links, " "); got != want {
+			t.Fatalf("run %d: comm matrix links %q, want %q", run, got, want)
+		}
+	}
+}
+
+// TestPrintFaultsSorted: the text report lists fault counts by name.
+// Map iteration order changes from call to call, so the report is
+// printed several times.
+func TestPrintFaultsSorted(t *testing.T) {
+	r := &analyze.Report{Faults: map[string]int{
+		"fault:timeout": 1, "fault:crash": 2, "fault:drop": 3, "fault:io_retry": 4, "fault:corrupt": 5,
+	}}
+	const want = "fault:corrupt fault:crash fault:drop fault:io_retry fault:timeout"
+	for run := 0; run < 10; run++ {
+		var buf bytes.Buffer
+		r.Print(&buf)
+		_, faults, ok := strings.Cut(buf.String(), "\nfaults:\n")
+		if !ok {
+			t.Fatalf("no faults section in:\n%s", buf.String())
+		}
+		var names []string
+		for _, line := range strings.Split(faults, "\n") {
+			if f := strings.Fields(line); len(f) == 2 {
+				names = append(names, f[0])
+			}
+		}
+		if got := strings.Join(names, " "); got != want {
+			t.Fatalf("run %d: faults printed as %q, want %q", run, got, want)
+		}
 	}
 }

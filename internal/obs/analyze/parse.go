@@ -14,12 +14,12 @@ import (
 
 // ParseChromeTrace reads a trace previously written by
 // obs.Tracer.WriteChromeTrace back into an Input. Timestamps come back
-// as virtual seconds with the file's nanosecond fixed-point resolution,
-// and attributes are re-ordered by key so parsing is deterministic
-// regardless of the recording order the map decode discarded. A tid
-// outside [0, number of events) is an error: the writer names every
-// rank's track with its own thread_name event, so no well-formed file
-// has more ranks than events.
+// as virtual seconds with the file's nanosecond fixed-point resolution.
+// Attributes come back in no fixed order (the map decode discards the
+// recording order), so they are read by key. A tid outside [0, number
+// of events) is an error: the writer names every rank's track with its
+// own thread_name event, so no well-formed file has more ranks than
+// events.
 func ParseChromeTrace(r io.Reader) (*Input, error) {
 	var doc struct {
 		TraceEvents []struct {
@@ -174,24 +174,20 @@ func argString(args map[string]json.RawMessage, key string) (string, bool) {
 }
 
 // parseArgs rebuilds span attributes from a decoded args object.
-// Integers round-trip as I attrs, other numbers as F, strings as S;
-// keys are sorted because the JSON object decode loses file order.
+// Integers round-trip as I attrs, other numbers as F, strings as S. The
+// attrs come out in map order: the keys of a JSON object are distinct,
+// and the analysis only looks attrs up by key.
 func parseArgs(args map[string]json.RawMessage) []obs.Attr {
 	if len(args) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(args))
-	for k := range args {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	attrs := make([]obs.Attr, 0, len(keys))
-	for _, k := range keys {
-		raw := strings.TrimSpace(string(args[k]))
+	attrs := make([]obs.Attr, 0, len(args))
+	for k, msg := range args {
+		raw := strings.TrimSpace(string(msg))
 		switch {
 		case strings.HasPrefix(raw, `"`):
 			var s string
-			if json.Unmarshal(args[k], &s) == nil {
+			if json.Unmarshal(msg, &s) == nil {
 				attrs = append(attrs, obs.S(k, s))
 			}
 		case !strings.ContainsAny(raw, ".eE"):

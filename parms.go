@@ -25,7 +25,6 @@ package parms
 
 import (
 	"fmt"
-	"sort"
 
 	"parms/internal/analysis"
 	"parms/internal/fault"
@@ -402,11 +401,6 @@ func Efficiency(baseTime float64, baseProcs int, t float64, procs int) float64 {
 
 // Describe renders a one-line summary of a result.
 func (r *Result) Describe() string {
-	ids := make([]int, 0, len(r.Complexes))
-	for id := range r.Complexes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	return fmt.Sprintf(
 		"procs=%d blocks=%d out=%d nodes=%v arcs=%d bytes=%d read=%.3fs compute=%.3fs merge=%.3fs write=%.3fs total=%.3fs",
 		r.Procs, r.Blocks, r.OutputBlocks, r.Nodes, r.Arcs, r.OutputBytes,
